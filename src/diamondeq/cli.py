@@ -17,8 +17,10 @@ one record per iteration (plus a leading meta record and a trailing summary
 record); identical inputs and configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
-for a direct decision, 1 on any other error. Tolerance knobs are overridden
-through DIAMONDEQ_* environment variables (see the tolerances module).
+for a direct decision, 1 on any other error; a run stopped by
+``--max-rounds`` still writes its partial trace to ``--trace-out``. Tolerance
+knobs are overridden through DIAMONDEQ_* environment variables (see the
+tolerances module).
 """
 
 from __future__ import annotations
@@ -342,8 +344,16 @@ def run(config: RunConfig, stream=None) -> int:
     except GapTooSmallError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except IterationCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if config.trace_path and exc.trace is not None:
+            try:
+                write_trace(exc.trace, config.trace_path)
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
+        return 1
     except (ValidationError, OSError, EigendecompositionError,
-            OracleBoundError, IterationCapError, CertificateViolation) as exc:
+            OracleBoundError, CertificateViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,15 +20,9 @@ def as_cmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():  # complex isfinite checks both parts
         raise ValidationError("matrix entries must be finite (no NaN/Inf)")
     return m
-
-
-def hermitian_part(a) -> np.ndarray:
-    """Return (A + A*) / 2."""
-    m = as_cmatrix(a)
-    return 0.5 * (m + m.conj().T)
 
 
 def require_hermitian(h, herm_tol: float | None = None) -> np.ndarray:
@@ -96,36 +90,24 @@ def herm_eig(h, herm_tol: float | None = None) -> EigDecomp:
     return EigDecomp(w, u)
 
 
-def _positive_eta(eta: float | None) -> float:
-    value = tolerances.ETA_DEFAULT if eta is None else eta
-    if not value > 0:
-        raise ValidationError(f"approximation budget eta must be positive, got {value}")
-    return value
-
-
-def mat_exp_hermitian(h, eta: float | None = None) -> np.ndarray:
+def mat_exp_hermitian(h) -> np.ndarray:
     """exp(H) for Hermitian H via eigendecomposition.
 
-    The result R is Hermitian positive definite and satisfies
-    ``||R - exp(H)|| <= eta`` in operator norm; any ``eta`` at a comfortable
-    margin above machine precision times ``||exp(H)||`` is honored by this
-    route.
+    The result is Hermitian positive definite; its accuracy is that of the
+    residual-checked eigendecomposition.
     """
-    _positive_eta(eta)
     dec = herm_eig(h)
     r = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.conj().T
     return 0.5 * (r + r.conj().T)
 
 
-def pos_proj(h, eta: float | None = None) -> np.ndarray:
+def pos_proj(h) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors of H with strictly
     positive eigenvalue.
 
     Eigenvalues are taken from the symmetrized input; the zero matrix maps to
-    the zero projector. ``||result - projector|| <= eta`` holds whenever no
-    eigenvalue sits within roundoff of zero.
+    the zero projector.
     """
-    _positive_eta(eta)
     dec = herm_eig(h)
     cols = dec.eigenvectors[:, dec.eigenvalues > 0.0]
     p = cols @ cols.conj().T
@@ -214,3 +196,21 @@ def hs_inner(a, b) -> complex:
 def kron(a, b) -> np.ndarray:
     """Tensor product with the leftmost factor most significant."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))
+
+
+def kron_sum(factors) -> np.ndarray:
+    """Kronecker sum F1 (x) I (x) ... (x) I + ... + I (x) ... (x) I (x) Fk of
+    square matrices, leftmost factor most significant.
+
+    Its spectrum is the set of sums of one eigenvalue from each factor, and
+    exp(sum) = (x)_k exp(F_k).
+    """
+    mats = [as_cmatrix(f) for f in factors]
+    dims = [m.shape[0] for m in mats]
+    total = int(np.prod(dims))
+    out = np.zeros((total, total), dtype=np.complex128)
+    for k, m in enumerate(mats):
+        left = np.eye(int(np.prod(dims[:k])), dtype=np.complex128)
+        right = np.eye(int(np.prod(dims[k + 1:])), dtype=np.complex128)
+        out += np.kron(np.kron(left, m), right)
+    return out

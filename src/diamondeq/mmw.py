@@ -12,6 +12,18 @@ T = ceil(16 ln N / delta^2) rounds at learning rate eps = delta/4; with
 floating-point kernels the guarantee degrades by at most the configured
 slack budget delta1 on each side (accounted as (1/2) T delta1 inside the
 regret inequality).
+
+The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
+``dims``, N = prod dims) on which every loss is a Kronecker sum
+M = sum_k I (x) M_k (x) I. Then the running sum S = sum_t M(t) is the
+Kronecker sum of the per-factor sums S_k, and
+
+    exp(-eps S) / tr exp(-eps S) = (x)_k exp(-eps S_k) / tr exp(-eps S_k),
+
+so rho(t) is a product of K Gibbs states of the factor sizes and N x N
+matrices are never formed inside the loop. The channel-pair game has this
+form with K = 2 factors of size n (see ``reduction``); a dense game is the
+one-factor case ``dims = (N,)``.
 """
 
 from __future__ import annotations
@@ -21,18 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tolerances
 from .errors import (
     CertificateViolation,
     IterationCapError,
     OracleBoundError,
     ValidationError,
 )
-from .linalg import as_cmatrix, herm_eig, hs_inner, pos_proj
-from .reduction import ReducedInstance, difference_adjoint, difference_output
+from .linalg import as_cmatrix, herm_eig, hs_inner, kron_sum, pos_proj
+from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
-#: clipped to the boundary; anything larger is a hard error.
+#: clipped back into it; anything larger is a hard error.
 CLIP_TOL = 1e-9
 
 
@@ -43,18 +54,12 @@ class MMWConfig:
     ``delta`` is the target precision of the returned value. ``epsilon``
     and ``rounds`` default to delta/4 and ceil(16 ln N / delta^2) and are
     only overridden for experiments. ``delta1`` is the aggregate slack
-    budget charged to approximate arithmetic (default delta/10); the
-    per-operation budgets ``eta_exp``/``eta_proj`` are assumptions on the
-    kernels, comfortably met by double precision at the matrix sizes this
-    package targets and cross-checked by the test suite's independent
-    oracles.
+    budget charged to approximate arithmetic (default delta/10).
     """
 
     delta: float = 0.2
     epsilon: float | None = None
     rounds: int | None = None
-    eta_exp: float = tolerances.ETA_DEFAULT
-    eta_proj: float = tolerances.ETA_DEFAULT
     delta1: float | None = None
     max_rounds: int = 1_000_000
 
@@ -71,8 +76,6 @@ class MMWConfig:
             raise ValidationError(
                 f"slack budget delta1={self.resolved_delta1()} must be below delta={self.delta}"
             )
-        if self.eta_exp <= 0 or self.eta_proj <= 0:
-            raise ValidationError("per-operation budgets eta_exp/eta_proj must be positive")
         if self.max_rounds < 1:
             raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
@@ -83,9 +86,11 @@ class MMWConfig:
         return self.delta / 10.0 if self.delta1 is None else self.delta1
 
     def resolved_rounds(self, dim: int) -> int:
+        """Rounds for an N-dimensional density space; at least one, since at
+        N = 1 the single density's exact best response is the value."""
         if self.rounds is not None:
             return int(self.rounds)
-        return int(math.ceil(16.0 * math.log(dim) / (self.delta * self.delta)))
+        return max(1, int(math.ceil(16.0 * math.log(dim) / (self.delta * self.delta))))
 
 
 @dataclass(eq=False)
@@ -96,6 +101,8 @@ class SolverTrace:
     ``exp_max`` are the extreme eigenvalues of the accumulated exponent
     -eps * sum of prior losses that produced rho(t); ``exponent_norm_bound``
     is the a-priori operator-norm bound eps * T on that exponent.
+    ``loss_sum`` is the N x N sum of all losses, built once after the last
+    round.
     """
 
     dim: int
@@ -152,20 +159,55 @@ def _gibbs_density(loss_sum: np.ndarray, epsilon: float):
     return rho, -epsilon * float(w[0]), -epsilon * float(w[-1]), float(gains[-1] / total)
 
 
-def mmw_run(loss_oracle, dim: int, cfg: MMWConfig | None = None) -> SolverTrace:
-    """Run the multiplicative weights loop.
+def _factor_dims(dims) -> tuple[int, ...]:
+    out = (int(dims),) if np.ndim(dims) == 0 else tuple(int(d) for d in dims)
+    if not out or any(d < 1 for d in out):
+        raise ValidationError(f"factor dimensions must be >= 1, got {dims}")
+    return out
 
-    ``loss_oracle`` maps a density rho to a loss matrix M with 0 <= M <= I,
-    optionally returning ``(M, loss_value)`` to attach a per-round scalar to
-    the trace (defaults to <rho, M>). Loss eigenvalues are checked each
+
+def _as_factors(out) -> tuple:
+    """A list or tuple holds Kronecker-sum factors; anything else is the
+    single factor of a one-factor space."""
+    return tuple(out) if isinstance(out, (list, tuple)) else (out,)
+
+
+def _clip_loss(ms: list, decs: list, low: float, high: float) -> list:
+    """Bring a loss spectrum [low, high] that leaves [0, 1] by at most
+    CLIP_TOL back inside, keeping the Kronecker-sum factor form."""
+    if len(ms) == 1:
+        dec = decs[0]
+        clipped = np.clip(dec.eigenvalues, 0.0, 1.0)
+        m = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
+        return [0.5 * (m + m.conj().T)]
+    # The spectrum of a Kronecker sum is all sums of factor eigenvalues, so
+    # no per-factor clip caps it; the affine map of [min(low, 0), max(high, 1)]
+    # onto [0, 1] does, and moves every factor by O(CLIP_TOL) at most.
+    lo, hi = min(low, 0.0), max(high, 1.0)
+    scale = 1.0 / (hi - lo)
+    out = [m * scale for m in ms]
+    out[0] = out[0] - (lo * scale) * np.eye(out[0].shape[0])
+    return out
+
+
+def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
+    """Run the multiplicative weights loop on a product of density factors.
+
+    ``dims`` is the tuple of factor dimensions (an int means one factor).
+    ``loss_oracle`` is called with one density per factor, whose tensor
+    product is rho(t), and returns the loss M with 0 <= M <= I as its
+    Kronecker-sum factors, one matrix per factor (a bare matrix for one
+    factor), optionally paired as ``(factors, loss_value)`` to attach a
+    per-round scalar to the trace (defaults to <rho, M>). The loss spectrum,
+    whose extremes are the sums of the factor extremes, is checked each
     round: excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones
     raise OracleBoundError. If the accuracy formula asks for more rounds
     than ``max_rounds``, the loop runs to the cap and raises
     IterationCapError carrying the partial trace.
     """
     cfg = MMWConfig() if cfg is None else cfg
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    dims = _factor_dims(dims)
+    dim = math.prod(dims)
     eps = cfg.resolved_epsilon()
     planned = cfg.resolved_rounds(dim)
     executed = min(planned, cfg.max_rounds)
@@ -173,24 +215,29 @@ def mmw_run(loss_oracle, dim: int, cfg: MMWConfig | None = None) -> SolverTrace:
     records = {name: [] for name in (
         "losses", "step_inners", "exp_min", "exp_max",
         "rho_trace_err", "rho_min_eig", "m_min_eig", "m_max_eig")}
-    loss_sum = np.zeros((dim, dim), dtype=np.complex128)
+    sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
 
     for _ in range(executed):
-        rho, e_min, e_max, rho_low = _gibbs_density(loss_sum, eps)
-        records["exp_min"].append(e_min)
-        records["exp_max"].append(e_max)
-        records["rho_trace_err"].append(abs(float(np.trace(rho).real) - 1.0))
-        records["rho_min_eig"].append(rho_low)
+        gibbs = [_gibbs_density(s, eps) for s in sums]
+        rhos = [g[0] for g in gibbs]
+        traces = [float(np.trace(r).real) for r in rhos]
+        records["exp_min"].append(sum(g[1] for g in gibbs))
+        records["exp_max"].append(sum(g[2] for g in gibbs))
+        records["rho_trace_err"].append(abs(math.prod(traces) - 1.0))
+        records["rho_min_eig"].append(math.prod(g[3] for g in gibbs))
 
-        out = loss_oracle(rho)
-        m, loss = out if isinstance(out, tuple) else (out, None)
-        m = as_cmatrix(m)
-        if m.shape != (dim, dim):
+        out = loss_oracle(*rhos)
+        paired = isinstance(out, tuple) and len(out) == 2 and np.ndim(out[1]) == 0
+        factors, loss = out if paired else (out, None)
+        ms = [as_cmatrix(f) for f in _as_factors(factors)]
+        if [m.shape for m in ms] != [(d, d) for d in dims]:
             raise OracleBoundError(
-                f"oracle returned shape {m.shape}, expected ({dim}, {dim})"
+                f"oracle returned factor shapes {[m.shape for m in ms]}, expected "
+                f"{[(d, d) for d in dims]}"
             )
-        dec = herm_eig(m)
-        high, low = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
+        decs = [herm_eig(m) for m in ms]
+        high = sum(float(dec.eigenvalues[0]) for dec in decs)
+        low = sum(float(dec.eigenvalues[-1]) for dec in decs)
         if low < -CLIP_TOL or high > 1.0 + CLIP_TOL:
             raise OracleBoundError(
                 f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
@@ -199,15 +246,18 @@ def mmw_run(loss_oracle, dim: int, cfg: MMWConfig | None = None) -> SolverTrace:
         records["m_min_eig"].append(low)
         records["m_max_eig"].append(high)
         if low < 0.0 or high > 1.0:
-            clipped = np.clip(dec.eigenvalues, 0.0, 1.0)
-            m = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
-            m = 0.5 * (m + m.conj().T)
-        inner = float(hs_inner(rho, m).real)
+            ms = _clip_loss(ms, decs, low, high)
+        # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
+        inner = sum(
+            float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
+            for k, (r, m) in enumerate(zip(rhos, ms))
+        )
         records["step_inners"].append(inner)
         records["losses"].append(inner if loss is None else float(loss))
 
-        loss_sum = loss_sum + m
-        loss_sum = 0.5 * (loss_sum + loss_sum.conj().T)
+        for k, m in enumerate(ms):
+            s = sums[k] + m
+            sums[k] = 0.5 * (s + s.conj().T)
 
     trace = SolverTrace(
         dim=dim,
@@ -216,7 +266,7 @@ def mmw_run(loss_oracle, dim: int, cfg: MMWConfig | None = None) -> SolverTrace:
         delta=cfg.delta,
         delta1=cfg.resolved_delta1(),
         exponent_norm_bound=eps * planned,
-        loss_sum=loss_sum,
+        loss_sum=kron_sum(sums),
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )
     if executed < planned:
@@ -298,7 +348,7 @@ class EquilibriumResult:
 
 
 def solve_generic(
-    dim: int,
+    dims,
     apply_op,
     adjoint_op,
     argmax_op,
@@ -309,20 +359,23 @@ def solve_generic(
     """Equilibrium value of min over densities, max over a convex witness
     set, of ``<witness, apply_op(rho)>``.
 
+    ``dims`` are the density factor dimensions (an int means one factor);
+    ``apply_op`` is called with one density per factor and must depend on
+    rho only through them. ``adjoint_op`` returns the adjoint image of a
+    witness as its Kronecker-sum factors (a bare matrix for one factor).
     ``argmax_op`` must return the exact maximizing witness for a given value
-    operator (up to eta_proj), ``adjoint_op`` the adjoint image of a
-    witness, and ``bound`` a bound on ``|<witness, apply_op(rho)>|`` over
-    all inputs (spot-checked every round; the accuracy guarantee scales
-    with it).
+    operator, and ``bound`` bound ``|<witness, apply_op(rho)>|`` over all
+    inputs (spot-checked every round; the accuracy guarantee scales with
+    it).
     """
     cfg = MMWConfig() if cfg is None else cfg
     if bound <= 0:
         raise ValidationError(f"value bound must be positive, got {bound}")
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(_factor_dims(dims)[0], dtype=np.complex128)
     state = {"witness_sum": None, "count": 0}
 
-    def oracle(rho):
-        value_op = apply_op(rho)
+    def oracle(*rhos):
+        value_op = apply_op(*rhos)
         witness = argmax_op(value_op)
         loss = float(hs_inner(witness, value_op).real)
         if abs(loss) > bound * (1.0 + CLIP_TOL) + CLIP_TOL:
@@ -335,8 +388,9 @@ def solve_generic(
             raise OracleBoundError(
                 f"round value {loss} outside promised range {loss_range}"
             )
-        image = adjoint_op(witness)
-        m = 0.5 * (image / bound + eye)
+        image = _as_factors(adjoint_op(witness))
+        # M = (I + image / bound) / 2, with the identity carried by factor 0.
+        m = [0.5 * (image[0] / bound + eye)] + [0.5 * (f / bound) for f in image[1:]]
         if state["witness_sum"] is None:
             state["witness_sum"] = np.array(witness, dtype=np.complex128)
         else:
@@ -344,12 +398,14 @@ def solve_generic(
         state["count"] += 1
         return m, loss
 
-    trace = mmw_run(oracle, dim, cfg)
+    trace = mmw_run(oracle, dims, cfg)
     value = float(np.mean(trace.losses))
     trace.value = value
 
     averaged = state["witness_sum"] / state["count"]
-    lower_avg = float(np.linalg.eigvalsh(adjoint_op(averaged))[0])
+    # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
+    lower_avg = sum(float(np.linalg.eigvalsh(f)[0])
+                    for f in _as_factors(adjoint_op(averaged)))
     # lambda_min of each round's adjoint image, recovered from the recorded
     # loss-matrix spectrum: image = bound * (2 M - I).
     lower_single = bound * (2.0 * float(np.max(trace.m_min_eig)) - 1.0)
@@ -368,18 +424,20 @@ def solve_generic(
 def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> EquilibriumResult:
     """Equilibrium value of a reduced channel-pair instance.
 
-    Each round plays the positive-eigenspace projector of the difference
-    output (the exact best response) and feeds back the shifted adjoint
-    image as the loss matrix; the averaged per-round value approximates the
-    equilibrium value within delta (+ the delta1 slack budget) and lies in
-    [0, 1] up to roundoff.
+    Each loss is (I + G+ (x) I - I (x) G-) / 2, a Kronecker sum, so the
+    solver's density on X0 (x) X1 stays a product rho_0 (x) rho_1 and the
+    loop runs on two n x n factors. Each round plays the positive-eigenspace
+    projector of the difference output (the exact best response) and feeds
+    back the shifted adjoint image as the loss; the averaged per-round value
+    approximates the equilibrium value within delta (+ the delta1 slack
+    budget) and lies in [0, 1] up to roundoff.
     """
-    cfg = MMWConfig() if cfg is None else cfg
+    n = inst.input_dim
     return solve_generic(
-        inst.pair_dim,
-        lambda rho: difference_output(inst, rho),
-        lambda witness: difference_adjoint(inst, witness),
-        lambda value_op: pos_proj(value_op, cfg.eta_proj),
+        (n, n),
+        lambda first, second: marginal_difference_output(inst, first, second),
+        lambda witness: difference_adjoint_factors(inst, witness),
+        pos_proj,
         1.0,
         cfg,
         loss_range=(0.0, 1.0),

@@ -16,19 +16,35 @@ to densities on (flag, Z) (dim 2z), each arm reading only one marginal. The
 difference map and its adjoint drive the equilibrium solver; the
 distinguishability promises translate into thresholds on the equilibrium
 value via the Fuchs-van de Graaf inequalities.
+
+Splitting each stack by its Y row index gives the blocks W+-_y (2z x n),
+stored as arrays W+- of shape (2z, m, n). In block form each arm is
+
+    arm+-(sigma) = sum_y W+-_y sigma W+-_y*        (sigma: n x n marginal)
+
+and the adjoint of the difference map on an effect E (2z x 2z) is the
+Kronecker sum
+
+    G+ (x) I - I (x) G-        with G+- = sum_y W+-_y* E W+-_y   (n x n),
+
+Each is two matrix products over the blocks, and neither forms an
+n^2 x n^2 or 2mz x 2mz matrix. The solver calls these factor forms
+(``marginal_difference_output``, ``difference_adjoint_factors``); the
+joint-density functions ``arm_outputs``, ``difference_output`` and
+``difference_adjoint`` are thin wrappers over them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances
 from .channels import StinespringChannel, pad_env
 from .errors import ValidationError
-from .linalg import as_cmatrix, kron, partial_trace
+from .linalg import as_cmatrix, kron_sum, partial_trace
 
 #: Frobenius tolerance for the basis-wise decomposition identity.
 DECOMPOSITION_TOL = 1e-9
@@ -40,6 +56,8 @@ class ReducedInstance:
 
     ``pair_dim`` (= n^2) is the solver-side density dimension and
     ``witness_dim`` (= 2z) the measurement-effect dimension.
+    ``blocks_plus``/``blocks_minus`` hold the stacks as W+- blocks of shape
+    (2z, m, n), indexed ((flag, Z), Y, X).
     """
 
     stack_plus: np.ndarray
@@ -47,6 +65,15 @@ class ReducedInstance:
     input_dim: int
     output_dim: int
     env_dim: int
+    blocks_plus: np.ndarray = field(init=False, repr=False)
+    blocks_minus: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape = (2, self.output_dim, self.env_dim, self.input_dim)
+        for name, stack in (("blocks_plus", self.stack_plus), ("blocks_minus", self.stack_minus)):
+            blocks = stack.reshape(shape).transpose(0, 2, 1, 3).reshape(
+                2 * self.env_dim, self.output_dim, self.input_dim)
+            object.__setattr__(self, name, np.ascontiguousarray(blocks))
 
     @property
     def pair_dim(self) -> int:
@@ -107,18 +134,40 @@ def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedI
     return ReducedInstance(plus, minus, n, m, z)
 
 
-def _marginals(inst: ReducedInstance, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = inst.input_dim
-    first = partial_trace(rho, (n, n), (0,))
-    second = partial_trace(rho, (n, n), (1,))
-    return first, second
+def _arm(blocks: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """sum_y W_y sigma W_y* for blocks W of shape (2z, m, n)."""
+    d, m, n = blocks.shape
+    left = (blocks.reshape(d * m, n) @ sigma).reshape(d, m * n)
+    out = left @ blocks.reshape(d, m * n).conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def _arm_adjoint(blocks: np.ndarray, effect: np.ndarray) -> np.ndarray:
+    """sum_y W_y* E W_y for blocks W of shape (2z, m, n)."""
+    d, m, n = blocks.shape
+    right = (effect @ blocks.reshape(d, m * n)).reshape(d * m, n)
+    out = blocks.reshape(d * m, n).conj().T @ right
+    return 0.5 * (out + out.conj().T)
+
+
+def marginal_arm_outputs(inst: ReducedInstance, first, second) -> tuple[np.ndarray, np.ndarray]:
+    """The two arm-channel outputs on (flag, Z) from the two input marginals:
+    the plus arm reads ``first`` (on X0), the minus arm ``second`` (on X1).
+    """
+    return _arm(inst.blocks_plus, first), _arm(inst.blocks_minus, second)
+
+
+def marginal_difference_output(inst: ReducedInstance, first, second) -> np.ndarray:
+    """Difference of the two arm outputs from the two input marginals."""
+    out_plus, out_minus = marginal_arm_outputs(inst, first, second)
+    return out_plus - out_minus
 
 
 def arm_outputs(inst: ReducedInstance, rho) -> tuple[np.ndarray, np.ndarray]:
     """The two arm-channel outputs on (flag, Z), each a density operator.
 
-    The plus arm reads the first marginal of ``rho``, the minus arm the
-    second.
+    The plus arm reads the first marginal of the joint density ``rho``, the
+    minus arm the second.
     """
     r = as_cmatrix(rho)
     if r.shape != (inst.pair_dim, inst.pair_dim):
@@ -126,11 +175,10 @@ def arm_outputs(inst: ReducedInstance, rho) -> tuple[np.ndarray, np.ndarray]:
             f"joint density has shape {r.shape}, expected "
             f"({inst.pair_dim}, {inst.pair_dim})"
         )
-    first, second = _marginals(inst, r)
-    dims = (2, inst.output_dim, inst.env_dim)
-    out_plus = partial_trace(inst.stack_plus @ first @ inst.stack_plus.conj().T, dims, (0, 2))
-    out_minus = partial_trace(inst.stack_minus @ second @ inst.stack_minus.conj().T, dims, (0, 2))
-    return 0.5 * (out_plus + out_plus.conj().T), 0.5 * (out_minus + out_minus.conj().T)
+    n = inst.input_dim
+    first = partial_trace(r, (n, n), (0,))
+    second = partial_trace(r, (n, n), (1,))
+    return marginal_arm_outputs(inst, first, second)
 
 
 def difference_output(inst: ReducedInstance, rho) -> np.ndarray:
@@ -139,14 +187,11 @@ def difference_output(inst: ReducedInstance, rho) -> np.ndarray:
     return out_plus - out_minus
 
 
-def difference_adjoint(inst: ReducedInstance, effect) -> np.ndarray:
-    """Adjoint of the difference map on a measurement effect 0 <= E <= I.
+def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker-sum factors (G+, -G-) of the difference adjoint on a
+    measurement effect 0 <= E <= I, with G+- = sum_y W+-_y* E W+-_y.
 
-    Computed by the closed formula
-    (S+* (I_Y lifted E) S+) (x) I - I (x) (S-* (I_Y lifted E) S-);
-    the defining inner-product identity is covered by property tests. The
-    result always satisfies -I <= . <= I because each arm is trace
-    preserving.
+    Each G+- lies between 0 and I because each arm is trace preserving.
     """
     e = as_cmatrix(effect)
     d = inst.witness_dim
@@ -159,15 +204,17 @@ def difference_adjoint(inst: ReducedInstance, effect) -> np.ndarray:
             f"effect eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1] "
             f"beyond tolerance {limit:.3e}"
         )
-    z, m, n = inst.env_dim, inst.output_dim, inst.input_dim
-    lifted = np.einsum(
-        "qkrl,ym->qykrml", e.reshape(2, z, 2, z), np.eye(m, dtype=np.complex128)
-    ).reshape(2 * m * z, 2 * m * z)
-    g_plus = inst.stack_plus.conj().T @ lifted @ inst.stack_plus
-    g_minus = inst.stack_minus.conj().T @ lifted @ inst.stack_minus
-    eye = np.eye(n, dtype=np.complex128)
-    out = kron(g_plus, eye) - kron(eye, g_minus)
-    return 0.5 * (out + out.conj().T)
+    return _arm_adjoint(inst.blocks_plus, e), -_arm_adjoint(inst.blocks_minus, e)
+
+
+def difference_adjoint(inst: ReducedInstance, effect) -> np.ndarray:
+    """Adjoint of the difference map on a measurement effect 0 <= E <= I:
+    the Kronecker sum G+ (x) I - I (x) G- of ``difference_adjoint_factors``.
+
+    The defining inner-product identity is covered by property tests. The
+    result always satisfies -I <= . <= I.
+    """
+    return kron_sum(difference_adjoint_factors(inst, effect))
 
 
 def promise_thresholds(a: float, b: float) -> tuple[float, float]:

@@ -19,10 +19,6 @@ HERM_TOL = _env_float("DIAMONDEQ_HERM_TOL", 1e-9)
 #: Most negative eigenvalue tolerated (and clipped) for a PSD input.
 PSD_TOL = _env_float("DIAMONDEQ_PSD_TOL", 1e-9)
 
-#: Spectral gap around zero below which positive-eigenspace projection is
-#: considered ill-conditioned (idempotence is only promised above this gap).
-EIG_GAP_TOL = _env_float("DIAMONDEQ_EIG_GAP_TOL", 1e-8)
-
 #: Frobenius residual allowed for an isometry (A*A = I check).
 ISO_TOL = _env_float("DIAMONDEQ_ISO_TOL", 1e-9)
 
@@ -32,7 +28,3 @@ EIG_TOL = _env_float("DIAMONDEQ_EIG_TOL", 1e-10)
 
 #: Trace / eigenvalue slack for density-operator checks.
 DENSITY_TOL = _env_float("DIAMONDEQ_DENSITY_TOL", 1e-9)
-
-#: Default per-operation approximation budget (matrix exponential and
-#: positive-eigenspace projection).
-ETA_DEFAULT = _env_float("DIAMONDEQ_ETA", 1e-10)

@@ -177,6 +177,30 @@ class TestCommands:
         assert lines[-1]["kind"] == "summary"
         assert sum(1 for rec in lines if rec["kind"] == "iter") == 25
 
+    def test_round_cap_keeps_partial_trace(self, unitary_pair_file, tmp_path, capsys):
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["bounds", unitary_pair_file, "--max-rounds", "10",
+                     "--trace-out", str(trace_path)])
+        assert code == 1
+        assert "max_rounds is 10" in capsys.readouterr().err
+        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
+        trace = read_trace(str(trace_path))
+        assert trace.executed == 10 and trace.rounds == 555 and trace.value is None
+
+    def test_bounds_on_single_input_dimension(self, tmp_path, capsys):
+        # n = 1 is state discrimination: one density, one exact round.
+        path = write_channels(
+            tmp_path,
+            spec_doc("constant", 1, 2, [KET0]),
+            spec_doc("constant", 1, 2, [KET1]),
+        )
+        assert main(["bounds", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["iterations"] == 1
+        lo, hi = doc["interval"]
+        assert lo <= 2.0 <= hi
+
     def test_oracle_command(self, tmp_path, capsys):
         path = write_channels(
             tmp_path,

@@ -10,6 +10,7 @@ from diamondeq import (
     herm_eig,
     hs_inner,
     kron,
+    kron_sum,
     mat_exp_hermitian,
     partial_trace,
     pos_proj,
@@ -102,10 +103,6 @@ class TestMatExp:
         h = random_hermitian(rng, 4)
         w = np.linalg.eigvalsh(mat_exp_hermitian(h))
         assert np.all(w > 0)
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValidationError, match="eta"):
-            mat_exp_hermitian(np.eye(2), eta=0.0)
 
 
 class TestPosProj:
@@ -284,6 +281,23 @@ class TestKron:
         a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                       for _ in range(4))
         assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
+
+    def test_kron_sum_spectrum_and_exponential(self):
+        rng = np.random.default_rng(22)
+        factors = [random_hermitian(rng, d) for d in (2, 3, 2)]
+        s = kron_sum(factors)
+        eye2, eye3 = np.eye(2), np.eye(3)
+        want = (np.kron(np.kron(factors[0], eye3), eye2)
+                + np.kron(np.kron(eye2, factors[1]), eye2)
+                + np.kron(np.kron(eye2, eye3), factors[2]))
+        assert np.linalg.norm(s - want) <= 1e-12
+        sums = sorted(a + b + c for a in np.linalg.eigvalsh(factors[0])
+                      for b in np.linalg.eigvalsh(factors[1])
+                      for c in np.linalg.eigvalsh(factors[2]))
+        assert np.allclose(np.linalg.eigvalsh(s), sums, atol=1e-12)
+        exps = [mat_exp_hermitian(f) for f in factors]
+        assert np.allclose(mat_exp_hermitian(s), np.kron(np.kron(exps[0], exps[1]), exps[2]),
+                           atol=1e-10)
 
 
 def test_require_hermitian_returns_symmetrized():

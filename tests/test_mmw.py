@@ -9,7 +9,10 @@ from diamondeq import (
     OracleBoundError,
     ValidationError,
     difference_adjoint,
+    difference_adjoint_factors,
     difference_output,
+    kron_sum,
+    marginal_difference_output,
     mmw_run,
     pos_proj,
     regret_check,
@@ -17,8 +20,8 @@ from diamondeq import (
     solve_generic,
 )
 from diamondeq.mmw import min_eig_projector
-from diamondeq.oracles import naive_equilibrium
-from tests.conftest import random_kraus_pair_spec
+from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
+from tests.conftest import constant_spec, random_kraus_pair_spec, unitary_spec
 from diamondeq import build_instance, normalize
 
 FAST = MMWConfig(delta=0.2)
@@ -28,6 +31,8 @@ class TestConfig:
     def test_iteration_formula(self):
         # ceil(16 ln 4 / 0.04) = ceil(554.5...) = 555
         assert MMWConfig(delta=0.2).resolved_rounds(4) == 555
+        # ln 1 = 0, but a single density still needs its one exact round.
+        assert MMWConfig(delta=0.2).resolved_rounds(1) == 1
 
     def test_defaults(self):
         cfg = MMWConfig(delta=0.2)
@@ -46,7 +51,6 @@ class TestConfig:
         {"delta": 0.2, "epsilon": 0.6},
         {"delta": 0.2, "rounds": 0},
         {"delta": 0.2, "delta1": 0.3},
-        {"delta": 0.2, "eta_exp": 0.0},
         {"delta": 0.2, "max_rounds": 0},
     ])
     def test_invalid_configs(self, kwargs):
@@ -122,6 +126,54 @@ class TestMetaAlgorithm:
         assert trace.m_max_eig.max() <= 1.0 + 1e-9
         # Clipped losses keep the accumulated sum inside the cone.
         assert np.linalg.eigvalsh(trace.loss_sum)[-1] <= 5.0 + 1e-12
+
+    def test_product_run_matches_dense_kronecker_sum(self):
+        # A two-factor run is the one-factor run on the Kronecker-sum loss:
+        # rho(t) = rho_0(t) (x) rho_1(t) and every record agrees.
+        rng = np.random.default_rng(9)
+        dims = (2, 3)
+
+        def half_unit(d):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            _, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+            return (u * rng.uniform(0.0, 0.5, d)) @ u.conj().T
+
+        losses = [(half_unit(2), half_unit(3)) for _ in range(30)]
+        seen_product, seen_dense = [], []
+
+        def product_oracle(rho0, rho1):
+            seen_product.append(np.kron(rho0, rho1))
+            return losses[len(seen_product) - 1]
+
+        def dense_oracle(rho):
+            seen_dense.append(rho)
+            return kron_sum(losses[len(seen_dense) - 1])
+
+        cfg = MMWConfig(delta=0.2, rounds=30)
+        product = mmw_run(product_oracle, dims, cfg)
+        dense = mmw_run(dense_oracle, 6, cfg)
+        for a, b in zip(seen_product, seen_dense):
+            assert np.linalg.norm(a - b) <= 1e-12
+        assert product.dim == dense.dim == 6
+        for name in ("losses", "step_inners", "exp_min", "exp_max",
+                     "rho_min_eig", "m_min_eig", "m_max_eig"):
+            assert np.allclose(getattr(product, name), getattr(dense, name),
+                               rtol=0.0, atol=1e-12), name
+        assert np.linalg.norm(product.loss_sum - dense.loss_sum) <= 1e-12
+        assert regret_check(product, delta1=0.0) >= -1e-9
+
+    def test_tiny_violations_are_clipped_in_factor_form(self):
+        half = (0.5 + 5e-10) * np.eye(2)
+        trace = mmw_run(lambda r0, r1: (half, half), (2, 2),
+                        MMWConfig(delta=0.2, rounds=5))
+        assert trace.m_max_eig.max() == pytest.approx(1.0 + 1e-9)
+        # The rescaled losses keep the accumulated sum inside the cone.
+        assert np.linalg.eigvalsh(trace.loss_sum)[-1] <= 5.0 + 1e-12
+
+    def test_factor_shape_mismatch_is_hard_error(self):
+        with pytest.raises(OracleBoundError, match="shapes"):
+            mmw_run(lambda r0, r1: (np.zeros((2, 2)), np.zeros((2, 2))), (2, 3),
+                    MMWConfig(delta=0.2, rounds=2))
 
     def test_iteration_cap_carries_partial_trace(self):
         with pytest.raises(IterationCapError) as err:
@@ -199,6 +251,57 @@ class TestSolveEquilibrium:
             assert abs(res.value - mid) <= 0.2 + 0.02 + half + 1e-9
 
 
+def _seeded_pair(kind, n):
+    rng = np.random.default_rng(100 * n + len(kind))
+    if kind == "unitary":
+        return unitary_spec(random_unitary(rng, n)), unitary_spec(random_unitary(rng, n))
+    if kind == "kraus":
+        return random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2)
+    if kind == "constant":
+        return constant_spec(random_density(rng, 2), n), constant_spec(random_density(rng, 2), n)
+    # Padded environment: z = 1 against z = 3.
+    return unitary_spec(random_unitary(rng, n)), random_kraus_pair_spec(rng, n, 3)
+
+
+def _dense_reference(inst, scale=1.0):
+    return solve_generic(
+        inst.pair_dim,
+        lambda rho: difference_output(inst, scale * rho),
+        lambda eff: difference_adjoint(inst, eff),
+        pos_proj,
+        1.0,
+        FAST,
+        loss_range=(0.0, 1.0),
+    )
+
+
+def _gap(a, b) -> float:
+    return max(abs(a.value - b.value), abs(a.lower_cert - b.lower_cert),
+               abs(a.upper_cert - b.upper_cert))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "padded"])
+def test_product_solver_matches_dense_reference(kind, n):
+    # The one-factor dense game on the joint n^2 x n^2 density is the
+    # reference for the two-factor product solver.
+    inst = build_instance(*(normalize(spec) for spec in _seeded_pair(kind, n)))
+    product = solve_equilibrium(inst, FAST)
+    dense = _dense_reference(inst)
+    assert product.iterations == dense.iterations
+    for res in (product, dense):
+        assert regret_check(res.trace) >= -1e-6
+    # Each lower certificate bounds the true value from below and each upper
+    # certificate from above, so they bracket across the two runs too.
+    assert product.lower_cert <= dense.upper_cert + 1e-9
+    assert dense.lower_cert <= product.upper_cert + 1e-9
+    if _gap(product, dense) > 1e-9:
+        # Allowed only where the game amplifies roundoff: near-degenerate best
+        # responses make the dense run itself move by more than 1e-9 when its
+        # density is perturbed by one part in 1e15.
+        assert _gap(_dense_reference(inst, 1.0 + 1e-15), dense) > 1e-9
+
+
 class TestSolveGeneric:
     def test_zero_map(self):
         res = solve_generic(
@@ -213,12 +316,13 @@ class TestSolveGeneric:
 
     def test_reproduces_equilibrium_solver_exactly(self, phase_instance):
         cfg = FAST
-        direct = solve_equilibrium(phase_instance, cfg)
+        inst = phase_instance
+        direct = solve_equilibrium(inst, cfg)
         generic = solve_generic(
-            phase_instance.pair_dim,
-            lambda rho: difference_output(phase_instance, rho),
-            lambda eff: difference_adjoint(phase_instance, eff),
-            lambda y: pos_proj(y, cfg.eta_proj),
+            (inst.input_dim, inst.input_dim),
+            lambda first, second: marginal_difference_output(inst, first, second),
+            lambda eff: difference_adjoint_factors(inst, eff),
+            lambda y: pos_proj(y),
             1.0,
             cfg,
             loss_range=(0.0, 1.0),

@@ -8,8 +8,10 @@ from diamondeq import (
     arm_outputs,
     build_instance,
     difference_adjoint,
+    difference_adjoint_factors,
     difference_output,
     hs_inner,
+    kron,
     normalize,
     partial_trace,
     pos_proj,
@@ -23,6 +25,7 @@ from tests.conftest import (
     PAULI_Z,
     PHASE_S,
     constant_spec,
+    random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
 )
@@ -174,6 +177,35 @@ class TestDifferenceAdjoint:
             w = np.linalg.eigvalsh(difference_adjoint(phase_instance, effect))
             assert w[0] >= -1.0 - 1e-9
             assert w[-1] <= 1.0 + 1e-9
+
+    def test_block_form_matches_lifted_stacks(self):
+        # Reference formulas on the full (flag, Y, Z) space: arm outputs are
+        # tr_Y(S sigma S*), adjoint factors S* (E lifted by I_Y) S.
+        rng = np.random.default_rng(7)
+        inst = build_instance(
+            normalize(random_kraus_pair_spec(rng, n=3, k=2)),
+            normalize(random_kraus_pair_spec(rng, n=3, k=3)),
+        )
+        n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
+        rho = random_density(rng, inst.pair_dim)
+        first = partial_trace(rho, (n, n), (0,))
+        second = partial_trace(rho, (n, n), (1,))
+        effect = random_effect(rng, inst.witness_dim)
+        lifted = np.einsum(
+            "qkrl,ym->qykrml", effect.reshape(2, z, 2, z), np.eye(m)
+        ).reshape(2 * m * z, 2 * m * z)
+        out_plus, out_minus = arm_outputs(inst, rho)
+        g_plus, neg_g_minus = difference_adjoint_factors(inst, effect)
+        for stack, sigma, out, g in (
+            (inst.stack_plus, first, out_plus, g_plus),
+            (inst.stack_minus, second, out_minus, -neg_g_minus),
+        ):
+            want_out = partial_trace(stack @ sigma @ stack.conj().T, (2, m, z), (0, 2))
+            assert np.linalg.norm(out - want_out) <= 1e-12
+            assert np.linalg.norm(g - stack.conj().T @ lifted @ stack) <= 1e-12
+        eye = np.eye(n)
+        want = kron(g_plus, eye) + kron(eye, neg_g_minus)
+        assert np.linalg.norm(difference_adjoint(inst, effect) - want) <= 1e-12
 
     def test_rejects_out_of_bounds_effect(self, phase_instance):
         with pytest.raises(ValidationError, match="outside"):
