@@ -51,6 +51,7 @@ class TestConfig:
         {"delta": 0.2, "epsilon": 0.6},
         {"delta": 0.2, "rounds": 0},
         {"delta": 0.2, "delta1": 0.3},
+        {"delta": 0.2, "epsilon": 0.0},
         {"delta": 0.2, "max_rounds": 0},
     ])
     def test_invalid_configs(self, kwargs):
