@@ -38,9 +38,10 @@ def _require_isometry(a, what: str, iso_tol: float) -> np.ndarray:
     return m
 
 
-def require_density(rho, dim: int | None = None, tol: float | None = None) -> np.ndarray:
-    """Validate a density operator (Hermitian, PSD and unit trace within tol)."""
-    limit = tolerances.DENSITY_TOL if tol is None else tol
+def require_density(rho, dim: int | None = None) -> np.ndarray:
+    """Validate a density operator (Hermitian, PSD and unit trace within
+    DENSITY_TOL)."""
+    limit = tolerances.DENSITY_TOL
     m = as_cmatrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"density operator must be square, got shape {m.shape}")

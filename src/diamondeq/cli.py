@@ -12,15 +12,15 @@ each spec is
     }
 
 Matrices are row-major; flattened tensor indices put the leftmost factor
-most significant. Reports are JSON objects, traces line-delimited JSON with
-one record per iteration (plus a leading meta record and a trailing summary
-record); identical inputs and configuration produce byte-identical output.
+most significant. Reports are JSON objects. Traces are line-delimited JSON:
+a leading meta record, one ``iter`` record per round with the keys of
+``mmw.SERIES``, and a trailing summary record with the value and the
+per-factor loss sums ``loss_sums`` (two n x n matrices for a channel pair).
+Identical inputs and configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision, 1 on any other error; a run stopped by
-``--max-rounds`` still writes its partial trace to ``--trace-out``. Tolerance
-knobs are overridden through DIAMONDEQ_* environment variables (see the
-tolerances module).
+``--max-rounds`` still writes its partial trace to ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import DiamondReport, solve_and_report
-from .mmw import MMWConfig, SolverTrace
+from .mmw import SERIES, MMWConfig, SolverTrace
 from .reduction import build_instance
 
 COMMANDS = ("equilibrium", "qcd", "bounds", "oracle")
@@ -77,6 +77,8 @@ class RunConfig:
             raise ValidationError("qcd requires both --a and --b")
         if not needs_promise and (self.a is not None or self.b is not None):
             raise ValidationError(f"--a/--b only apply to the qcd command, not {self.command}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def mmw_config(self) -> MMWConfig:
         return MMWConfig(delta=self.delta, rounds=self.rounds, max_rounds=self.max_rounds)
@@ -106,7 +108,8 @@ def _as_complex_matrix(obj, pointer: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in entry)
             ):
                 _fail(f"{pointer}/{i}/{j}", "complex entry must be a [re, im] pair")
             entries.append(complex(entry[0], entry[1]))
@@ -115,7 +118,8 @@ def _as_complex_matrix(obj, pointer: str) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _parse_spec(obj, pointer: str) -> ChannelSpec:
@@ -221,23 +225,14 @@ def trace_to_records(trace: SolverTrace) -> list:
         "delta1": trace.delta1,
         "exponent_norm_bound": trace.exponent_norm_bound,
     }]
-    for i in range(trace.executed):
-        records.append({
-            "kind": "iter",
-            "t": i + 1,
-            "loss": float(trace.losses[i]),
-            "inner": float(trace.step_inners[i]),
-            "exp_min": float(trace.exp_min[i]),
-            "exp_max": float(trace.exp_max[i]),
-            "rho_trace_err": float(trace.rho_trace_err[i]),
-            "rho_min_eig": float(trace.rho_min_eig[i]),
-            "m_min_eig": float(trace.m_min_eig[i]),
-            "m_max_eig": float(trace.m_max_eig[i]),
-        })
+    keys = ["t"] + [key for _, key in SERIES]
+    columns = [range(1, trace.executed + 1)] + [getattr(trace, name).tolist()
+                                                for name, _ in SERIES]
+    records += [dict(zip(keys, row), kind="iter") for row in zip(*columns)]
     records.append({
         "kind": "summary",
         "lambda": trace.value,
-        "loss_sum": None if trace.loss_sum is None else matrix_to_json(trace.loss_sum),
+        "loss_sums": [matrix_to_json(s) for s in trace.loss_sums],
     })
     return records
 
@@ -249,11 +244,6 @@ def trace_from_records(records: list) -> SolverTrace:
     iters = [r for r in records[1:-1] if r.get("kind") == "iter"]
     if len(iters) != len(records) - 2:
         raise ValidationError("unexpected record kind inside trace body")
-
-    def column(key):
-        return np.array([r[key] for r in iters], dtype=np.float64)
-
-    loss_sum = summary["loss_sum"]
     return SolverTrace(
         dim=meta["dim"],
         epsilon=meta["epsilon"],
@@ -261,16 +251,11 @@ def trace_from_records(records: list) -> SolverTrace:
         delta=meta["delta"],
         delta1=meta["delta1"],
         exponent_norm_bound=meta["exponent_norm_bound"],
-        losses=column("loss"),
-        step_inners=column("inner"),
-        exp_min=column("exp_min"),
-        exp_max=column("exp_max"),
-        rho_trace_err=column("rho_trace_err"),
-        rho_min_eig=column("rho_min_eig"),
-        m_min_eig=column("m_min_eig"),
-        m_max_eig=column("m_max_eig"),
-        loss_sum=None if loss_sum is None else _as_complex_matrix(loss_sum, "/loss_sum"),
+        loss_sums=tuple(_as_complex_matrix(m, f"/loss_sums/{k}")
+                        for k, m in enumerate(summary["loss_sums"])),
         value=summary["lambda"],
+        **{name: np.array([r[key] for r in iters], dtype=np.float64)
+           for name, key in SERIES},
     )
 
 

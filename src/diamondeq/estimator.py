@@ -148,21 +148,19 @@ def decide_qcd(inst: ReducedInstance, a: float, b: float,
 
 
 def pdn_decide(spec0: ChannelSpec, spec1: ChannelSpec, a: float, b: float,
-               cfg: MMWConfig | None = None,
-               gap_floor: float | None = None) -> DiamondReport:
+               cfg: MMWConfig | None = None) -> DiamondReport:
     """Decide a diamond-norm promise directly from two channel descriptions.
 
-    Requires a^2 - (4b - b^2) > gap_floor; the default floor,
-    8 (delta + delta1) (t_close + t_far), makes this exactly the threshold
-    separation needed by the solver precision, since
-    a^2 - (4b - b^2) = 4 (t_close - t_far)(t_close + t_far). Refuses with
-    GapTooSmallError otherwise, never guesses.
+    Requires a^2 - (4b - b^2) > 8 (delta + delta1) (t_close + t_far). This
+    floor is exactly the threshold separation needed by the solver
+    precision, since a^2 - (4b - b^2) = 4 (t_close - t_far)(t_close + t_far).
+    Refuses with GapTooSmallError otherwise, never guesses.
     """
     cfg = MMWConfig() if cfg is None else cfg
     t_far, t_close = promise_thresholds(a, b)
     delta_total = cfg.delta + cfg.resolved_delta1()
     quad = a * a - (4.0 * b - b * b)
-    floor = 8.0 * delta_total * (t_close + t_far) if gap_floor is None else gap_floor
+    floor = 8.0 * delta_total * (t_close + t_far)
     if quad <= floor:
         raise GapTooSmallError(
             f"promise condition a^2 - (4b - b^2) = {quad:.4f} does not exceed the "

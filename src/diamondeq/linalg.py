@@ -25,7 +25,7 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(h, herm_tol: float | None = None) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """Validate that ``h`` is Hermitian within tolerance and return the
     symmetrized copy (H + H*) / 2.
 
@@ -34,7 +34,7 @@ def require_hermitian(h, herm_tol: float | None = None) -> np.ndarray:
     m = as_cmatrix(h)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"Hermitian matrix must be square, got shape {m.shape}")
-    limit = tolerances.HERM_TOL if herm_tol is None else herm_tol
+    limit = tolerances.HERM_TOL
     residual = float(np.linalg.norm(m - m.conj().T))
     if residual > limit:
         raise ValidationError(
@@ -54,22 +54,18 @@ class EigDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         """Return U diag(w) U*."""
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-def herm_eig(h, herm_tol: float | None = None) -> EigDecomp:
+def herm_eig(h) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Checks the reconstruction and unitarity residuals against
     ``EIG_TOL * dim`` before returning.
     """
-    hs = require_hermitian(h, herm_tol)
+    hs = require_hermitian(h)
     n = hs.shape[0]
     try:
         w, u = np.linalg.eigh(hs)
@@ -127,27 +123,25 @@ def trace_norm(a) -> float:
     return float(np.sum(s))
 
 
-def _psd_sqrt(p, psd_tol: float) -> np.ndarray:
+def _psd_sqrt(p) -> np.ndarray:
     dec = herm_eig(p)
     low = float(dec.eigenvalues[-1])
-    if low < -psd_tol:
+    limit = tolerances.PSD_TOL
+    if low < -limit:
         raise ValidationError(
-            f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{psd_tol:.3e}"
+            f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{limit:.3e}"
         )
     w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     return (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
 
 
-def fidelity(p, q, psd_tol: float | None = None) -> float:
+def fidelity(p, q) -> float:
     """Fidelity ||sqrt(P) sqrt(Q)||_1 of two positive semidefinite operators.
 
-    Inputs may dip below zero by at most ``psd_tol`` (clipped); anything
+    Inputs may dip below zero by at most ``PSD_TOL`` (clipped); anything
     lower is rejected. Satisfies F(cP, cQ) = c F(P, Q) for scalar c >= 0.
     """
-    limit = tolerances.PSD_TOL if psd_tol is None else psd_tol
-    rp = _psd_sqrt(p, limit)
-    rq = _psd_sqrt(q, limit)
-    return trace_norm(rp @ rq)
+    return trace_norm(_psd_sqrt(p) @ _psd_sqrt(q))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:

@@ -29,7 +29,7 @@ one-factor case ``dims = (N,)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,16 +93,30 @@ class MMWConfig:
         return max(1, int(math.ceil(16.0 * math.log(dim) / (self.delta * self.delta))))
 
 
+#: Per-round series of a trace, as (SolverTrace field, key of the JSONL
+#: ``iter`` record).
+SERIES = (
+    ("losses", "loss"),
+    ("step_inners", "inner"),
+    ("exp_min", "exp_min"),
+    ("exp_max", "exp_max"),
+    ("rho_trace_err", "rho_trace_err"),
+    ("rho_min_eig", "rho_min_eig"),
+    ("m_min_eig", "m_min_eig"),
+    ("m_max_eig", "m_max_eig"),
+)
+
+
 @dataclass(eq=False)
 class SolverTrace:
     """Per-round records of one solver run.
 
-    Arrays are indexed by round (0-based for round t = 1). ``exp_min`` and
-    ``exp_max`` are the extreme eigenvalues of the accumulated exponent
-    -eps * sum of prior losses that produced rho(t); ``exponent_norm_bound``
-    is the a-priori operator-norm bound eps * T on that exponent.
-    ``loss_sum`` is the N x N sum of all losses, built once after the last
-    round.
+    The ``SERIES`` arrays are indexed by round (0-based for round t = 1).
+    ``exp_min`` and ``exp_max`` are the extreme eigenvalues of the
+    accumulated exponent -eps * sum of prior losses that produced rho(t);
+    ``exponent_norm_bound`` is the a-priori operator-norm bound eps * T on
+    that exponent. ``loss_sums`` holds the per-factor sums S_k of all losses,
+    whose Kronecker sum is the N x N loss sum S.
     """
 
     dim: int
@@ -111,35 +125,36 @@ class SolverTrace:
     delta: float
     delta1: float
     exponent_norm_bound: float
-    losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_inners: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exp_min: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exp_max: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rho_trace_err: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rho_min_eig: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m_min_eig: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m_max_eig: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    loss_sum: np.ndarray | None = None
+    losses: np.ndarray
+    step_inners: np.ndarray
+    exp_min: np.ndarray
+    exp_max: np.ndarray
+    rho_trace_err: np.ndarray
+    rho_min_eig: np.ndarray
+    m_min_eig: np.ndarray
+    m_max_eig: np.ndarray
+    loss_sums: tuple
     value: float | None = None
 
     @property
     def executed(self) -> int:
         return int(self.losses.shape[0])
 
+    @property
+    def loss_sum(self) -> np.ndarray:
+        """The N x N loss sum, built from ``loss_sums`` on each access."""
+        return kron_sum(self.loss_sums)
+
     def __eq__(self, other):
         if not isinstance(other, SolverTrace):
             return NotImplemented
         scalars = ("dim", "epsilon", "rounds", "delta", "delta1",
                    "exponent_norm_bound", "value")
-        arrays = ("losses", "step_inners", "exp_min", "exp_max",
-                  "rho_trace_err", "rho_min_eig", "m_min_eig", "m_max_eig")
-        if any(getattr(self, k) != getattr(other, k) for k in scalars):
-            return False
-        if any(not np.array_equal(getattr(self, k), getattr(other, k)) for k in arrays):
-            return False
-        if (self.loss_sum is None) != (other.loss_sum is None):
-            return False
-        return self.loss_sum is None or np.array_equal(self.loss_sum, other.loss_sum)
+        mine = [getattr(self, name) for name, _ in SERIES] + list(self.loss_sums)
+        theirs = [getattr(other, name) for name, _ in SERIES] + list(other.loss_sums)
+        return (all(getattr(self, k) == getattr(other, k) for k in scalars)
+                and len(mine) == len(theirs)
+                and all(np.array_equal(a, b) for a, b in zip(mine, theirs)))
 
 
 def _gibbs_density(loss_sum: np.ndarray, epsilon: float):
@@ -172,14 +187,9 @@ def _as_factors(out) -> tuple:
     return tuple(out) if isinstance(out, (list, tuple)) else (out,)
 
 
-def _clip_loss(ms: list, decs: list, low: float, high: float) -> list:
+def _clip_loss(ms: list, low: float, high: float) -> list:
     """Bring a loss spectrum [low, high] that leaves [0, 1] by at most
     CLIP_TOL back inside, keeping the Kronecker-sum factor form."""
-    if len(ms) == 1:
-        dec = decs[0]
-        clipped = np.clip(dec.eigenvalues, 0.0, 1.0)
-        m = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
-        return [0.5 * (m + m.conj().T)]
     # The spectrum of a Kronecker sum is all sums of factor eigenvalues, so
     # no per-factor clip caps it; the affine map of [min(low, 0), max(high, 1)]
     # onto [0, 1] does, and moves every factor by O(CLIP_TOL) at most.
@@ -212,9 +222,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
     planned = cfg.resolved_rounds(dim)
     executed = min(planned, cfg.max_rounds)
 
-    records = {name: [] for name in (
-        "losses", "step_inners", "exp_min", "exp_max",
-        "rho_trace_err", "rho_min_eig", "m_min_eig", "m_max_eig")}
+    records = {name: [] for name, _ in SERIES}
     sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
 
     for _ in range(executed):
@@ -235,9 +243,9 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
                 f"oracle returned factor shapes {[m.shape for m in ms]}, expected "
                 f"{[(d, d) for d in dims]}"
             )
-        decs = [herm_eig(m) for m in ms]
-        high = sum(float(dec.eigenvalues[0]) for dec in decs)
-        low = sum(float(dec.eigenvalues[-1]) for dec in decs)
+        spectra = [herm_eig(m).eigenvalues for m in ms]
+        high = sum(float(w[0]) for w in spectra)
+        low = sum(float(w[-1]) for w in spectra)
         if low < -CLIP_TOL or high > 1.0 + CLIP_TOL:
             raise OracleBoundError(
                 f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
@@ -246,7 +254,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
         records["m_min_eig"].append(low)
         records["m_max_eig"].append(high)
         if low < 0.0 or high > 1.0:
-            ms = _clip_loss(ms, decs, low, high)
+            ms = _clip_loss(ms, low, high)
         # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
         inner = sum(
             float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
@@ -266,7 +274,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
         delta=cfg.delta,
         delta1=cfg.resolved_delta1(),
         exponent_norm_bound=eps * planned,
-        loss_sum=kron_sum(sums),
+        loss_sums=tuple(sums),
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )
     if executed < planned:
@@ -291,25 +299,25 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
 
     Returns ``<rho*, sum M> + ln(N)/eps + (1/2) T delta1 - (1-eps) sum <rho(t), M(t)>``,
     which must be nonnegative (within roundoff) whenever the inequality
-    holds; ``rho_star`` defaults to the projector onto the minimum
-    eigenvector of the accumulated loss sum, the adversarial choice. Pass
+    holds. ``rho_star`` defaults to the adversarial choice, a minimum
+    eigenvector of the accumulated loss sum S, for which <rho*, S> is
+    lambda_min(S), the sum of the factors' lambda_min. An explicit N x N
+    ``rho_star`` is paired with the Kronecker sum S itself. Pass
     ``delta1=0`` to check the exact-arithmetic form of the bound.
     """
-    if trace.loss_sum is None:
-        raise ValidationError("trace has no accumulated loss sum")
-    star = min_eig_projector(trace.loss_sum) if rho_star is None else as_cmatrix(rho_star)
-    if star.shape != trace.loss_sum.shape:
-        raise ValidationError(
-            f"rho_star shape {star.shape} does not match dimension {trace.dim}"
-        )
+    if rho_star is None:
+        comparator = sum(float(herm_eig(s).eigenvalues[-1]) for s in trace.loss_sums)
+    else:
+        star, loss_sum = as_cmatrix(rho_star), trace.loss_sum
+        if star.shape != loss_sum.shape:
+            raise ValidationError(
+                f"rho_star shape {star.shape} does not match dimension {trace.dim}"
+            )
+        comparator = float(hs_inner(star, loss_sum).real)
     slack_budget = trace.delta1 if delta1 is None else delta1
     t = trace.executed
     lhs = (1.0 - trace.epsilon) * float(np.sum(trace.step_inners))
-    rhs = (
-        float(hs_inner(star, trace.loss_sum).real)
-        + math.log(trace.dim) / trace.epsilon
-        + 0.5 * t * slack_budget
-    )
+    rhs = comparator + math.log(trace.dim) / trace.epsilon + 0.5 * t * slack_budget
     return rhs - lhs
 
 
@@ -404,7 +412,7 @@ def solve_generic(
 
     averaged = state["witness_sum"] / state["count"]
     # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
-    lower_avg = sum(float(np.linalg.eigvalsh(f)[0])
+    lower_avg = sum(float(herm_eig(f).eigenvalues[-1])
                     for f in _as_factors(adjoint_op(averaged)))
     # lambda_min of each round's adjoint image, recovered from the recorded
     # loss-matrix spectrum: image = bound * (2 M - I).

@@ -104,6 +104,16 @@ class TestParseChannelFile:
         with pytest.raises(ValidationError, match=r"/channels/0/matrices/0/0/1"):
             parse_channel_file(path)
 
+    def test_boolean_entry_is_rejected(self, tmp_path, capsys):
+        # JSON true/false are not numbers, although Python's bool is an int.
+        doc = spec_doc("unitary", 2, 2, [I2])
+        doc["matrices"][0][0][0] = [True, False]
+        path = write_channels(tmp_path, doc, spec_doc("unitary", 2, 2, [I2]))
+        with pytest.raises(ValidationError, match=r"/channels/0/matrices/0/0/0"):
+            parse_channel_file(path)
+        assert main(["bounds", path]) == 1
+        assert "/channels/0/matrices/0/0/0" in capsys.readouterr().err
+
     def test_missing_channels_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"pair": []}))
@@ -132,6 +142,12 @@ class TestRunConfig:
     def test_delta_range(self):
         with pytest.raises(ValidationError, match="delta"):
             RunConfig(command="bounds", channel_path="x.json", delta=1.0)
+
+    def test_negative_seed(self, identity_pair_file, capsys):
+        with pytest.raises(ValidationError, match="seed"):
+            RunConfig(command="oracle", channel_path="x.json", seed=-1)
+        assert main(["oracle", identity_pair_file, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
@@ -187,6 +203,24 @@ class TestCommands:
         assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
         trace = read_trace(str(trace_path))
         assert trace.executed == 10 and trace.rounds == 555 and trace.value is None
+
+    def test_trace_summary_keeps_factor_loss_sums(self, tmp_path, capsys):
+        # The summary holds one n x n loss sum per factor, never the
+        # n^2 x n^2 Kronecker sum.
+        path = write_channels(
+            tmp_path,
+            spec_doc("unitary", 3, 3, [np.eye(3)]),
+            spec_doc("unitary", 3, 3, [np.diag([1.0, 1j, -1.0])]),
+        )
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["bounds", path, "--rounds", "20", "--trace-out", str(trace_path)]) == 0
+        capsys.readouterr()
+        summary = json.loads(trace_path.read_text().splitlines()[-1])
+        assert set(summary) == {"kind", "lambda", "loss_sums"}
+        assert [np.array(m).shape for m in summary["loss_sums"]] == [(3, 3, 2)] * 2
+        trace = read_trace(str(trace_path))
+        assert trace.dim == 9
+        assert trace.loss_sum.shape == (9, 9)
 
     def test_bounds_on_single_input_dimension(self, tmp_path, capsys):
         # n = 1 is state discrimination: one density, one exact round.

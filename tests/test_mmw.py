@@ -237,6 +237,22 @@ class TestSolveEquilibrium:
             trace = solve_equilibrium(inst, FAST).trace
             assert regret_check(trace, min_eig_projector(trace.loss_sum)) >= -1e-6
 
+    def test_default_comparator_is_the_adversarial_projector(self, phase_instance):
+        # regret_check's default comparator, the sum of the factors'
+        # lambda_min, equals <P, S> for the minimum-eigenvector projector P
+        # of the N x N loss sum S, on a two-factor and a one-factor run.
+        two = solve_equilibrium(phase_instance, FAST).trace
+        rng = np.random.default_rng(3)
+
+        def oracle(rho):
+            u = random_unitary(rng, 4)
+            return (u * rng.uniform(0.0, 1.0, 4)) @ u.conj().T
+
+        one = mmw_run(oracle, 4, MMWConfig(delta=0.2, rounds=20))
+        for trace in (two, one):
+            assert abs(regret_check(trace)
+                       - regret_check(trace, min_eig_projector(trace.loss_sum))) <= 1e-9
+
     def test_certificate_sandwich_vs_naive(self):
         rng = np.random.default_rng(5)
         for seed in range(3):
