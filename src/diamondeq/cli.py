@@ -12,15 +12,23 @@ each spec is
     }
 
 Matrices are row-major; flattened tensor indices put the leftmost factor
-most significant. Reports are JSON objects. Traces are line-delimited JSON:
-a leading meta record, one ``iter`` record per round with the keys of
-``mmw.SERIES``, and a trailing summary record with the value and the
-per-factor loss sums ``loss_sums`` (two n x n matrices for a channel pair).
-Identical inputs and configuration produce byte-identical output.
+most significant. Reports are JSON objects: ``lambda`` is the upper
+certificate, ``interval`` comes from the certified bracket
+[``lower_cert``, ``upper_cert``] (see ``estimator``), ``widening`` is the
+measured eigendecomposition error added to it, ``iterations`` the rounds
+run and ``stop_reason`` why they stopped: 'bracket' when the bracket closed
+to delta, 'rounds' when the a-priori T = ``--rounds`` (default
+ceil(16 ln n^2 / delta^2)) ran out first. Traces are line-delimited JSON: a
+leading meta record, one ``iter`` record per round with the keys of
+``mmw.SERIES``, and a trailing summary record with the value, the stop
+reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
+channel pair). Identical inputs and configuration produce byte-identical
+output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision, 1 on any other error; a run stopped by
-``--max-rounds`` still writes its partial trace to ``--trace-out``.
+``--max-rounds`` before its bracket closed or T ran out (stop reason 'cap')
+still writes its partial trace to ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -79,6 +87,9 @@ class RunConfig:
             raise ValidationError(f"--a/--b only apply to the qcd command, not {self.command}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("trials", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def mmw_config(self) -> MMWConfig:
         return MMWConfig(delta=self.delta, rounds=self.rounds, max_rounds=self.max_rounds)
@@ -197,6 +208,8 @@ def report_to_dict(report: DiamondReport) -> dict:
         "lower_cert": report.lower_cert,
         "upper_cert": report.upper_cert,
         "iterations": report.iterations,
+        "widening": report.widening,
+        "stop_reason": report.stop_reason,
     }
 
 
@@ -212,6 +225,8 @@ def report_from_dict(doc: dict) -> DiamondReport:
         decision=doc["decision"],
         promise=None if doc["promise"] is None else tuple(doc["promise"]),
         thresholds=None if doc["thresholds"] is None else tuple(doc["thresholds"]),
+        widening=doc["widening"],
+        stop_reason=doc["stop_reason"],
     )
 
 
@@ -232,6 +247,7 @@ def trace_to_records(trace: SolverTrace) -> list:
     records.append({
         "kind": "summary",
         "lambda": trace.value,
+        "stop_reason": trace.stop_reason,
         "loss_sums": [matrix_to_json(s) for s in trace.loss_sums],
     })
     return records
@@ -253,6 +269,7 @@ def trace_from_records(records: list) -> SolverTrace:
         exponent_norm_bound=meta["exponent_norm_bound"],
         loss_sums=tuple(_as_complex_matrix(m, f"/loss_sums/{k}")
                         for k, m in enumerate(summary["loss_sums"])),
+        stop_reason=summary["stop_reason"],
         value=summary["lambda"],
         **{name: np.array([r[key] for r in iters], dtype=np.float64)
            for name, key in SERIES},
@@ -371,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rounds", type=int, default=None,
                            help="override the iteration-count formula")
             p.add_argument("--max-rounds", type=int, default=1_000_000,
-                           help="safety cap on iterations")
+                           help="safety cap on iterations; a run that reaches it "
+                                "before its bracket closes or T ends fails")
             p.add_argument("--trace-out", default=None,
                            help="write the per-iteration trace here (JSONL)")
         if name == "qcd":

@@ -1,18 +1,25 @@
 """Turn equilibrium values into answers: promise decisions and rigorous
 diamond-norm intervals.
 
-A promise decision compares the solved value against the two thresholds
-from the reduction; it is only attempted when the threshold gap exceeds
-twice the total solver slack, otherwise the run refuses (the amplification
-machinery that could shrink arbitrary gaps is out of scope). Unconditional
-intervals invert the Fuchs-van de Graaf inequalities instead and are always
-available.
+Both come from the solver's certified bracket [lower_cert, upper_cert] on
+the equilibrium value. When the run went all T rounds without the bracket
+closing, the bracket is first intersected with the a-priori window
+[mean - delta - delta1, .] around the mean per-round value (its upper side,
+mean + delta + delta1, is never below ``upper_cert``). Intervals map that
+window through the Fuchs-van de Graaf inequalities. A promise decision reads
+the window against the two thresholds from the reduction; it is only
+attempted when the threshold gap exceeds twice the total solver slack, so
+the window, at most delta + delta1 wide, cannot straddle the gap; otherwise
+the run refuses (the amplification machinery that could shrink arbitrary
+gaps is out of scope).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channels import ChannelSpec, normalize
 from .errors import GapTooSmallError, ValidationError
@@ -28,7 +35,10 @@ class DiamondReport:
 
     ``interval`` always contains the true diamond distance given the solver
     guarantee; ``decision`` ('far' or 'close') is present only when a
-    promise (a, b) was supplied.
+    promise (a, b) was supplied. ``widening`` is the measured
+    eigendecomposition error added to the certificates, and ``stop_reason``
+    says whether the bracket closed ('bracket') or all T rounds ran
+    ('rounds').
     """
 
     value: float
@@ -41,6 +51,8 @@ class DiamondReport:
     decision: str | None = None
     promise: tuple[float, float] | None = None
     thresholds: tuple[float, float] | None = None
+    widening: float = 0.0
+    stop_reason: str | None = None
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -50,6 +62,20 @@ class DiamondReport:
             raise ValidationError("decision and promise must be supplied together")
         if self.decision is not None and self.decision not in ("far", "close"):
             raise ValidationError(f"decision must be 'far' or 'close', got {self.decision!r}")
+        if self.stop_reason not in (None, "bracket", "rounds"):
+            raise ValidationError(
+                f"stop_reason must be 'bracket' or 'rounds', got {self.stop_reason!r}"
+            )
+
+
+def _fvdg_interval(v_lo: float, v_hi: float) -> tuple[float, float]:
+    """Diamond distances allowed by an equilibrium value in [v_lo, v_hi]:
+    [2 (1 - v_hi), 2 sqrt(1 - v_lo^2)], with both ends clamped to [0, 1]."""
+    v_lo = min(1.0, max(0.0, v_lo))
+    v_hi = min(1.0, max(0.0, v_hi))
+    lo = max(0.0, 2.0 * (1.0 - v_hi))
+    hi = min(2.0, 2.0 * math.sqrt(max(0.0, 1.0 - v_lo * v_lo)))
+    return lo, hi
 
 
 def diamond_interval(value: float, delta_total: float) -> tuple[float, float]:
@@ -66,11 +92,22 @@ def diamond_interval(value: float, delta_total: float) -> tuple[float, float]:
             f"value {value} outside the plausible range [-{delta_total}, 1 + {delta_total}]"
         )
     v = min(1.0, max(0.0, value))
-    v_lo = max(0.0, v - delta_total)
-    v_hi = min(1.0, v + delta_total)
-    lo = max(0.0, 2.0 * (1.0 - v_hi))
-    hi = min(2.0, 2.0 * math.sqrt(max(0.0, 1.0 - v_lo * v_lo)))
-    return lo, hi
+    return _fvdg_interval(v - delta_total, v + delta_total)
+
+
+def _value_window(result: EquilibriumResult, cfg: MMWConfig) -> tuple[float, float]:
+    """Certified window [v_lo, v_hi] on the equilibrium value of a solver run.
+
+    The certificates, intersected with the a-priori lower side
+    mean - (delta + delta1) * bound when all T rounds ran. Certificates that
+    cross (within the slack EquilibriumResult checks) pin the value at the
+    upper one.
+    """
+    lo, hi = result.lower_cert, result.upper_cert
+    if result.trace.stop_reason == "rounds":
+        mean = float(np.mean(result.trace.losses))
+        lo = max(lo, mean - (cfg.delta + cfg.resolved_delta1()) * result.bound)
+    return min(lo, hi), hi
 
 
 def _require_gap(t_far: float, t_close: float, delta_total: float) -> None:
@@ -86,18 +123,19 @@ def _require_gap(t_far: float, t_close: float, delta_total: float) -> None:
 
 def _report(result: EquilibriumResult, cfg: MMWConfig, decision=None,
             promise=None, thresholds=None) -> DiamondReport:
-    delta1 = cfg.resolved_delta1()
     return DiamondReport(
         value=result.value,
         delta=cfg.delta,
-        delta1=delta1,
-        interval=diamond_interval(result.value, cfg.delta + delta1),
+        delta1=cfg.resolved_delta1(),
+        interval=_fvdg_interval(*_value_window(result, cfg)),
         lower_cert=result.lower_cert,
         upper_cert=result.upper_cert,
         iterations=result.iterations,
         decision=decision,
         promise=promise,
         thresholds=thresholds,
+        widening=result.widening,
+        stop_reason=result.trace.stop_reason,
     )
 
 
@@ -121,8 +159,10 @@ def solve_and_report(
     result = solve_equilibrium(inst, cfg)
     decision = None
     if promise is not None:
-        t_far, t_close = thresholds
-        decision = "far" if result.value < 0.5 * (t_far + t_close) else "close"
+        # The value is at most upper_cert, so below t_close it is not
+        # 'close'; otherwise the window, narrower than the gap, starts above
+        # t_far.
+        decision = "far" if result.upper_cert < thresholds[1] else "close"
         promise = (float(promise[0]), float(promise[1]))
     report = _report(result, cfg, decision=decision, promise=promise,
                      thresholds=thresholds)
@@ -139,8 +179,8 @@ def decide_qcd(inst: ReducedInstance, a: float, b: float,
     """Decide a distinguishability promise on a reduced instance.
 
     Under the promise that the diamond distance is either >= a ('far') or
-    <= b ('close'), the solved value lands within the solver slack of one
-    threshold side; the decision picks whichever threshold is closer.
+    <= b ('close'), the certified window on the equilibrium value lies on
+    one side of the threshold gap; the decision names that side.
     Raises GapTooSmallError when the thresholds are not separated well
     enough for the configured precision.
     """

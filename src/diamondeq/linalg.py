@@ -48,11 +48,26 @@ class EigDecomp:
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` are real and sorted non-increasing; ``eigenvectors``
-    holds the matching orthonormal eigenvectors as columns.
+    holds the matching orthonormal eigenvectors as columns. ``recon`` and
+    ``unit`` are the measured Frobenius residuals ||H - U diag(w) U*|| and
+    ||U* U - I|| of the computed pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    recon: float
+    unit: float
+
+    @property
+    def error_bound(self) -> float:
+        """Bound on |lambda_i(H) - eigenvalues[i]| for every i.
+
+        With the polar factor P = (U* U)^(1/2), U diag(w) U* has the
+        eigenvalues of P diag(w) P, and ||P - I|| <= ||U* U - I||; Weyl's
+        inequality then gives recon + unit (2 + unit) max|w|.
+        """
+        scale = float(np.max(np.abs(self.eigenvalues)))
+        return self.recon + self.unit * (2.0 + self.unit) * scale
 
     def reconstruct(self) -> np.ndarray:
         """Return U diag(w) U*."""
@@ -63,7 +78,7 @@ def herm_eig(h) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Checks the reconstruction and unitarity residuals against
-    ``EIG_TOL * dim`` before returning.
+    ``EIG_TOL * dim`` before returning them on the result.
     """
     hs = require_hermitian(h)
     n = hs.shape[0]
@@ -83,7 +98,7 @@ def herm_eig(h) -> EigDecomp:
             f"eigendecomposition of a {n}x{n} matrix exceeded residual bounds: "
             f"reconstruction {recon:.3e}, unitarity {unit:.3e}, limit {limit:.3e}"
         )
-    return EigDecomp(w, u)
+    return EigDecomp(w, u, recon, unit)
 
 
 def mat_exp_hermitian(h) -> np.ndarray:
@@ -97,17 +112,28 @@ def mat_exp_hermitian(h) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def pos_proj(h) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors of H with strictly
-    positive eigenvalue.
+def best_effect(h) -> tuple[np.ndarray, float]:
+    """The effect 0 <= E <= I maximizing <E, H>, the projector P onto the
+    strictly positive eigenspace, with a bound on max_E <E, H> - <P, H>.
 
-    Eigenvalues are taken from the symmetrized input; the zero matrix maps to
-    the zero projector.
+    The bound is 2 n e + unit * recon, where e is the decomposition's
+    ``error_bound``: the maximum, sum_i max(lambda_i, 0), is within n e of
+    the computed positive eigenvalues' sum, and <P, H> is within the rest of
+    that sum, since the computed eigenvectors are orthonormal, and
+    diagonalize H, only up to the residuals. Eigenvalues are taken from the
+    symmetrized input; the zero matrix maps to the zero projector.
     """
     dec = herm_eig(h)
     cols = dec.eigenvectors[:, dec.eigenvalues > 0.0]
     p = cols @ cols.conj().T
-    return 0.5 * (p + p.conj().T)
+    n = dec.eigenvalues.shape[0]
+    return 0.5 * (p + p.conj().T), 2.0 * n * dec.error_bound + dec.unit * dec.recon
+
+
+def pos_proj(h) -> np.ndarray:
+    """Orthogonal projector onto the span of eigenvectors of H with strictly
+    positive eigenvalue (``best_effect`` without its error bound)."""
+    return best_effect(h)[0]
 
 
 def trace_norm(a) -> float:

@@ -13,6 +13,19 @@ floating-point kernels the guarantee degrades by at most the configured
 slack budget delta1 on each side (accounted as (1/2) T delta1 inside the
 regret inequality).
 
+T is a cap, not a schedule. Whatever the update rule, two weak-duality
+certificates bound the equilibrium value after every round (Arora-Kale,
+primal-dual MMW): the smallest best-response value seen so far from above,
+and the smallest eigenvalue of the adjoint image of the averaged (or of the
+best single) witness from below. Both are widened by the measured residuals
+of the eigendecompositions they come from. ``solve_generic`` stops on the
+first round at which this certified bracket is at most delta (times the
+value bound) wide, runs all T rounds when it never is, and records which of
+the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds'; a run
+cut short by ``max_rounds`` raises IterationCapError with reason 'cap').
+The reported value is the upper certificate, which never exceeds the mean
+of the per-round values, so the a-priori guarantee still holds at T.
+
 The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
 ``dims``, N = prod dims) on which every loss is a Kronecker sum
 M = sum_k I (x) M_k (x) I. Then the running sum S = sum_t M(t) is the
@@ -39,7 +52,7 @@ from .errors import (
     OracleBoundError,
     ValidationError,
 )
-from .linalg import as_cmatrix, herm_eig, hs_inner, kron_sum, pos_proj
+from .linalg import EigDecomp, as_cmatrix, best_effect, herm_eig, hs_inner, kron_sum
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
@@ -104,6 +117,9 @@ SERIES = (
     ("rho_min_eig", "rho_min_eig"),
     ("m_min_eig", "m_min_eig"),
     ("m_max_eig", "m_max_eig"),
+    ("m_eig_err", "m_eig_err"),
+    ("sum_min_eig", "sum_min_eig"),
+    ("sum_eig_err", "sum_eig_err"),
 )
 
 
@@ -115,8 +131,14 @@ class SolverTrace:
     ``exp_min`` and ``exp_max`` are the extreme eigenvalues of the
     accumulated exponent -eps * sum of prior losses that produced rho(t);
     ``exponent_norm_bound`` is the a-priori operator-norm bound eps * T on
-    that exponent. ``loss_sums`` holds the per-factor sums S_k of all losses,
-    whose Kronecker sum is the N x N loss sum S.
+    that exponent. ``m_min_eig``/``m_max_eig`` are the extremes of the
+    round's loss spectrum and ``sum_min_eig`` the smallest eigenvalue of the
+    loss sum after the round; the ``*_err`` series bound the error of each
+    from the measured eigendecomposition residuals. ``loss_sums`` holds the
+    per-factor sums S_k of all losses, whose Kronecker sum is the N x N loss
+    sum S. ``rounds`` is the planned T and ``stop_reason`` says why the loop
+    ended: 'bracket' (the stop rule fired), 'rounds' (T reached) or 'cap'
+    (``max_rounds`` reached first).
     """
 
     dim: int
@@ -133,7 +155,11 @@ class SolverTrace:
     rho_min_eig: np.ndarray
     m_min_eig: np.ndarray
     m_max_eig: np.ndarray
+    m_eig_err: np.ndarray
+    sum_min_eig: np.ndarray
+    sum_eig_err: np.ndarray
     loss_sums: tuple
+    stop_reason: str
     value: float | None = None
 
     @property
@@ -149,7 +175,7 @@ class SolverTrace:
         if not isinstance(other, SolverTrace):
             return NotImplemented
         scalars = ("dim", "epsilon", "rounds", "delta", "delta1",
-                   "exponent_norm_bound", "value")
+                   "exponent_norm_bound", "stop_reason", "value")
         mine = [getattr(self, name) for name, _ in SERIES] + list(self.loss_sums)
         theirs = [getattr(other, name) for name, _ in SERIES] + list(other.loss_sums)
         return (all(getattr(self, k) == getattr(other, k) for k in scalars)
@@ -157,14 +183,13 @@ class SolverTrace:
                 and all(np.array_equal(a, b) for a, b in zip(mine, theirs)))
 
 
-def _gibbs_density(loss_sum: np.ndarray, epsilon: float):
-    """Density exp(-eps S) / tr exp(-eps S) via eigendecomposition.
+def _gibbs_density(dec: EigDecomp, epsilon: float):
+    """Density exp(-eps S) / tr exp(-eps S) from the eigendecomposition of S.
 
     The exponent is shifted by its largest eigenvalue before exponentiating;
     the shift cancels in the normalization, so the returned density is the
     exact mathematical value up to the eigendecomposition residual.
     """
-    dec = herm_eig(loss_sum)
     w = dec.eigenvalues  # descending
     gains = np.exp(-epsilon * (w - w[-1]))
     total = float(np.sum(gains))
@@ -200,7 +225,7 @@ def _clip_loss(ms: list, low: float, high: float) -> list:
     return out
 
 
-def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
+def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> SolverTrace:
     """Run the multiplicative weights loop on a product of density factors.
 
     ``dims`` is the tuple of factor dimensions (an int means one factor).
@@ -211,28 +236,38 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
     per-round scalar to the trace (defaults to <rho, M>). The loss spectrum,
     whose extremes are the sums of the factor extremes, is checked each
     round: excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones
-    raise OracleBoundError. If the accuracy formula asks for more rounds
-    than ``max_rounds``, the loop runs to the cap and raises
-    IterationCapError carrying the partial trace.
+    raise OracleBoundError.
+
+    ``stop``, if given, is called as ``stop(t, record)`` after round t with
+    that round's record (SERIES field -> value) and ends the run when it
+    returns True (stop reason 'bracket'). Otherwise the loop runs the planned
+    T rounds; if the accuracy formula asks for more rounds than
+    ``max_rounds``, it runs to the cap and raises IterationCapError carrying
+    the partial trace.
     """
     cfg = MMWConfig() if cfg is None else cfg
     dims = _factor_dims(dims)
     dim = math.prod(dims)
     eps = cfg.resolved_epsilon()
     planned = cfg.resolved_rounds(dim)
-    executed = min(planned, cfg.max_rounds)
+    reason = "rounds" if planned <= cfg.max_rounds else "cap"
 
     records = {name: [] for name, _ in SERIES}
     sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
+    # Each round's loss-sum decompositions feed the stop rule and the next
+    # round's Gibbs densities.
+    decs = [herm_eig(s) for s in sums]
 
-    for _ in range(executed):
-        gibbs = [_gibbs_density(s, eps) for s in sums]
+    for t in range(1, min(planned, cfg.max_rounds) + 1):
+        gibbs = [_gibbs_density(dec, eps) for dec in decs]
         rhos = [g[0] for g in gibbs]
         traces = [float(np.trace(r).real) for r in rhos]
-        records["exp_min"].append(sum(g[1] for g in gibbs))
-        records["exp_max"].append(sum(g[2] for g in gibbs))
-        records["rho_trace_err"].append(abs(math.prod(traces) - 1.0))
-        records["rho_min_eig"].append(math.prod(g[3] for g in gibbs))
+        row = {
+            "exp_min": sum(g[1] for g in gibbs),
+            "exp_max": sum(g[2] for g in gibbs),
+            "rho_trace_err": abs(math.prod(traces) - 1.0),
+            "rho_min_eig": math.prod(g[3] for g in gibbs),
+        }
 
         out = loss_oracle(*rhos)
         paired = isinstance(out, tuple) and len(out) == 2 and np.ndim(out[1]) == 0
@@ -243,16 +278,16 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
                 f"oracle returned factor shapes {[m.shape for m in ms]}, expected "
                 f"{[(d, d) for d in dims]}"
             )
-        spectra = [herm_eig(m).eigenvalues for m in ms]
-        high = sum(float(w[0]) for w in spectra)
-        low = sum(float(w[-1]) for w in spectra)
+        spectra = [herm_eig(m) for m in ms]
+        high = sum(float(dec.eigenvalues[0]) for dec in spectra)
+        low = sum(float(dec.eigenvalues[-1]) for dec in spectra)
         if low < -CLIP_TOL or high > 1.0 + CLIP_TOL:
             raise OracleBoundError(
                 f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
                 f"[0, 1] beyond the clip tolerance {CLIP_TOL:.1e}"
             )
-        records["m_min_eig"].append(low)
-        records["m_max_eig"].append(high)
+        row["m_min_eig"], row["m_max_eig"] = low, high
+        row["m_eig_err"] = sum(dec.error_bound for dec in spectra)
         if low < 0.0 or high > 1.0:
             ms = _clip_loss(ms, low, high)
         # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
@@ -260,12 +295,22 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
             float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
             for k, (r, m) in enumerate(zip(rhos, ms))
         )
-        records["step_inners"].append(inner)
-        records["losses"].append(inner if loss is None else float(loss))
+        row["step_inners"] = inner
+        row["losses"] = inner if loss is None else float(loss)
 
         for k, m in enumerate(ms):
             s = sums[k] + m
             sums[k] = 0.5 * (s + s.conj().T)
+        decs = [herm_eig(s) for s in sums]
+        # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
+        row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
+        row["sum_eig_err"] = sum(dec.error_bound for dec in decs)
+
+        for name, values in records.items():
+            values.append(row[name])
+        if stop is not None and stop(t, row):
+            reason = "bracket"
+            break
 
     trace = SolverTrace(
         dim=dim,
@@ -275,9 +320,10 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None) -> SolverTrace:
         delta1=cfg.resolved_delta1(),
         exponent_norm_bound=eps * planned,
         loss_sums=tuple(sums),
+        stop_reason=reason,
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )
-    if executed < planned:
+    if reason == "cap":
         raise IterationCapError(
             f"accuracy formula asks for {planned} rounds but max_rounds is "
             f"{cfg.max_rounds}; partial trace attached",
@@ -301,12 +347,12 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
     which must be nonnegative (within roundoff) whenever the inequality
     holds. ``rho_star`` defaults to the adversarial choice, a minimum
     eigenvector of the accumulated loss sum S, for which <rho*, S> is
-    lambda_min(S), the sum of the factors' lambda_min. An explicit N x N
+    lambda_min(S), the last round's ``sum_min_eig``. An explicit N x N
     ``rho_star`` is paired with the Kronecker sum S itself. Pass
     ``delta1=0`` to check the exact-arithmetic form of the bound.
     """
     if rho_star is None:
-        comparator = sum(float(herm_eig(s).eigenvalues[-1]) for s in trace.loss_sums)
+        comparator = float(trace.sum_min_eig[-1])
     else:
         star, loss_sum = as_cmatrix(rho_star), trace.loss_sum
         if star.shape != loss_sum.shape:
@@ -323,13 +369,15 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Approximate equilibrium value with self-validating certificates.
+    """Certified bracket [lower_cert, upper_cert] on an equilibrium value.
 
     ``lower_cert`` is the minimum eigenvalue of the adjoint image of the
     averaged (or best single-round) witness, a weak-duality lower bound on
     the equilibrium value; ``upper_cert`` is the smallest per-round value,
     an upper bound since every round plays an exact best response. Both are
-    checked against ``value`` at construction.
+    widened by the measured eigendecomposition error, whose total is
+    ``widening``. ``value`` is ``upper_cert``. The certificates are checked
+    against each other at construction.
     """
 
     value: float
@@ -337,6 +385,7 @@ class EquilibriumResult:
     upper_cert: float
     iterations: int
     trace: SolverTrace
+    widening: float
     bound: float = 1.0
 
     def __post_init__(self):
@@ -372,19 +421,25 @@ def solve_generic(
     rho only through them. ``adjoint_op`` returns the adjoint image of a
     witness as its Kronecker-sum factors (a bare matrix for one factor).
     ``argmax_op`` must return the exact maximizing witness for a given value
-    operator, and ``bound`` bound ``|<witness, apply_op(rho)>|`` over all
-    inputs (spot-checked every round; the accuracy guarantee scales with
+    operator, or a pair ``(witness, err)`` whose ``err`` bounds how far the
+    witness's value may fall short of the maximum; the round's value is
+    rounded up by it. ``bound`` bounds ``|<witness, apply_op(rho)>|`` over
+    all inputs (spot-checked every round; the accuracy guarantee scales with
     it).
+
+    The run stops on the first round at which the certified bracket is at
+    most ``delta * bound`` wide, and otherwise after the planned T rounds.
     """
     cfg = MMWConfig() if cfg is None else cfg
     if bound <= 0:
         raise ValidationError(f"value bound must be positive, got {bound}")
     eye = np.eye(_factor_dims(dims)[0], dtype=np.complex128)
-    state = {"witness_sum": None, "count": 0}
+    state = {"witness_sum": None, "errs": []}
 
     def oracle(*rhos):
         value_op = apply_op(*rhos)
-        witness = argmax_op(value_op)
+        out = argmax_op(value_op)
+        witness, err = out if isinstance(out, tuple) else (out, 0.0)
         loss = float(hs_inner(witness, value_op).real)
         if abs(loss) > bound * (1.0 + CLIP_TOL) + CLIP_TOL:
             raise OracleBoundError(
@@ -403,29 +458,47 @@ def solve_generic(
             state["witness_sum"] = np.array(witness, dtype=np.complex128)
         else:
             state["witness_sum"] += witness
-        state["count"] += 1
-        return m, loss
+        state["errs"].append(err)
+        return m, loss + err
 
-    trace = mmw_run(oracle, dims, cfg)
-    value = float(np.mean(trace.losses))
-    trace.value = value
-
-    averaged = state["witness_sum"] / state["count"]
-    # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
-    lower_avg = sum(float(herm_eig(f).eigenvalues[-1])
-                    for f in _as_factors(adjoint_op(averaged)))
     # lambda_min of each round's adjoint image, recovered from the recorded
     # loss-matrix spectrum: image = bound * (2 M - I).
-    lower_single = bound * (2.0 * float(np.max(trace.m_min_eig)) - 1.0)
-    lower = max(lower_avg, lower_single)
-    upper = float(np.min(trace.losses))
+    def single_lower(m_min_eig, m_eig_err):
+        return bound * (2.0 * (m_min_eig - m_eig_err) - 1.0)
+
+    running = {"upper": math.inf, "single": -math.inf}
+
+    def bracket_closed(t, row):
+        running["upper"] = min(running["upper"], row["losses"])
+        running["single"] = max(running["single"],
+                                single_lower(row["m_min_eig"], row["m_eig_err"]))
+        # The averaged witness's image is bound * (2 S / t - I), S the loss sum.
+        averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"]) / t - 1.0)
+        return running["upper"] - max(running["single"], averaged) <= cfg.delta * bound
+
+    trace = mmw_run(oracle, dims, cfg, stop=bracket_closed)
+
+    decs = [herm_eig(f) for f in
+            _as_factors(adjoint_op(state["witness_sum"] / trace.executed))]
+    avg_err = sum(dec.error_bound for dec in decs)
+    lower_avg = sum(float(dec.eigenvalues[-1]) for dec in decs) - avg_err
+    singles = single_lower(trace.m_min_eig, trace.m_eig_err)
+    top = int(np.argmax(singles))
+    if lower_avg >= singles[top]:
+        lower, lower_err = lower_avg, avg_err
+    else:
+        lower, lower_err = float(singles[top]), 2.0 * bound * float(trace.m_eig_err[top])
+    low = int(np.argmin(trace.losses))
+    upper = float(trace.losses[low])
+    trace.value = upper
     return EquilibriumResult(
-        value=value,
+        value=upper,
         lower_cert=lower,
         upper_cert=upper,
         iterations=trace.executed,
         trace=trace,
         bound=bound,
+        widening=lower_err + state["errs"][low],
     )
 
 
@@ -435,17 +508,16 @@ def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> Eq
     Each loss is (I + G+ (x) I - I (x) G-) / 2, a Kronecker sum, so the
     solver's density on X0 (x) X1 stays a product rho_0 (x) rho_1 and the
     loop runs on two n x n factors. Each round plays the positive-eigenspace
-    projector of the difference output (the exact best response) and feeds
-    back the shifted adjoint image as the loss; the averaged per-round value
-    approximates the equilibrium value within delta (+ the delta1 slack
-    budget) and lies in [0, 1] up to roundoff.
+    projector of the difference output (the exact best response, with its
+    measured error) and feeds back the shifted adjoint image as the loss.
+    The certified bracket lies in [0, 1] up to roundoff.
     """
     n = inst.input_dim
     return solve_generic(
         (n, n),
         lambda first, second: marginal_difference_output(inst, first, second),
         lambda witness: difference_adjoint_factors(inst, witness),
-        pos_proj,
+        best_effect,
         1.0,
         cfg,
         loss_range=(0.0, 1.0),

@@ -34,6 +34,23 @@ def random_kraus_pair_spec(rng, n=2, k=2):
     return ChannelSpec("kraus", n, n, ops)
 
 
+def first_closed_round(trace, bound=1.0):
+    """First round t at which the certified bracket, rebuilt from the trace
+    records, is at most delta * bound wide; None if it never is.
+
+    Upper: the smallest per-round value so far. Lower: the larger of the best
+    single-round image minimum, bound (2 m_min_eig - 1), and the averaged
+    image minimum, bound (2 sum_min_eig / t - 1), each lowered by its
+    recorded eigensolver error.
+    """
+    t = np.arange(1, trace.executed + 1)
+    upper = np.minimum.accumulate(trace.losses)
+    single = np.maximum.accumulate(bound * (2.0 * (trace.m_min_eig - trace.m_eig_err) - 1.0))
+    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err) / t - 1.0)
+    closed = np.flatnonzero(upper - np.maximum(single, averaged) <= trace.delta * bound)
+    return int(closed[0]) + 1 if closed.size else None
+
+
 @pytest.fixture
 def identity_instance():
     return unitary_instance(I2, I2)

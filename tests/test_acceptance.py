@@ -41,6 +41,7 @@ from tests.conftest import (
     KET1,
     PHASE_S,
     constant_spec,
+    first_closed_round,
     random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
@@ -141,8 +142,10 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
     checks = [
         res_id.value >= 0.95 - SLACK,
         res_or.value <= 0.3122 + SLACK,
-        res_id.iterations == 555,
-        res_or.iterations == 555,
+        res_id.trace.rounds == 555,
+        res_or.trace.rounds == 555,
+        res_id.iterations == first_closed_round(res_id.trace),
+        res_or.iterations == first_closed_round(res_or.trace),
         decide_qcd(inst_id, 1.9, 0.1, cfg).decision == "close",
         decide_qcd(inst_or, 1.9, 0.1, cfg).decision == "far",
         dt_id < 10.0,
@@ -152,6 +155,7 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
         1, all(checks),
         f"identical lambda={res_id.value:.4f} in {dt_id:.2f}s, "
         f"orthogonal lambda={res_or.value:.4f} in {dt_or:.2f}s, T=555, "
+        f"bracket closed at rounds {res_id.iterations}/{res_or.iterations}, "
         "decisions close/far",
     )
 

@@ -19,7 +19,15 @@ from diamondeq.cli import (
     write_trace,
 )
 from diamondeq.estimator import decide_qcd
-from tests.conftest import I2, KET0, KET1, PAULI_Z, PHASE_S
+from tests.conftest import (
+    I2,
+    KET0,
+    KET1,
+    PAULI_Z,
+    PHASE_S,
+    first_closed_round,
+    random_kraus_pair_spec,
+)
 
 
 def spec_doc(kind, input_dim, output_dim, matrices, env_dim=None):
@@ -56,6 +64,15 @@ def identity_pair_file(tmp_path):
         spec_doc("unitary", 2, 2, [I2]),
         spec_doc("unitary", 2, 2, [I2]),
     )
+
+
+@pytest.fixture
+def open_kraus_pair_file(tmp_path):
+    # Seeded Kraus pair whose certified bracket stays wider than delta = 0.2
+    # until round 86.
+    rng = np.random.default_rng(5)
+    specs = [random_kraus_pair_spec(rng) for _ in range(2)]
+    return write_channels(tmp_path, *(spec_doc("kraus", 2, 2, s.matrices) for s in specs))
 
 
 @pytest.fixture
@@ -149,6 +166,14 @@ class TestRunConfig:
         assert main(["oracle", identity_pair_file, "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed")
 
+    @pytest.mark.parametrize("flag", ["trials", "restarts"])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one(self, identity_pair_file, capsys, flag, count):
+        with pytest.raises(ValidationError, match=flag):
+            RunConfig(command="oracle", channel_path="x.json", **{flag: count})
+        assert main(["oracle", identity_pair_file, f"--{flag}", str(count)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
             RunConfig(command="solve", channel_path="x.json")
@@ -191,11 +216,14 @@ class TestCommands:
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert lines[0]["kind"] == "meta"
         assert lines[-1]["kind"] == "summary"
-        assert sum(1 for rec in lines if rec["kind"] == "iter") == 25
+        assert lines[0]["rounds"] == 25
+        trace = read_trace(str(trace_path))
+        assert trace.stop_reason == "bracket"
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == first_closed_round(trace)
 
-    def test_round_cap_keeps_partial_trace(self, unitary_pair_file, tmp_path, capsys):
+    def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", unitary_pair_file, "--max-rounds", "10",
+        code = main(["bounds", open_kraus_pair_file, "--max-rounds", "10",
                      "--trace-out", str(trace_path)])
         assert code == 1
         assert "max_rounds is 10" in capsys.readouterr().err
@@ -203,6 +231,23 @@ class TestCommands:
         assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
         trace = read_trace(str(trace_path))
         assert trace.executed == 10 and trace.rounds == 555 and trace.value is None
+        assert trace.stop_reason == "cap"
+        assert first_closed_round(trace) is None
+
+    def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
+        # The same pair's bracket closes before a cap of 200 rounds: the run
+        # succeeds and reports where it stopped.
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["bounds", open_kraus_pair_file, "--max-rounds", "200",
+                     "--trace-out", str(trace_path)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        trace = read_trace(str(trace_path))
+        assert doc["stop_reason"] == trace.stop_reason == "bracket"
+        assert 10 < doc["iterations"] == first_closed_round(trace) <= 200
+        assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
+        assert doc["lambda"] == doc["upper_cert"] == trace.value
+        assert 0.0 < doc["widening"] <= 1e-9
 
     def test_trace_summary_keeps_factor_loss_sums(self, tmp_path, capsys):
         # The summary holds one n x n loss sum per factor, never the
@@ -216,7 +261,7 @@ class TestCommands:
         assert main(["bounds", path, "--rounds", "20", "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         summary = json.loads(trace_path.read_text().splitlines()[-1])
-        assert set(summary) == {"kind", "lambda", "loss_sums"}
+        assert set(summary) == {"kind", "lambda", "stop_reason", "loss_sums"}
         assert [np.array(m).shape for m in summary["loss_sums"]] == [(3, 3, 2)] * 2
         trace = read_trace(str(trace_path))
         assert trace.dim == 9

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from diamondeq import (
     DiamondReport,
     GapTooSmallError,
     MMWConfig,
     ValidationError,
+    build_instance,
     decide_qcd,
     diamond_interval,
     equilibrium_report,
+    normalize,
     pdn_decide,
+    solve_and_report,
 )
 from diamondeq.oracles import random_unitary, unitary_diamond
 from tests.conftest import (
@@ -20,6 +26,8 @@ from tests.conftest import (
     KET1,
     PAULI_Z,
     constant_spec,
+    first_closed_round,
+    random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
 )
@@ -115,6 +123,44 @@ class TestContainment:
             truth = unitary_diamond(u, v)
             lo, hi = report.interval
             assert lo - 1e-9 <= truth <= hi + 1e-9
+
+
+class TestBracketReport:
+    def test_run_to_t_is_inside_the_a_priori_interval(self):
+        # T = 20 rounds end before this pair's bracket closes (round 86).
+        rng = np.random.default_rng(5)
+        inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
+        cfg = MMWConfig(delta=0.2, rounds=20)
+        report, result = solve_and_report(inst, cfg)
+        assert report.stop_reason == result.trace.stop_reason == "rounds"
+        assert report.iterations == 20 and first_closed_round(result.trace) is None
+        mean = float(np.mean(result.trace.losses))
+        old_lo, old_hi = diamond_interval(mean, cfg.delta + cfg.resolved_delta1())
+        lo, hi = report.interval
+        assert old_lo < lo <= hi <= old_hi
+        assert report.value == report.upper_cert < mean
+
+    def test_bracket_stop_reports_the_bracket(self):
+        report = equilibrium_report(unitary_instance(I2, PAULI_Z), FAST)
+        assert report.stop_reason == "bracket"
+        assert report.iterations < 555
+        assert report.upper_cert - report.lower_cert <= FAST.delta
+        assert report.interval == pytest.approx((2.0, 2.0), abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       delta=st.sampled_from([0.1, 0.2, 0.4]))
+def test_bracket_interval_contains_unitary_distance(seed, n, delta):
+    rng = np.random.default_rng(seed)
+    u, v = random_unitary(rng, n), random_unitary(rng, n)
+    report, result = solve_and_report(unitary_instance(u, v), MMWConfig(delta=delta))
+    lo, hi = report.interval
+    assert lo - 1e-9 <= unitary_diamond(u, v) <= hi + 1e-9
+    assert report.iterations <= result.trace.rounds
+    assert report.stop_reason in ("bracket", "rounds")
+    if report.stop_reason == "bracket":
+        assert report.upper_cert - report.lower_cert <= delta
 
 
 class TestReportInvariants:

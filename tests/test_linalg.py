@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from diamondeq import (
+    EigDecomp,
     EigendecompositionError,
     ValidationError,
+    best_effect,
     fidelity,
     herm_eig,
     hs_inner,
@@ -16,6 +18,7 @@ from diamondeq import (
     pos_proj,
     trace_norm,
 )
+from diamondeq import linalg
 from diamondeq.linalg import require_hermitian
 from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import KET0, PAULI_X, PAULI_Z
@@ -127,6 +130,56 @@ class TestPosProj:
             assert np.linalg.norm(p @ p - p) <= 1e-8
             w = np.linalg.eigvalsh(p)
             assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+
+
+def perturbed_eig(rng, h, size):
+    """A decomposition of h with eigenpairs off by about ``size`` and its
+    residuals measured, as herm_eig measures them."""
+    w, u = np.linalg.eigh(h)
+    n = h.shape[0]
+    w = np.sort(w + size * rng.standard_normal(n))[::-1]
+    u = u[:, ::-1] + size * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    recon = float(np.linalg.norm(h - (u * w) @ u.conj().T))
+    unit = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    return EigDecomp(w, u, recon, unit)
+
+
+class TestErrorBounds:
+    def test_herm_eig_returns_its_residuals(self):
+        rng = np.random.default_rng(21)
+        h = random_hermitian(rng, 5)
+        dec = herm_eig(h)
+        u = dec.eigenvectors
+        assert dec.recon == np.linalg.norm(h - (u * dec.eigenvalues) @ u.conj().T)
+        assert dec.unit == np.linalg.norm(u.conj().T @ u - np.eye(5))
+        assert 0.0 < dec.error_bound <= 1e-12
+
+    @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3])
+    def test_weyl_bound_covers_perturbed_eigenvalues(self, size):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            h = random_hermitian(rng, 4)
+            dec = perturbed_eig(rng, h, size)
+            exact = np.linalg.eigvalsh(h)[::-1]
+            assert np.max(np.abs(exact - dec.eigenvalues)) <= dec.error_bound
+
+    @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3])
+    def test_best_effect_bound_covers_perturbed_eigensolver(self, size, monkeypatch):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            h = random_hermitian(rng, 4)
+            dec = perturbed_eig(rng, h, size)
+            monkeypatch.setattr(linalg, "herm_eig", lambda _h, dec=dec: dec)
+            p, err = best_effect(h)
+            best = float(np.sum(np.clip(np.linalg.eigvalsh(h), 0.0, None)))
+            assert best - hs_inner(p, h).real <= err
+
+    def test_best_effect_is_pos_proj(self):
+        rng = np.random.default_rng(24)
+        h = random_hermitian(rng, 4)
+        p, err = best_effect(h)
+        assert np.array_equal(p, pos_proj(h))
+        assert 0.0 < err <= 1e-12
 
 
 class TestTraceNorm:

@@ -8,6 +8,7 @@ from diamondeq import (
     MMWConfig,
     OracleBoundError,
     ValidationError,
+    best_effect,
     difference_adjoint,
     difference_adjoint_factors,
     difference_output,
@@ -19,9 +20,14 @@ from diamondeq import (
     solve_equilibrium,
     solve_generic,
 )
-from diamondeq.mmw import min_eig_projector
+from diamondeq.mmw import SERIES, min_eig_projector
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
-from tests.conftest import constant_spec, random_kraus_pair_spec, unitary_spec
+from tests.conftest import (
+    constant_spec,
+    first_closed_round,
+    random_kraus_pair_spec,
+    unitary_spec,
+)
 from diamondeq import build_instance, normalize
 
 FAST = MMWConfig(delta=0.2)
@@ -157,7 +163,7 @@ class TestMetaAlgorithm:
             assert np.linalg.norm(a - b) <= 1e-12
         assert product.dim == dense.dim == 6
         for name in ("losses", "step_inners", "exp_min", "exp_max",
-                     "rho_min_eig", "m_min_eig", "m_max_eig"):
+                     "rho_min_eig", "m_min_eig", "m_max_eig", "sum_min_eig"):
             assert np.allclose(getattr(product, name), getattr(dense, name),
                                rtol=0.0, atol=1e-12), name
         assert np.linalg.norm(product.loss_sum - dense.loss_sum) <= 1e-12
@@ -184,6 +190,29 @@ class TestMetaAlgorithm:
         assert err.value.trace.executed == 10
         assert err.value.trace.rounds == 50
 
+    def test_stop_hook_ends_the_run_before_the_cap(self):
+        seen = []
+
+        def stop(t, row):
+            seen.append((t, sorted(row)))
+            return t == 4
+
+        trace = mmw_run(lambda rho: np.eye(2) / 2, 2,
+                        MMWConfig(delta=0.2, rounds=50, max_rounds=10), stop=stop)
+        assert trace.executed == 4 and trace.rounds == 50
+        assert trace.stop_reason == "bracket"
+        assert seen == [(t, sorted(name for name, _ in SERIES)) for t in range(1, 5)]
+        # The loss sum after round t is t I / 2.
+        assert np.allclose(trace.sum_min_eig, 0.5 * np.arange(1, 5))
+
+    def test_stop_reason_without_stop_hook(self):
+        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2, rounds=5))
+        assert trace.stop_reason == "rounds" and trace.executed == 5
+        with pytest.raises(IterationCapError) as err:
+            mmw_run(lambda rho: np.zeros((2, 2)), 2,
+                    MMWConfig(delta=0.2, rounds=5, max_rounds=3))
+        assert err.value.trace.stop_reason == "cap"
+
     def test_exponent_records(self):
         trace = mmw_run(lambda rho: np.eye(2), 2, MMWConfig(delta=0.2, rounds=8))
         eps = trace.epsilon
@@ -198,7 +227,23 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(identity_instance, FAST)
         assert res.value >= 1.0 - 0.2 - 0.02
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.iterations == 555
+        assert res.trace.rounds == 555
+        assert res.iterations == first_closed_round(res.trace)
+
+    def test_stops_when_the_bracket_closes(self):
+        # Seeded Kraus pair whose bracket stays wider than delta for 85 rounds.
+        rng = np.random.default_rng(5)
+        inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
+        res = solve_equilibrium(inst, FAST)
+        assert res.trace.stop_reason == "bracket"
+        assert res.iterations == first_closed_round(res.trace) == 86
+        assert res.iterations < res.trace.rounds == 555
+        assert res.upper_cert - res.lower_cert <= FAST.delta
+        assert res.value == res.upper_cert == np.min(res.trace.losses)
+        assert 0.0 < res.widening <= 1e-9
+        assert regret_check(res.trace) >= 0.0
+        lb, ub = naive_equilibrium(inst, iters=10, seed=0)
+        assert res.lower_cert <= ub + 1e-9 and lb - 1e-9 <= res.upper_cert
 
     def test_orthogonal_constants(self, orthogonal_instance):
         res = solve_equilibrium(orthogonal_instance, FAST)
@@ -339,7 +384,7 @@ class TestSolveGeneric:
             (inst.input_dim, inst.input_dim),
             lambda first, second: marginal_difference_output(inst, first, second),
             lambda eff: difference_adjoint_factors(inst, eff),
-            lambda y: pos_proj(y),
+            lambda y: best_effect(y),
             1.0,
             cfg,
             loss_range=(0.0, 1.0),
@@ -373,6 +418,7 @@ class TestSolveGeneric:
         assert abs(res.value - 5.0 / 3.0) <= tol
         assert res.lower_cert <= 5.0 / 3.0 + 1e-9
         assert res.upper_cert >= 5.0 / 3.0 - 1e-9
+        assert res.iterations == first_closed_round(res.trace, bound) <= res.trace.rounds
 
     def test_bound_violation_detected(self):
         with pytest.raises(OracleBoundError, match="bound"):
