@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -231,6 +232,8 @@ def report_from_dict(doc: dict) -> DiamondReport:
 
 
 def trace_to_records(trace: SolverTrace) -> list:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     records = [{
         "kind": "meta",
         "dim": trace.dim,
@@ -239,6 +242,10 @@ def trace_to_records(trace: SolverTrace) -> list:
         "delta": trace.delta,
         "delta1": trace.delta1,
         "exponent_norm_bound": trace.exponent_norm_bound,
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": int(threads) if threads and threads.strip().isdigit() else threads,
     }]
     keys = ["t"] + [key for _, key in SERIES]
     columns = [range(1, trace.executed + 1)] + [getattr(trace, name).tolist()

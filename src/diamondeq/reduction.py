@@ -7,8 +7,9 @@ dim z after padding) are combined into the stacked isometries
 
 whose rows carry an extra binary index placed as the most significant tensor
 factor, so the stacked output space is ordered (flag, Y, Z). The stacks
-satisfy tr_{flag,Z}(2 S+ X S-*) = Q0(X) - Q1(X), which is enforced on a full
-matrix-unit basis at construction time rather than trusted.
+satisfy tr_{flag,Z}(2 S+ X S-*) = Q0(X) - Q1(X), which is enforced on every
+matrix unit at construction time rather than trusted: the n^2 residuals are
+the blocks of one product of Choi factors (``linalg.unit_residuals``).
 
 The two "arm" channels tr_Y(S+ . S+*) and tr_Y(S- . S-*) map densities on
 the doubled input space X0 (x) X1 (dim n^2, first factor most significant)
@@ -44,10 +45,8 @@ import numpy as np
 from . import tolerances
 from .channels import StinespringChannel, pad_env
 from .errors import ValidationError
-from .linalg import as_cmatrix, kron_sum, partial_trace
-
-#: Frobenius tolerance for the basis-wise decomposition identity.
-DECOMPOSITION_TOL = 1e-9
+from .linalg import (as_cmatrix, choi_factor, kron_sum, partial_trace, require_units,
+                     unit_residuals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,12 +83,6 @@ class ReducedInstance:
         return 2 * self.env_dim
 
 
-def _channel_diff(a0: np.ndarray, a1: np.ndarray, m: int, z: int, x: np.ndarray) -> np.ndarray:
-    return partial_trace(a0 @ x @ a0.conj().T, (m, z), (0,)) - partial_trace(
-        a1 @ x @ a1.conj().T, (m, z), (0,)
-    )
-
-
 def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedInstance:
     """Stack two channels into a ReducedInstance.
 
@@ -118,20 +111,20 @@ def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedI
                 f"stacked {label} matrix is not an isometry: residual {residual:.3e}"
             )
 
-    for i in range(n):
-        for j in range(n):
-            x = np.zeros((n, n), dtype=np.complex128)
-            x[i, j] = 1.0
-            lhs = partial_trace(2.0 * plus @ x @ minus.conj().T, (2, m, z), (1,))
-            rhs = _channel_diff(a0, a1, m, z, x)
-            residual = float(np.linalg.norm(lhs - rhs))
-            if residual > DECOMPOSITION_TOL:
-                raise ValidationError(
-                    f"stack decomposition identity fails on basis unit ({i},{j}): "
-                    f"residual {residual:.3e}"
-                )
+    inst = ReducedInstance(plus, minus, n, m, z)
+    require_units(_stack_residuals(inst, a0, a1), "stack decomposition identity fails on")
+    return inst
 
-    return ReducedInstance(plus, minus, n, m, z)
+
+def _stack_residuals(inst: ReducedInstance, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Frobenius norms of tr_{flag,Z}(2 S+ E_ij S-*) - (Q0 - Q1)(E_ij) from one
+    product: 2 B+ B-* is the Choi matrix of the first term (B+- read off the
+    blocks ((flag, Z), Y, X)), B0 B0* - B1 B1* that of Q0 - Q1."""
+    n, m, d = inst.input_dim, inst.output_dim, inst.witness_dim
+    bp, bm = (b.transpose(2, 1, 0).reshape(n * m, d)
+              for b in (inst.blocks_plus, inst.blocks_minus))
+    b0, b1 = choi_factor(a0, m), choi_factor(a1, m)
+    return unit_residuals(np.hstack([2.0 * bp, -b0, b1]), np.hstack([bm, b0, b1]), n)
 
 
 def _arm(blocks: np.ndarray, sigma: np.ndarray) -> np.ndarray:

@@ -20,3 +20,6 @@ EIG_TOL = 1e-10
 
 #: Trace / eigenvalue slack for density-operator checks.
 DENSITY_TOL = 1e-9
+
+#: Frobenius residual allowed per matrix unit in the basis-wise channel checks.
+BASIS_TOL = 1e-9

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diamondeq import (
     ChannelSpec,
@@ -12,6 +14,7 @@ from diamondeq import (
     circuit_to_stinespring,
     normalize,
 )
+from diamondeq import channels, partial_trace, tolerances
 from diamondeq.channels import pad_env
 from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import I2, KET0, PAULI_X, PAULI_Z, constant_spec, unitary_spec
@@ -121,6 +124,45 @@ class TestNormalize:
         ch = normalize(constant_spec(KET0, input_dim=3))
         rng = np.random.default_rng(2)
         assert np.allclose(apply(ch, random_density(rng, 3)), KET0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        unitary_spec(np.eye(3)),
+        ChannelSpec("kraus", 3, 3, (np.eye(3) / math.sqrt(2), np.eye(3) / math.sqrt(2))),
+        ChannelSpec("stinespring", 3, 3, (np.kron(np.eye(3), np.ones((2, 1)) / math.sqrt(2)),)),
+    ], ids=["unitary", "kraus", "stinespring"])
+    def test_deviation_names_first_unit(self, spec, monkeypatch):
+        # Each spec is the identity channel on n = 3. A dilation rotated by
+        # D = diag(1, e^{ia}, e^{ib}) on Y is still an isometry but acts as
+        # X -> D X D*, off by |1 - e^{i(phi_i - phi_j)}| on unit (i, j). The
+        # first failing unit in row-major order is (0, 1), not the largest.
+        a, b = 1e-3, 0.5
+        phases = np.exp(1j * np.array([0.0, a, b]))
+        real = channels.StinespringChannel
+
+        def rotated(iso, n, m, z):
+            return real(np.repeat(phases, z)[:, None] * iso, n, m, z)
+
+        monkeypatch.setattr(channels, "StinespringChannel", rotated)
+        with pytest.raises(ValidationError) as info:
+            normalize(spec)
+        message = str(info.value)
+        prefix = f"normalized channel deviates from the {spec.kind} action on basis unit (0,1): "
+        assert message.startswith(prefix + "residual ")
+        assert float(message.rsplit(" ", 1)[1]) == pytest.approx(2 * math.sin(a / 2), rel=1e-3)
+
+    @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
+    def test_deviation_limit_is_basis_tol(self, scale, fails, monkeypatch):
+        # A phase a on one output row puts a residual of about a on the units
+        # (0, 1) and (1, 0); the check fails exactly when that exceeds BASIS_TOL.
+        phases = np.exp(1j * np.array([0.0, scale * tolerances.BASIS_TOL]))
+        real = channels.StinespringChannel
+        monkeypatch.setattr(channels, "StinespringChannel",
+                            lambda iso, n, m, z: real(phases[:, None] * iso, n, m, z))
+        if fails:
+            with pytest.raises(ValidationError, match=r"basis unit \(0,1\)"):
+                normalize(unitary_spec(I2))
+        else:
+            normalize(unitary_spec(I2))
 
 
 class TestApply:
@@ -275,3 +317,55 @@ def test_pad_env_rejects_shrinking():
 def test_stinespring_channel_rejects_bad_shape():
     with pytest.raises(ValidationError, match="shape"):
         StinespringChannel(np.eye(2), 2, 2, 2)
+
+
+def _native_output(spec, x):
+    """The spec's own action on one input matrix, as a reference."""
+    if spec.kind == "constant":
+        return spec.matrices[0] * np.trace(x)
+    if spec.kind == "stinespring":
+        a = spec.matrices[0]
+        return partial_trace(a @ x @ a.conj().T, (spec.output_dim, spec.env_dim), (0,))
+    return sum(k @ x @ k.conj().T for k in spec.matrices)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["stinespring", "kraus", "unitary", "constant"]),
+       n=st.integers(1, 4), m=st.integers(1, 4), z=st.integers(1, 3), pad=st.integers(0, 2),
+       eps=st.one_of(st.just(0.0), st.floats(-8.0, -4.0).map(lambda e: 10.0 ** e)))
+def test_dilation_residuals_match_unit_loop(seed, kind, n, m, z, pad, eps):
+    # The batched per-unit residuals of normalize's check equal a loop of
+    # partial traces over the matrix units, on padded and perturbed
+    # dilations, and both flag the same units.
+    rng = np.random.default_rng(seed)
+    if kind == "unitary":
+        spec = unitary_spec(random_unitary(rng, n))
+        m = n
+    elif kind == "constant":
+        spec = ChannelSpec("constant", n, m, (random_density(rng, m),))
+    else:
+        assume(m * z >= n)
+        g = rng.standard_normal((m * z, n)) + 1j * rng.standard_normal((m * z, n))
+        a = np.linalg.qr(g)[0]
+        mats = (a,) if kind == "stinespring" else tuple(a.reshape(m, z, n)[:, k] for k in range(z))
+        spec = ChannelSpec(kind, n, m, mats)
+    ch = normalize(spec)
+    ch = pad_env(ch, ch.env_dim + pad)
+    iso = ch.isometry.copy()
+    col = rng.integers(n)
+    kick = rng.standard_normal(iso.shape[0]) + 1j * rng.standard_normal(iso.shape[0])
+    iso[:, col] += eps * kick / np.linalg.norm(kick)
+
+    batched = channels._spec_residuals(spec, iso)
+    loop = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j] = 1.0
+            got = partial_trace(iso @ x @ iso.conj().T, (m, ch.env_dim), (0,))
+            loop[i, j] = np.linalg.norm(got - _native_output(spec, x))
+    np.testing.assert_allclose(batched, loop, rtol=1e-9, atol=1e-13)
+    flagged = loop > tolerances.BASIS_TOL
+    assert np.array_equal(batched > tolerances.BASIS_TOL, flagged)
+    assert flagged.any() == (eps > 0.0)

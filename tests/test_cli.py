@@ -221,6 +221,27 @@ class TestCommands:
         assert trace.stop_reason == "bracket"
         assert sum(1 for rec in lines if rec["kind"] == "iter") == first_closed_round(trace)
 
+    @pytest.mark.parametrize("env, threads", [
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "5"}, 3),
+        ({"OMP_NUM_THREADS": "5"}, 5),
+        ({}, None),
+    ])
+    def test_trace_meta_names_numpy_and_blas(self, identity_pair_file, tmp_path, capsys,
+                                             monkeypatch, env, threads):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        trace_path = tmp_path / "trace.jsonl"
+        assert main(["bounds", identity_pair_file, "--trace-out", str(trace_path)]) == 0
+        capsys.readouterr()
+        meta = json.loads(trace_path.read_text().splitlines()[0])
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert meta["numpy"] == np.__version__
+        assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
+        assert meta["blas_threads"] == threads
+        assert read_trace(str(trace_path)).dim == 4
+
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         code = main(["bounds", open_kraus_pair_file, "--max-rounds", "10",

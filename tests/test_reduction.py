@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diamondeq import (
+    ReducedInstance,
+    StinespringChannel,
     ValidationError,
     arm_outputs,
     build_instance,
@@ -18,6 +22,8 @@ from diamondeq import (
     promise_thresholds,
     trace_norm,
 )
+from diamondeq import reduction, tolerances
+from diamondeq.channels import pad_env
 from diamondeq.oracles import random_density
 from tests.conftest import (
     I2,
@@ -87,6 +93,45 @@ class TestBuildInstance:
                 normalize(unitary_spec(I2)),
                 normalize(unitary_spec(np.eye(3))),
             )
+
+    def test_identity_failure_names_first_unit(self, monkeypatch):
+        # Rotating the Q1 half of both stacks by D = diag(1, e^{ia}, e^{ib})
+        # on Y keeps them isometries, but the stacks then decompose
+        # Q0 - D Q1 D*. For the identity pair on n = 3 unit (i, j) is off by
+        # |1 - e^{i(phi_i - phi_j)}|; the first failing unit in row-major
+        # order is (0, 1), not the largest.
+        a, b = 1e-3, 0.5
+        phases = np.exp(1j * np.array([0.0, a, b]))
+        ch = normalize(unitary_spec(np.eye(3)))
+        vstack = np.vstack
+
+        def rotated_vstack(blocks):
+            top, bottom = blocks
+            return vstack([top, phases[:, None] * bottom])
+
+        monkeypatch.setattr(np, "vstack", rotated_vstack)
+        with pytest.raises(ValidationError) as info:
+            build_instance(ch, ch)
+        message = str(info.value)
+        prefix = "stack decomposition identity fails on basis unit (0,1): "
+        assert message.startswith(prefix + "residual ")
+        assert float(message.rsplit(" ", 1)[1]) == pytest.approx(2 * math.sin(a / 2), rel=1e-3)
+
+    @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
+    def test_identity_limit_is_basis_tol(self, scale, fails, monkeypatch):
+        # A phase a on one Y row of the Q1 half puts a residual of about a on
+        # the units (0, 1) and (1, 0); the check fails exactly when that
+        # exceeds BASIS_TOL.
+        phases = np.exp(1j * np.array([0.0, scale * tolerances.BASIS_TOL]))
+        ch = normalize(unitary_spec(I2))
+        vstack = np.vstack
+        monkeypatch.setattr(
+            np, "vstack", lambda blocks: vstack([blocks[0], phases[:, None] * blocks[1]]))
+        if fails:
+            with pytest.raises(ValidationError, match=r"basis unit \(0,1\)"):
+                build_instance(ch, ch)
+        else:
+            build_instance(ch, ch)
 
 
 class TestDifferenceOutput:
@@ -240,3 +285,45 @@ def test_constant_pair_difference_is_rank_structured(orthogonal_instance):
     rho_a, rho_b = random_density(rng, 2), random_density(rng, 2)
     diff = difference_output(orthogonal_instance, np.kron(rho_a, rho_b))
     assert trace_norm(diff) == pytest.approx(trace_norm(rho_a - rho_b), abs=1e-10)
+
+
+def _random_isometry(rng, rows, cols):
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 3),
+       z0=st.integers(1, 3), z1=st.integers(1, 3), which=st.sampled_from([0, 1]),
+       eps=st.one_of(st.just(0.0), st.floats(-8.0, -4.0).map(lambda e: 10.0 ** e)))
+def test_stack_residuals_match_unit_loop(seed, n, m, z0, z1, which, eps):
+    # The batched per-unit residuals of build_instance's check equal a loop
+    # of partial traces over the matrix units, on padded environments and
+    # perturbed stacks, and both flag the same units.
+    assume(m * min(z0, z1) >= n)
+    rng = np.random.default_rng(seed)
+    ch0 = StinespringChannel(_random_isometry(rng, m * z0, n), n, m, z0)
+    ch1 = StinespringChannel(_random_isometry(rng, m * z1, n), n, m, z1)
+    inst = build_instance(ch0, ch1)
+    z = inst.env_dim
+    a0, a1 = pad_env(ch0, z).isometry, pad_env(ch1, z).isometry
+    stacks = [inst.stack_plus.copy(), inst.stack_minus.copy()]
+    col = rng.integers(n)
+    kick = rng.standard_normal(2 * m * z) + 1j * rng.standard_normal(2 * m * z)
+    stacks[which][:, col] += eps * kick / np.linalg.norm(kick)
+    plus, minus = stacks
+
+    batched = reduction._stack_residuals(ReducedInstance(plus, minus, n, m, z), a0, a1)
+    loop = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j] = 1.0
+            lhs = partial_trace(2.0 * plus @ x @ minus.conj().T, (2, m, z), (1,))
+            rhs = (partial_trace(a0 @ x @ a0.conj().T, (m, z), (0,))
+                   - partial_trace(a1 @ x @ a1.conj().T, (m, z), (0,)))
+            loop[i, j] = np.linalg.norm(lhs - rhs)
+    np.testing.assert_allclose(batched, loop, rtol=1e-9, atol=1e-13)
+    flagged = loop > tolerances.BASIS_TOL
+    assert np.array_equal(batched > tolerances.BASIS_TOL, flagged)
+    assert flagged.any() == (eps > 0.0)
