@@ -38,6 +38,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -104,6 +106,29 @@ def _fail(pointer: str, message: str):
 
 
 def _as_complex_matrix(obj, pointer: str) -> np.ndarray:
+    """The complex matrix of a JSON list of rows of [re, im] entries.
+
+    One ``np.array`` call converts a well-formed matrix: shape (r, c, 2),
+    numeric dtype, no JSON boolean. numpy turns ``true`` among numbers into
+    1, so booleans are looked for by type. Anything else (ragged or empty
+    rows, ``null``, strings, ints too large for int64) goes to
+    ``_walk_complex_matrix``, which names the first bad entry.
+    """
+    if isinstance(obj, list):
+        try:
+            a = np.array(obj)
+        except ValueError:  # ragged
+            pass
+        else:
+            if (a.ndim == 3 and a.shape[2] == 2 and a.dtype.kind in "iuf"
+                    and bool not in map(type, chain.from_iterable(chain.from_iterable(obj)))):
+                return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    return _walk_complex_matrix(obj, pointer)
+
+
+def _walk_complex_matrix(obj, pointer: str) -> np.ndarray:
+    """``_as_complex_matrix`` entry by entry: raises ValidationError naming
+    the first bad row or entry in row-major order."""
     if not isinstance(obj, list) or not obj:
         _fail(pointer, "expected a non-empty list of rows")
     width = None
@@ -124,7 +149,10 @@ def _as_complex_matrix(obj, pointer: str) -> np.ndarray:
                            for x in entry)
             ):
                 _fail(f"{pointer}/{i}/{j}", "complex entry must be a [re, im] pair")
-            entries.append(complex(entry[0], entry[1]))
+            try:
+                entries.append(complex(entry[0], entry[1]))
+            except OverflowError:
+                _fail(f"{pointer}/{i}/{j}", "complex entry part is too large for a float")
         rows.append(entries)
     return np.array(rows, dtype=np.complex128)
 
@@ -174,7 +202,7 @@ def parse_channel_file(path: str) -> tuple[ChannelSpec, ChannelSpec]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "channels" not in doc:
         _fail("/channels", "missing top-level 'channels' array")
@@ -407,8 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use. ``parse_args`` reads
+    it and leaves it unchanged, so every ``main`` call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
             command=args.command,

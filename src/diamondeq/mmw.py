@@ -255,8 +255,9 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
     records = {name: [] for name, _ in SERIES}
     sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
     # Each round's loss-sum decompositions feed the stop rule and the next
-    # round's Gibbs densities.
-    decs = [herm_eig(s) for s in sums]
+    # round's Gibbs densities. The zero sums' exact decomposition makes
+    # rho(1) = I/d per factor.
+    decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
 
     for t in range(1, min(planned, cfg.max_rounds) + 1):
         gibbs = [_gibbs_density(dec, eps) for dec in decs]

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondeq import MMWConfig, ValidationError, solve_equilibrium
+from diamondeq import cli
 from diamondeq.cli import (
     RunConfig,
     main,
@@ -19,6 +25,7 @@ from diamondeq.cli import (
     write_trace,
 )
 from diamondeq.estimator import decide_qcd
+from diamondeq.oracles import random_unitary
 from tests.conftest import (
     I2,
     KET0,
@@ -28,6 +35,8 @@ from tests.conftest import (
     first_closed_round,
     random_kraus_pair_spec,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def spec_doc(kind, input_dim, output_dim, matrices, env_dim=None):
@@ -131,6 +140,21 @@ class TestParseChannelFile:
         assert main(["bounds", path]) == 1
         assert "/channels/0/matrices/0/0/0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits, message", [
+        (400, "too large for a float"),  # parses, but complex() overflows
+        (5000, "not valid JSON"),  # over Python's int-string digit limit
+    ])
+    def test_oversized_int_entry_is_rejected(self, tmp_path, capsys, digits, message):
+        doc = spec_doc("unitary", 2, 2, [I2])
+        text = json.dumps({"channels": [doc, spec_doc("unitary", 2, 2, [I2])]})
+        path = tmp_path / "big.json"
+        path.write_text(text.replace("[1.0, 0.0]", "[" + "9" * digits + ", 0.0]", 1))
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        if digits == 400:
+            assert "/channels/0/matrices/0/0/0" in err
+
     def test_missing_channels_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"pair": []}))
@@ -145,6 +169,70 @@ class TestParseChannelFile:
         )
         with pytest.raises(ValidationError, match=r"\(2->2\) vs \(3->3\)"):
             parse_channel_file(path)
+
+
+def _mutate(obj, kind, i, j, k):
+    """A malformed copy of the JSON matrix ``obj`` (at least 2 rows)."""
+    out = json.loads(json.dumps(obj))
+    entry = out[i][j]
+    if kind == "ragged":
+        out[i].append([0.5, 0.5])
+    elif kind == "empty_row":
+        out[i] = []
+    elif kind == "short_entry":
+        out[i][j] = entry[:1]
+    elif kind == "long_entry":
+        out[i][j] = entry + [0.0]
+    elif kind == "extra_level":
+        out[i][j] = [entry]
+    elif kind == "extra_level_matrix":
+        out = [out]
+    elif kind == "all_bool":
+        out = [[[x > 0.0 for x in e] for e in row] for row in out]
+    else:
+        entry[k] = {"string": "1.0", "null": None, "true": True,
+                    "oversized": 10 ** 400}[kind]
+    return out
+
+
+def _parse_outcome(parse, obj):
+    try:
+        return parse(obj, "/m").tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0, 1, -1]),
+    st.integers(-2**53, 2**53),
+    st.integers(-2**70, 2**70),  # past int64: the walk converts these
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), rows=st.integers(2, 5), cols=st.integers(1, 5),
+       kind=st.sampled_from(["ragged", "empty_row", "short_entry", "long_entry", "string",
+                             "null", "true", "all_bool", "oversized", "extra_level",
+                             "extra_level_matrix"]))
+def test_array_parse_matches_entry_walk(data, rows, cols, kind):
+    # The one-np.array conversion returns exactly the walk's matrix on valid
+    # input and the walk's exact error text on every malformed mutation.
+    obj = data.draw(st.lists(st.lists(st.lists(_NUMBER, min_size=2, max_size=2),
+                                      min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    obj = json.loads(json.dumps(obj))
+    walked = cli._walk_complex_matrix(obj, "/m")
+    assert walked.shape == (rows, cols)
+    parsed = cli._as_complex_matrix(obj, "/m")
+    assert parsed.dtype == np.complex128 and parsed.shape == (rows, cols)
+    assert parsed.tobytes() == walked.tobytes()
+
+    i, j, k = (data.draw(st.integers(0, n - 1)) for n in (rows, cols, 2))
+    bad = _mutate(obj, kind, i, j, k)
+    want = _parse_outcome(cli._walk_complex_matrix, bad)
+    assert isinstance(want, str) and want.startswith("/m")
+    assert _parse_outcome(cli._as_complex_matrix, bad) == want
 
 
 class TestRunConfig:
@@ -325,6 +413,59 @@ class TestCommands:
         code = main(["qcd", identity_pair_file])
         assert code == 1
         assert "--a and --b" in capsys.readouterr().err
+
+
+def _fresh_main(argv, env=None):
+    """``main(argv)`` in a new interpreter; returns (exit code, stdout)."""
+    code = "import sys; from diamondeq.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return proc.returncode, proc.stdout
+
+
+class TestProcess:
+    def test_repeated_main_calls_share_the_parser(self, phase_pair_file, tmp_path, capsys):
+        # One process builds one parser; every call through it must behave
+        # as a call in a fresh interpreter.
+        runs = [
+            ["qcd", phase_pair_file, "--a", "1.9", "--b", "0.3"],
+            ["bounds", phase_pair_file, "--delta", "0.1"],
+            ["oracle", phase_pair_file, "--trials", "20", "--restarts", "3"],
+        ]
+        for k, argv in enumerate(runs):
+            argv = argv + ["--report-out", str(tmp_path / f"{k}.json")]
+            assert cli._parser() is cli._parser()
+            got = main(argv), capsys.readouterr().out
+            report = (tmp_path / f"{k}.json").read_bytes()
+            assert _fresh_main(argv) == got
+            assert (tmp_path / f"{k}.json").read_bytes() == report
+        for argv in (["bounds"], ["bounds", phase_pair_file, "--delta", "x"]):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+        capsys.readouterr()
+
+    def test_reports_identical_across_blas_threads(self, tmp_path):
+        rng = np.random.default_rng(17)
+        u3 = [random_unitary(rng, 3) for _ in range(2)]
+        kraus = [random_kraus_pair_spec(rng, n=3, k=3) for _ in range(2)]
+        files = [
+            write_channels(tmp_path, *(spec_doc("unitary", 3, 3, [u]) for u in u3), "u.json"),
+            write_channels(tmp_path, *(spec_doc("kraus", 3, 3, s.matrices) for s in kraus),
+                           "k.json"),
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        for path in files:
+            reports = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"report-{threads}.json"
+                code, _ = _fresh_main(["bounds", path, "--delta", "0.1",
+                                       "--report-out", str(out)],
+                                      dict(env, OPENBLAS_NUM_THREADS=threads))
+                assert code == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
 
 
 class TestSerialization:

@@ -154,6 +154,30 @@ class TestErrorBounds:
         assert dec.unit == np.linalg.norm(u.conj().T @ u - np.eye(5))
         assert 0.0 < dec.error_bound <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_residuals_are_numpy_norms_bitwise(self, dim, monkeypatch):
+        # require_hermitian's residual and herm_eig's recon and unit feed the
+        # reported widening, so they must equal np.linalg.norm of the same
+        # differences to the last bit.
+        rng = np.random.default_rng(300 + dim)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = random_hermitian(rng, dim) + 1e-13 * g  # Hermitian within HERM_TOL
+        norms = []
+        frobenius = linalg._frobenius
+
+        def recorded(d):
+            norms.append((np.linalg.norm(d), frobenius(d)))
+            return norms[-1][1]
+
+        monkeypatch.setattr(linalg, "_frobenius", recorded)
+        dec = herm_eig(h)
+        assert len(norms) == 3
+        assert all(want == got for want, got in norms)
+        assert norms[0][1] == np.linalg.norm(h - h.conj().T) > 0.0
+        hs, u = 0.5 * (h + h.conj().T), dec.eigenvectors
+        assert dec.recon == np.linalg.norm(hs - (u * dec.eigenvalues) @ u.conj().T)
+        assert dec.unit == np.linalg.norm(u.conj().T @ u - np.eye(dim))
+
     @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3])
     def test_weyl_bound_covers_perturbed_eigenvalues(self, size):
         rng = np.random.default_rng(22)

@@ -20,6 +20,7 @@ from diamondeq import (
     solve_equilibrium,
     solve_generic,
 )
+from diamondeq import mmw
 from diamondeq.mmw import SERIES, min_eig_projector
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
 from tests.conftest import (
@@ -81,6 +82,25 @@ class TestMetaAlgorithm:
         # With nothing accumulated the regret slack is exactly ln(N)/eps.
         slack = regret_check(trace, delta1=0.0)
         assert slack == pytest.approx(math.log(3) / cfg.resolved_epsilon(), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [1, 5, (2, 3), (4, 4), (1, 3, 2)])
+    def test_first_densities_are_exactly_uniform(self, dims, monkeypatch):
+        # The zero loss sums start from their exact decomposition: rho(1) is
+        # I/d per factor to the last bit, and the only eigendecompositions of
+        # a one-round run are the loss's and the new sums', one each per factor.
+        factor_dims = (dims,) if isinstance(dims, int) else dims
+        seen, calls = [], []
+        herm_eig = mmw.herm_eig
+        monkeypatch.setattr(mmw, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
+
+        def oracle(*rhos):
+            seen.append([r.copy() for r in rhos])
+            return [np.zeros(r.shape) for r in rhos]
+
+        mmw_run(oracle, dims, MMWConfig(delta=0.2, rounds=1))
+        assert len(seen) == 1
+        assert all(np.array_equal(r, np.eye(d) / d) for r, d in zip(seen[0], factor_dims))
+        assert len(calls) == 2 * len(factor_dims)
 
     def test_rank_one_oracle_matches_scalar_recursion(self):
         # Constant loss diag(1, 0, ..., 0): the weight on coordinate 1 decays
