@@ -34,9 +34,7 @@ from .linalg import (
     hs_inner,
     kron,
     kron_sum,
-    mat_exp_hermitian,
     partial_trace,
-    pos_proj,
     trace_norm,
 )
 from .mmw import (
@@ -50,11 +48,8 @@ from .mmw import (
 )
 from .reduction import (
     ReducedInstance,
-    arm_outputs,
     build_instance,
-    difference_adjoint,
     difference_adjoint_factors,
-    difference_output,
     marginal_arm_outputs,
     marginal_difference_output,
     promise_thresholds,
@@ -88,9 +83,7 @@ __all__ = [
     "hs_inner",
     "kron",
     "kron_sum",
-    "mat_exp_hermitian",
     "partial_trace",
-    "pos_proj",
     "trace_norm",
     "EquilibriumResult",
     "MMWConfig",
@@ -100,11 +93,8 @@ __all__ = [
     "solve_equilibrium",
     "solve_generic",
     "ReducedInstance",
-    "arm_outputs",
     "build_instance",
-    "difference_adjoint",
     "difference_adjoint_factors",
-    "difference_output",
     "marginal_arm_outputs",
     "marginal_difference_output",
     "promise_thresholds",

@@ -177,17 +177,13 @@ class StinespringChannel:
         _require_isometry(a, "channel isometry", tolerances.ISO_TOL)
 
 
-def apply(ch: StinespringChannel, rho, validate: bool = True) -> np.ndarray:
+def apply(ch: StinespringChannel, rho) -> np.ndarray:
     """Apply the channel to a density operator.
 
     The output is again a density operator up to roundoff (the isometry
     guarantees trace preservation).
     """
-    r = require_density(rho, ch.input_dim) if validate else as_cmatrix(rho)
-    if r.shape != (ch.input_dim, ch.input_dim):
-        raise ValidationError(
-            f"input has shape {r.shape}, channel expects ({ch.input_dim}, {ch.input_dim})"
-        )
+    r = require_density(rho, ch.input_dim)
     a = ch.isometry
     return partial_trace(a @ r @ a.conj().T, (ch.output_dim, ch.env_dim), (0,))
 

@@ -411,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("channels", help="path to the channel-pair JSON file")
         p.add_argument("--report-out", default=None, help="also write the report here")
-        p.add_argument("--seed", type=int, default=0)
         if name == "oracle":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the randomized reference searches")
             p.add_argument("--trials", type=int, default=2000,
                            help="samples for the lower-bound search")
             p.add_argument("--restarts", type=int, default=50,
@@ -451,7 +452,7 @@ def main(argv=None) -> int:
             delta=getattr(args, "delta", 0.2),
             a=getattr(args, "a", None),
             b=getattr(args, "b", None),
-            seed=args.seed,
+            seed=getattr(args, "seed", 0),
             rounds=getattr(args, "rounds", None),
             max_rounds=getattr(args, "max_rounds", 1_000_000),
             trials=getattr(args, "trials", 2000),

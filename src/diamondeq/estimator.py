@@ -191,22 +191,10 @@ def pdn_decide(spec0: ChannelSpec, spec1: ChannelSpec, a: float, b: float,
                cfg: MMWConfig | None = None) -> DiamondReport:
     """Decide a diamond-norm promise directly from two channel descriptions.
 
-    Requires a^2 - (4b - b^2) > 8 (delta + delta1) (t_close + t_far). This
-    floor is exactly the threshold separation needed by the solver
-    precision, since a^2 - (4b - b^2) = 4 (t_close - t_far)(t_close + t_far).
-    Refuses with GapTooSmallError otherwise, never guesses.
+    Refuses with GapTooSmallError exactly where ``decide_qcd`` does, never
+    guesses. The paper's condition a^2 - (4b - b^2) > 8 (delta + delta1)
+    (t_close + t_far) needs no check of its own: since a^2 - (4b - b^2) =
+    4 (t_close - t_far)(t_close + t_far) and t_close + t_far > 0, it is the
+    threshold-gap condition t_close - t_far > 2 (delta + delta1).
     """
-    cfg = MMWConfig() if cfg is None else cfg
-    t_far, t_close = promise_thresholds(a, b)
-    delta_total = cfg.delta + cfg.resolved_delta1()
-    quad = a * a - (4.0 * b - b * b)
-    floor = 8.0 * delta_total * (t_close + t_far)
-    if quad <= floor:
-        raise GapTooSmallError(
-            f"promise condition a^2 - (4b - b^2) = {quad:.4f} does not exceed the "
-            f"floor {floor:.4f} required at precision delta={cfg.delta}: gap too "
-            "small for a direct decision; the amplification pipeline that handles "
-            "such promises is out of scope"
-        )
-    inst = build_instance(normalize(spec0), normalize(spec1))
-    return decide_qcd(inst, a, b, cfg)
+    return decide_qcd(build_instance(normalize(spec0), normalize(spec1)), a, b, cfg)

@@ -115,17 +115,6 @@ def herm_eig(h) -> EigDecomp:
     return EigDecomp(w, u, recon, unit)
 
 
-def mat_exp_hermitian(h) -> np.ndarray:
-    """exp(H) for Hermitian H via eigendecomposition.
-
-    The result is Hermitian positive definite; its accuracy is that of the
-    residual-checked eigendecomposition.
-    """
-    dec = herm_eig(h)
-    r = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.conj().T
-    return 0.5 * (r + r.conj().T)
-
-
 def best_effect(h) -> tuple[np.ndarray, float]:
     """The effect 0 <= E <= I maximizing <E, H>, the projector P onto the
     strictly positive eigenspace, with a bound on max_E <E, H> - <P, H>.
@@ -142,12 +131,6 @@ def best_effect(h) -> tuple[np.ndarray, float]:
     p = cols @ cols.conj().T
     n = dec.eigenvalues.shape[0]
     return 0.5 * (p + p.conj().T), 2.0 * n * dec.error_bound + dec.unit * dec.recon
-
-
-def pos_proj(h) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors of H with strictly
-    positive eigenvalue (``best_effect`` without its error bound)."""
-    return best_effect(h)[0]
 
 
 def trace_norm(a) -> float:

@@ -166,11 +166,6 @@ class SolverTrace:
     def executed(self) -> int:
         return int(self.losses.shape[0])
 
-    @property
-    def loss_sum(self) -> np.ndarray:
-        """The N x N loss sum, built from ``loss_sums`` on each access."""
-        return kron_sum(self.loss_sums)
-
     def __eq__(self, other):
         if not isinstance(other, SolverTrace):
             return NotImplemented
@@ -333,14 +328,6 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
     return trace
 
 
-def min_eig_projector(h) -> np.ndarray:
-    """Rank-one projector onto an eigenvector of minimal eigenvalue."""
-    dec = herm_eig(h)
-    v = dec.eigenvectors[:, -1:]
-    p = v @ v.conj().T
-    return 0.5 * (p + p.conj().T)
-
-
 def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None) -> float:
     """Slack of the regret inequality for a completed trace.
 
@@ -349,13 +336,14 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
     holds. ``rho_star`` defaults to the adversarial choice, a minimum
     eigenvector of the accumulated loss sum S, for which <rho*, S> is
     lambda_min(S), the last round's ``sum_min_eig``. An explicit N x N
-    ``rho_star`` is paired with the Kronecker sum S itself. Pass
+    ``rho_star`` is paired with S, built for it as the Kronecker sum of
+    ``loss_sums``. Pass
     ``delta1=0`` to check the exact-arithmetic form of the bound.
     """
     if rho_star is None:
         comparator = float(trace.sum_min_eig[-1])
     else:
-        star, loss_sum = as_cmatrix(rho_star), trace.loss_sum
+        star, loss_sum = as_cmatrix(rho_star), kron_sum(trace.loss_sums)
         if star.shape != loss_sum.shape:
             raise ValidationError(
                 f"rho_star shape {star.shape} does not match dimension {trace.dim}"

@@ -15,14 +15,8 @@ import numpy as np
 from . import tolerances
 from .channels import ChannelSpec, normalize, require_density
 from .errors import ValidationError
-from .linalg import as_cmatrix, herm_eig, hs_inner, pos_proj, trace_norm
-from .mmw import min_eig_projector
-from .reduction import (
-    ReducedInstance,
-    arm_outputs,
-    difference_adjoint,
-    difference_output,
-)
+from .linalg import as_cmatrix, best_effect, herm_eig, hs_inner, partial_trace, trace_norm
+from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Best-response alternation steps per random restart.
 _ALTERNATIONS = 40
@@ -173,6 +167,13 @@ def naive_equilibrium(inst: ReducedInstance, iters: int = 10,
     every density a valid upper bound (its positive-part value), so the
     returned (lb, ub) always sandwiches the true value. Guarded to small
     input dimension.
+
+    The game is played on marginal pairs, as in the solver: a density enters
+    only through its two n x n marginals, and the adjoint image of a witness
+    is the Kronecker sum G+ (x) I - I (x) G-, whose minimum eigenvalue is
+    lambda_min(G+) + lambda_min(-G-) at the product of the two factors'
+    minimum eigenvectors. Each restart draws a joint n^2 x n^2 density and
+    keeps its marginals.
     """
     if inst.input_dim > _MAX_NAIVE_DIM:
         raise ValidationError(
@@ -180,35 +181,37 @@ def naive_equilibrium(inst: ReducedInstance, iters: int = 10,
             f"got {inst.input_dim}"
         )
     rng = np.random.default_rng(seed)
+    n = inst.input_dim
     lb, ub = -1.0, 1.0
 
-    def score_density(rho):
+    def score_density(first, second):
         nonlocal ub
-        y = difference_output(inst, rho)
-        witness = pos_proj(y)
+        y = marginal_difference_output(inst, first, second)
+        witness = best_effect(y)[0]
         ub = min(ub, float(hs_inner(witness, y).real))
         return witness
 
     def score_witness(witness):
         nonlocal lb
-        image = difference_adjoint(inst, witness)
-        dec = herm_eig(image)
-        lb = max(lb, float(dec.eigenvalues[-1]))
-        v = dec.eigenvectors[:, -1:]
-        return v @ v.conj().T
+        decs = [herm_eig(g) for g in difference_adjoint_factors(inst, witness)]
+        lb = max(lb, sum(float(dec.eigenvalues[-1]) for dec in decs))
+        vs = [dec.eigenvectors[:, -1:] for dec in decs]
+        return [v @ v.conj().T for v in vs]
 
     for _ in range(max(1, int(iters))):
         rho = random_density(rng, inst.pair_dim)
-        rho_sum = np.zeros_like(rho)
+        pair = [partial_trace(rho, (n, n), (k,)) for k in (0, 1)]
+        pair_sums = [np.zeros_like(m) for m in pair]
         witness_sum = np.zeros(
             (inst.witness_dim, inst.witness_dim), dtype=np.complex128
         )
         for k in range(1, _ALTERNATIONS + 1):
-            witness = score_density(rho)
+            witness = score_density(*pair)
             witness_sum += witness
-            rho = score_witness(witness)
-            rho_sum += rho
-            score_density(rho_sum / k)
+            pair = score_witness(witness)
+            for total, m in zip(pair_sums, pair):
+                total += m
+            score_density(*(total / k for total in pair_sums))
             score_witness(witness_sum / k)
             if ub - lb < 1e-10:
                 return lb, ub
@@ -286,7 +289,6 @@ __all__ = [
     "constant_diamond",
     "diamond_lower_search",
     "fmax_estimate",
-    "min_eig_projector",
     "naive_equilibrium",
     "random_density",
     "random_state_vector",

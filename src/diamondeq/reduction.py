@@ -29,10 +29,10 @@ Kronecker sum
     G+ (x) I - I (x) G-        with G+- = sum_y W+-_y* E W+-_y   (n x n),
 
 Each is two matrix products over the blocks, and neither forms an
-n^2 x n^2 or 2mz x 2mz matrix. The solver calls these factor forms
-(``marginal_difference_output``, ``difference_adjoint_factors``); the
-joint-density functions ``arm_outputs``, ``difference_output`` and
-``difference_adjoint`` are thin wrappers over them.
+n^2 x n^2 or 2mz x 2mz matrix. These factor forms
+(``marginal_difference_output``, ``difference_adjoint_factors``) are the
+only form of the game: the solver and the naive reference in ``oracles``
+both play pairs of marginals.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ import numpy as np
 from . import tolerances
 from .channels import StinespringChannel, pad_env
 from .errors import ValidationError
-from .linalg import (as_cmatrix, choi_factor, kron_sum, partial_trace, require_units,
-                     unit_residuals)
+from .linalg import as_cmatrix, choi_factor, require_units, unit_residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,30 +155,6 @@ def marginal_difference_output(inst: ReducedInstance, first, second) -> np.ndarr
     return out_plus - out_minus
 
 
-def arm_outputs(inst: ReducedInstance, rho) -> tuple[np.ndarray, np.ndarray]:
-    """The two arm-channel outputs on (flag, Z), each a density operator.
-
-    The plus arm reads the first marginal of the joint density ``rho``, the
-    minus arm the second.
-    """
-    r = as_cmatrix(rho)
-    if r.shape != (inst.pair_dim, inst.pair_dim):
-        raise ValidationError(
-            f"joint density has shape {r.shape}, expected "
-            f"({inst.pair_dim}, {inst.pair_dim})"
-        )
-    n = inst.input_dim
-    first = partial_trace(r, (n, n), (0,))
-    second = partial_trace(r, (n, n), (1,))
-    return marginal_arm_outputs(inst, first, second)
-
-
-def difference_output(inst: ReducedInstance, rho) -> np.ndarray:
-    """Difference of the two arm outputs: Hermitian and traceless."""
-    out_plus, out_minus = arm_outputs(inst, rho)
-    return out_plus - out_minus
-
-
 def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker-sum factors (G+, -G-) of the difference adjoint on a
     measurement effect 0 <= E <= I, with G+- = sum_y W+-_y* E W+-_y.
@@ -198,16 +173,6 @@ def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarra
             f"beyond tolerance {limit:.3e}"
         )
     return _arm_adjoint(inst.blocks_plus, e), -_arm_adjoint(inst.blocks_minus, e)
-
-
-def difference_adjoint(inst: ReducedInstance, effect) -> np.ndarray:
-    """Adjoint of the difference map on a measurement effect 0 <= E <= I:
-    the Kronecker sum G+ (x) I - I (x) G- of ``difference_adjoint_factors``.
-
-    The defining inner-product identity is covered by property tests. The
-    result always satisfies -I <= . <= I.
-    """
-    return kron_sum(difference_adjoint_factors(inst, effect))
 
 
 def promise_thresholds(a: float, b: float) -> tuple[float, float]:

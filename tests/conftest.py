@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from diamondeq import ChannelSpec, build_instance, normalize
+from diamondeq import (
+    ChannelSpec,
+    build_instance,
+    difference_adjoint_factors,
+    herm_eig,
+    kron_sum,
+    marginal_arm_outputs,
+    marginal_difference_output,
+    normalize,
+    partial_trace,
+)
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -32,6 +42,46 @@ def random_kraus_pair_spec(rng, n=2, k=2):
     q, _ = np.linalg.qr(g)
     ops = tuple(q[i * n:(i + 1) * n, :] for i in range(k))
     return ChannelSpec("kraus", n, n, ops)
+
+
+# Joint n^2 x n^2 forms of the channel-pair game and dense kernels on it. The
+# library runs on the n x n factors only; tests compare it against these.
+
+def _joint_marginals(inst, rho):
+    n = inst.input_dim
+    return partial_trace(rho, (n, n), (0,)), partial_trace(rho, (n, n), (1,))
+
+
+def arm_outputs(inst, rho):
+    """The two arm outputs of a joint density on X0 (x) X1: the plus arm
+    reads its first marginal, the minus arm its second."""
+    return marginal_arm_outputs(inst, *_joint_marginals(inst, rho))
+
+
+def difference_output(inst, rho):
+    """Difference of the two arm outputs of a joint density."""
+    return marginal_difference_output(inst, *_joint_marginals(inst, rho))
+
+
+def difference_adjoint(inst, effect):
+    """Adjoint of the difference map as the n^2 x n^2 Kronecker sum
+    G+ (x) I - I (x) G- of ``difference_adjoint_factors``."""
+    return kron_sum(difference_adjoint_factors(inst, effect))
+
+
+def min_eig_projector(h):
+    """Rank-one projector onto an eigenvector of minimal eigenvalue."""
+    dec = herm_eig(h)
+    v = dec.eigenvectors[:, -1:]
+    p = v @ v.conj().T
+    return 0.5 * (p + p.conj().T)
+
+
+def mat_exp_hermitian(h):
+    """exp(H) for Hermitian H from its residual-checked eigendecomposition."""
+    dec = herm_eig(h)
+    r = (dec.eigenvectors * np.exp(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+    return 0.5 * (r + r.conj().T)
 
 
 def first_closed_round(trace, bound=1.0):

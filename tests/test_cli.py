@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondeq import MMWConfig, ValidationError, solve_equilibrium
+from diamondeq import MMWConfig, ValidationError, kron_sum, solve_equilibrium
 from diamondeq import cli
 from diamondeq.cli import (
     RunConfig,
@@ -254,6 +254,16 @@ class TestRunConfig:
         assert main(["oracle", identity_pair_file, "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed")
 
+    @pytest.mark.parametrize("command", ["equilibrium", "qcd", "bounds"])
+    def test_seed_only_on_oracle(self, identity_pair_file, capsys, command):
+        # Only the oracle's randomized searches read a seed; the solver is
+        # deterministic, so the other commands do not take the flag.
+        promise = ["--a", "1.9", "--b", "0.1"] if command == "qcd" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, identity_pair_file, "--seed", "1", *promise])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["trials", "restarts"])
     @pytest.mark.parametrize("count", [0, -1])
     def test_counts_below_one(self, identity_pair_file, capsys, flag, count):
@@ -374,7 +384,7 @@ class TestCommands:
         assert [np.array(m).shape for m in summary["loss_sums"]] == [(3, 3, 2)] * 2
         trace = read_trace(str(trace_path))
         assert trace.dim == 9
-        assert trace.loss_sum.shape == (9, 9)
+        assert kron_sum(trace.loss_sums).shape == (9, 9)
 
     def test_bounds_on_single_input_dimension(self, tmp_path, capsys):
         # n = 1 is state discrimination: one density, one exact round.

@@ -106,6 +106,30 @@ class TestPdnDecide:
         with pytest.raises(GapTooSmallError, match="out of scope"):
             pdn_decide(unitary_spec(I2), unitary_spec(I2), 1.0, 0.3, FAST)
 
+    def test_refuses_exactly_where_decide_qcd_does(self):
+        # a^2 - (4b - b^2) = 4 (t_close - t_far)(t_close + t_far), so the
+        # paper's promise condition is the threshold-gap check; on a grid of
+        # (a, b, delta) both entry points refuse, or decide, alike.
+        specs = (unitary_spec(I2), unitary_spec(PAULI_Z))
+        inst = build_instance(*(normalize(s) for s in specs))
+        decided = set()
+        for delta in (0.05, 0.1, 0.2, 0.39):
+            cfg = MMWConfig(delta=delta)
+            for a in (k / 5 for k in range(1, 11)):
+                for b in (k / 5 for k in range(10)):
+                    if b >= a:
+                        continue
+                    outcomes = []
+                    for decide in (lambda: pdn_decide(*specs, a, b, cfg),
+                                   lambda: decide_qcd(inst, a, b, cfg)):
+                        try:
+                            outcomes.append(decide().decision)
+                        except GapTooSmallError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1], (a, b, delta)
+                    decided.add(outcomes[0] in ("far", "close"))
+        assert decided == {True, False}
+
     def test_extreme_promise_decidable_at_loose_delta(self):
         report = pdn_decide(
             unitary_spec(I2), unitary_spec(I2), 2.0, 0.0, MMWConfig(delta=0.39)

@@ -13,15 +13,13 @@ from diamondeq import (
     hs_inner,
     kron,
     kron_sum,
-    mat_exp_hermitian,
     partial_trace,
-    pos_proj,
     trace_norm,
 )
 from diamondeq import linalg
 from diamondeq.linalg import require_hermitian
 from diamondeq.oracles import random_density, random_unitary
-from tests.conftest import KET0, PAULI_X, PAULI_Z
+from tests.conftest import KET0, PAULI_X, PAULI_Z, mat_exp_hermitian
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -83,6 +81,8 @@ class TestHermEig:
 
 
 class TestMatExp:
+    # The eigendecomposition exponential that the exp-versus-linear bound
+    # tests take as their reference.
     def test_zero(self):
         assert np.allclose(mat_exp_hermitian(np.zeros((3, 3))), np.eye(3))
 
@@ -109,15 +109,17 @@ class TestMatExp:
 
 
 class TestPosProj:
+    # best_effect's effect is the projector onto the strictly positive
+    # eigenspace.
     def test_sign_pattern(self):
-        assert np.allclose(pos_proj(np.diag([2.0, -1.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(best_effect(np.diag([2.0, -1.0]))[0], np.diag([1.0, 0.0]))
 
     def test_zero_matrix(self):
         # Strictly positive eigenvalues only, so the zero matrix projects to zero.
-        assert np.allclose(pos_proj(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.allclose(best_effect(np.zeros((3, 3)))[0], np.zeros((3, 3)))
 
     def test_pauli_x(self):
-        assert np.allclose(pos_proj(PAULI_X), 0.5 * np.ones((2, 2)))
+        assert np.allclose(best_effect(PAULI_X)[0], 0.5 * np.ones((2, 2)))
 
     def test_idempotent_away_from_zero(self):
         rng = np.random.default_rng(9)
@@ -126,7 +128,8 @@ class TestPosProj:
             w = np.linalg.eigvalsh(h)
             if np.min(np.abs(w)) <= 1e-8:
                 continue
-            p = pos_proj(h)
+            p, err = best_effect(h)
+            assert 0.0 < err <= 1e-12
             assert np.linalg.norm(p @ p - p) <= 1e-8
             w = np.linalg.eigvalsh(p)
             assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
@@ -198,13 +201,6 @@ class TestErrorBounds:
             best = float(np.sum(np.clip(np.linalg.eigvalsh(h), 0.0, None)))
             assert best - hs_inner(p, h).real <= err
 
-    def test_best_effect_is_pos_proj(self):
-        rng = np.random.default_rng(24)
-        h = random_hermitian(rng, 4)
-        p, err = best_effect(h)
-        assert np.array_equal(p, pos_proj(h))
-        assert 0.0 < err <= 1e-12
-
 
 class TestTraceNorm:
     def test_hermitian_diagonal(self):
@@ -223,7 +219,7 @@ class TestTraceNorm:
         rng = np.random.default_rng(11)
         for _ in range(30):
             h = random_hermitian(rng, 4)
-            p0 = pos_proj(h)
+            p0 = best_effect(h)[0]
             p1 = np.eye(4) - p0
             split = hs_inner(p0 - p1, h).real
             assert split == pytest.approx(trace_norm(h), abs=1e-9)

@@ -9,23 +9,23 @@ from diamondeq import (
     OracleBoundError,
     ValidationError,
     best_effect,
-    difference_adjoint,
     difference_adjoint_factors,
-    difference_output,
     kron_sum,
     marginal_difference_output,
     mmw_run,
-    pos_proj,
     regret_check,
     solve_equilibrium,
     solve_generic,
 )
 from diamondeq import mmw
-from diamondeq.mmw import SERIES, min_eig_projector
+from diamondeq.mmw import SERIES
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
 from tests.conftest import (
     constant_spec,
+    difference_adjoint,
+    difference_output,
     first_closed_round,
+    min_eig_projector,
     random_kraus_pair_spec,
     unitary_spec,
 )
@@ -152,7 +152,7 @@ class TestMetaAlgorithm:
         )
         assert trace.m_max_eig.max() <= 1.0 + 1e-9
         # Clipped losses keep the accumulated sum inside the cone.
-        assert np.linalg.eigvalsh(trace.loss_sum)[-1] <= 5.0 + 1e-12
+        assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
 
     def test_product_run_matches_dense_kronecker_sum(self):
         # A two-factor run is the one-factor run on the Kronecker-sum loss:
@@ -186,7 +186,7 @@ class TestMetaAlgorithm:
                      "rho_min_eig", "m_min_eig", "m_max_eig", "sum_min_eig"):
             assert np.allclose(getattr(product, name), getattr(dense, name),
                                rtol=0.0, atol=1e-12), name
-        assert np.linalg.norm(product.loss_sum - dense.loss_sum) <= 1e-12
+        assert np.linalg.norm(kron_sum(product.loss_sums) - kron_sum(dense.loss_sums)) <= 1e-12
         assert regret_check(product, delta1=0.0) >= -1e-9
 
     def test_tiny_violations_are_clipped_in_factor_form(self):
@@ -195,7 +195,7 @@ class TestMetaAlgorithm:
                         MMWConfig(delta=0.2, rounds=5))
         assert trace.m_max_eig.max() == pytest.approx(1.0 + 1e-9)
         # The rescaled losses keep the accumulated sum inside the cone.
-        assert np.linalg.eigvalsh(trace.loss_sum)[-1] <= 5.0 + 1e-12
+        assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
 
     def test_factor_shape_mismatch_is_hard_error(self):
         with pytest.raises(OracleBoundError, match="shapes"):
@@ -300,7 +300,7 @@ class TestSolveEquilibrium:
     def test_regret_slack_on_solver_runs(self, identity_instance, phase_instance):
         for inst in (identity_instance, phase_instance):
             trace = solve_equilibrium(inst, FAST).trace
-            assert regret_check(trace, min_eig_projector(trace.loss_sum)) >= -1e-6
+            assert regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums))) >= -1e-6
 
     def test_default_comparator_is_the_adversarial_projector(self, phase_instance):
         # regret_check's default comparator, the sum of the factors'
@@ -316,7 +316,7 @@ class TestSolveEquilibrium:
         one = mmw_run(oracle, 4, MMWConfig(delta=0.2, rounds=20))
         for trace in (two, one):
             assert abs(regret_check(trace)
-                       - regret_check(trace, min_eig_projector(trace.loss_sum))) <= 1e-9
+                       - regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums)))) <= 1e-9
 
     def test_certificate_sandwich_vs_naive(self):
         rng = np.random.default_rng(5)
@@ -327,8 +327,9 @@ class TestSolveEquilibrium:
             )
             res = solve_equilibrium(inst, FAST)
             lb, ub = naive_equilibrium(inst, iters=8, seed=seed)
-            assert res.lower_cert <= ub + 2e-2
-            assert res.upper_cert >= lb - 2e-2
+            # Both brackets are rigorous, so they cross-bracket up to roundoff.
+            assert res.lower_cert <= ub + 1e-9
+            assert res.upper_cert >= lb - 1e-9
             mid, half = 0.5 * (lb + ub), 0.5 * (ub - lb)
             assert abs(res.value - mid) <= 0.2 + 0.02 + half + 1e-9
 
@@ -350,7 +351,7 @@ def _dense_reference(inst, scale=1.0):
         inst.pair_dim,
         lambda rho: difference_output(inst, scale * rho),
         lambda eff: difference_adjoint(inst, eff),
-        pos_proj,
+        lambda y: best_effect(y)[0],
         1.0,
         FAST,
         loss_range=(0.0, 1.0),
@@ -390,7 +391,7 @@ class TestSolveGeneric:
             3,
             lambda rho: np.zeros((2, 2)),
             lambda eff: np.zeros((3, 3)),
-            lambda y: pos_proj(y),
+            lambda y: best_effect(y)[0],
             1.0,
             MMWConfig(delta=0.2, rounds=20),
         )

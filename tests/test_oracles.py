@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diamondeq import ValidationError, fidelity, trace_norm
+from diamondeq import ValidationError, build_instance, fidelity, normalize, trace_norm
 from diamondeq.oracles import (
     constant_diamond,
     diamond_lower_search,
@@ -15,7 +17,6 @@ from diamondeq.oracles import (
     unitary_diamond,
 )
 from diamondeq.oracles import _hull_distance
-from diamondeq.reduction import arm_outputs
 from diamondeq import solve_equilibrium, MMWConfig
 from tests.conftest import (
     I2,
@@ -23,7 +24,9 @@ from tests.conftest import (
     KET1,
     PAULI_Z,
     PHASE_S,
+    arm_outputs,
     constant_spec,
+    random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
 )
@@ -186,3 +189,25 @@ class TestRandomHelpers:
         rng = np.random.default_rng(7)
         v = random_state_vector(rng, 5)
         assert np.linalg.norm(v) == pytest.approx(1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+       kind=st.sampled_from(["unitary", "kraus", "padded"]))
+def test_naive_bracket_crosses_solver_certificates(seed, n, kind):
+    # The naive (lb, ub) and the solver's [lower_cert, upper_cert] are both
+    # rigorous brackets on the same value, so each side bounds the other's.
+    rng = np.random.default_rng(seed)
+    if kind == "unitary":
+        specs = (unitary_spec(random_unitary(rng, n)), unitary_spec(random_unitary(rng, n)))
+    elif kind == "kraus":
+        specs = (random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2))
+    else:
+        # Padded environment: z = 1 against z = 3.
+        specs = (unitary_spec(random_unitary(rng, n)), random_kraus_pair_spec(rng, n, 3))
+    inst = build_instance(*(normalize(s) for s in specs))
+    lb, ub = naive_equilibrium(inst, iters=2, seed=seed)
+    res = solve_equilibrium(inst, MMWConfig(delta=0.2))
+    assert lb <= ub + 1e-12
+    assert lb <= res.upper_cert + 1e-9
+    assert res.lower_cert <= ub + 1e-9

@@ -9,16 +9,13 @@ from diamondeq import (
     ReducedInstance,
     StinespringChannel,
     ValidationError,
-    arm_outputs,
+    best_effect,
     build_instance,
-    difference_adjoint,
     difference_adjoint_factors,
-    difference_output,
     hs_inner,
     kron,
     normalize,
     partial_trace,
-    pos_proj,
     promise_thresholds,
     trace_norm,
 )
@@ -30,7 +27,10 @@ from tests.conftest import (
     KET0,
     PAULI_Z,
     PHASE_S,
+    arm_outputs,
     constant_spec,
+    difference_adjoint,
+    difference_output,
     random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
@@ -171,7 +171,7 @@ class TestDifferenceOutput:
         for _ in range(10):
             rho_a = random_density(rng, 2)
             diff = difference_output(orthogonal_instance, np.kron(rho_a, rho_a))
-            value = float(hs_inner(pos_proj(diff), diff).real)
+            value = float(hs_inner(best_effect(diff)[0], diff).real)
             best = min(best, value)
             assert np.linalg.norm(diff) <= 1e-10
         assert best <= 1e-10
