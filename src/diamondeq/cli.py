@@ -13,12 +13,13 @@ each spec is
 
 Matrices are row-major; flattened tensor indices put the leftmost factor
 most significant. Reports are JSON objects: ``lambda`` is the upper
-certificate, ``interval`` comes from the certified bracket
-[``lower_cert``, ``upper_cert``] (see ``estimator``), ``widening`` is the
-measured eigendecomposition error added to it, ``iterations`` the rounds
-run and ``stop_reason`` why they stopped: 'bracket' when the bracket closed
-to delta, 'rounds' when the a-priori T = ``--rounds`` (default
-ceil(16 ln n^2 / delta^2)) ran out first. Traces are line-delimited JSON: a
+certificate, ``interval`` is the Fuchs-van de Graaf image of the certified
+bracket [``lower_cert``, ``upper_cert``] (see ``estimator``), ``widening``
+is the measured eigendecomposition error added to it, ``iterations`` the
+rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
+closed to delta, 'rounds' when T = ceil(16 ln n^2 / delta^2) ran out first.
+``--rounds`` overrides T; below the formula the interval stays sound but
+may be wider, and ``qcd`` may refuse. Traces are line-delimited JSON: a
 leading meta record, one ``iter`` record per round with the keys of
 ``mmw.SERIES``, and a trailing summary record with the value, the stop
 reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
@@ -26,7 +27,8 @@ channel pair). Identical inputs and configuration produce byte-identical
 output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
-for a direct decision, 1 on any other error; a run stopped by
+for a direct decision or the certified bracket reaches both thresholds, 1 on
+any other error; a run stopped by
 ``--max-rounds`` before its bracket closed or T ran out (stop reason 'cap')
 still writes its partial trace to ``--trace-out``.
 """
@@ -396,6 +398,8 @@ def run(config: RunConfig, stream=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser. A flag left out is left out of the parsed
+    namespace too, so its default is the ``RunConfig`` field's."""
     parser = argparse.ArgumentParser(
         prog="diamondeq",
         description="Distinguishability decisions and diamond-norm intervals "
@@ -408,30 +412,31 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "report a rigorous interval for the diamond distance"),
         ("oracle", "run independent reference computations for cross-checks"),
     ):
-        p = sub.add_parser(name, help=blurb)
+        p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
         p.add_argument("channels", help="path to the channel-pair JSON file")
-        p.add_argument("--report-out", default=None, help="also write the report here")
+        p.add_argument("--report-out", help="also write the report here")
         if name == "oracle":
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=int,
                            help="seed of the randomized reference searches")
-            p.add_argument("--trials", type=int, default=2000,
+            p.add_argument("--trials", type=int,
                            help="samples for the lower-bound search")
-            p.add_argument("--restarts", type=int, default=50,
+            p.add_argument("--restarts", type=int,
                            help="restarts for the max-fidelity ascent")
         else:
-            p.add_argument("--delta", type=float, default=0.2,
+            p.add_argument("--delta", type=float,
                            help="target precision of the solved value")
-            p.add_argument("--rounds", type=int, default=None,
-                           help="override the iteration-count formula")
-            p.add_argument("--max-rounds", type=int, default=1_000_000,
+            p.add_argument("--rounds", type=int,
+                           help="override the iteration-count formula; the interval "
+                                "stays sound but may widen, and qcd may refuse")
+            p.add_argument("--max-rounds", type=int,
                            help="safety cap on iterations; a run that reaches it "
                                 "before its bracket closes or T ends fails")
-            p.add_argument("--trace-out", default=None,
+            p.add_argument("--trace-out",
                            help="write the per-iteration trace here (JSONL)")
         if name == "qcd":
-            p.add_argument("--a", type=float, default=None,
+            p.add_argument("--a", type=float,
                            help="promise: diamond distance is either >= a ...")
-            p.add_argument("--b", type=float, default=None,
+            p.add_argument("--b", type=float,
                            help="... or <= b")
     return parser
 
@@ -443,23 +448,15 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: Parsed argument names that differ from their ``RunConfig`` field.
+_FIELDS = {"channels": "channel_path", "trace_out": "trace_path",
+           "report_out": "report_path"}
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = vars(_parser().parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command,
-            channel_path=args.channels,
-            delta=getattr(args, "delta", 0.2),
-            a=getattr(args, "a", None),
-            b=getattr(args, "b", None),
-            seed=getattr(args, "seed", 0),
-            rounds=getattr(args, "rounds", None),
-            max_rounds=getattr(args, "max_rounds", 1_000_000),
-            trials=getattr(args, "trials", 2000),
-            restarts=getattr(args, "restarts", 50),
-            trace_path=getattr(args, "trace_out", None),
-            report_path=args.report_out,
-        )
+        config = RunConfig(**{_FIELDS.get(k, k): v for k, v in args.items()})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

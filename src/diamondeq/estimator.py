@@ -1,16 +1,17 @@
 """Turn equilibrium values into answers: promise decisions and rigorous
 diamond-norm intervals.
 
-Both come from the solver's certified bracket [lower_cert, upper_cert] on
-the equilibrium value. When the run went all T rounds without the bracket
-closing, the bracket is first intersected with the a-priori window
-[mean - delta - delta1, .] around the mean per-round value (its upper side,
-mean + delta + delta1, is never below ``upper_cert``). Intervals map that
-window through the Fuchs-van de Graaf inequalities. A promise decision reads
-the window against the two thresholds from the reduction; it is only
-attempted when the threshold gap exceeds twice the total solver slack, so
-the window, at most delta + delta1 wide, cannot straddle the gap; otherwise
-the run refuses (the amplification machinery that could shrink arbitrary
+Both rest on the solver's certified bracket [lower_cert, upper_cert] on the
+equilibrium value and on nothing else: the weak-duality certificates hold
+after any number of rounds, whereas the a-priori guarantee around the mean
+per-round value holds only at the formula's T. Intervals are the
+Fuchs-van de Graaf image of the bracket. A promise decision names the side
+of the threshold gap the bracket certifies: 'far' when upper_cert lies below
+t_close, 'close' when lower_cert lies above t_far. It is only attempted when
+the threshold gap exceeds twice the total solver slack (delta + delta1), so a
+bracket closed to delta certifies a side; a run cut short by ``rounds`` whose
+bracket still reaches both thresholds refuses instead. Refusals raise
+GapTooSmallError (the amplification machinery that could shrink arbitrary
 gaps is out of scope).
 """
 
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .channels import ChannelSpec, normalize
 from .errors import GapTooSmallError, ValidationError
@@ -33,8 +32,8 @@ _FUZZ = 1e-9
 class DiamondReport:
     """Decision and/or interval for the diamond distance of a channel pair.
 
-    ``interval`` always contains the true diamond distance given the solver
-    guarantee; ``decision`` ('far' or 'close') is present only when a
+    ``interval`` always contains the true diamond distance given the
+    certificates; ``decision`` ('far' or 'close') is present only when a
     promise (a, b) was supplied. ``widening`` is the measured
     eigendecomposition error added to the certificates, and ``stop_reason``
     says whether the bracket closed ('bracket') or all T rounds ran
@@ -95,21 +94,6 @@ def diamond_interval(value: float, delta_total: float) -> tuple[float, float]:
     return _fvdg_interval(v - delta_total, v + delta_total)
 
 
-def _value_window(result: EquilibriumResult, cfg: MMWConfig) -> tuple[float, float]:
-    """Certified window [v_lo, v_hi] on the equilibrium value of a solver run.
-
-    The certificates, intersected with the a-priori lower side
-    mean - (delta + delta1) * bound when all T rounds ran. Certificates that
-    cross (within the slack EquilibriumResult checks) pin the value at the
-    upper one.
-    """
-    lo, hi = result.lower_cert, result.upper_cert
-    if result.trace.stop_reason == "rounds":
-        mean = float(np.mean(result.trace.losses))
-        lo = max(lo, mean - (cfg.delta + cfg.resolved_delta1()) * result.bound)
-    return min(lo, hi), hi
-
-
 def _require_gap(t_far: float, t_close: float, delta_total: float) -> None:
     gap = t_close - t_far
     if gap <= 2.0 * delta_total:
@@ -121,13 +105,35 @@ def _require_gap(t_far: float, t_close: float, delta_total: float) -> None:
         )
 
 
+def _decide(result: EquilibriumResult, t_far: float, t_close: float) -> str:
+    """The side of the threshold gap the certified bracket lies on.
+
+    The value is at most upper_cert, so below t_close it is not 'close';
+    it is at least lower_cert, so above t_far it is not 'far'. A bracket
+    reaching both thresholds certifies neither side.
+    """
+    if result.upper_cert < t_close:
+        return "far"
+    if result.lower_cert > t_far:
+        return "close"
+    raise GapTooSmallError(
+        f"certified bracket [{result.lower_cert:.4f}, {result.upper_cert:.4f}] "
+        f"after {result.iterations} rounds reaches both thresholds "
+        f"{t_far:.4f}/{t_close:.4f}: neither side of the promise is certified; "
+        "more rounds would narrow the bracket"
+    )
+
+
 def _report(result: EquilibriumResult, cfg: MMWConfig, decision=None,
             promise=None, thresholds=None) -> DiamondReport:
     return DiamondReport(
         value=result.value,
         delta=cfg.delta,
         delta1=cfg.resolved_delta1(),
-        interval=_fvdg_interval(*_value_window(result, cfg)),
+        # Certificates that cross (within the slack EquilibriumResult
+        # checks) pin the value at the upper one.
+        interval=_fvdg_interval(min(result.lower_cert, result.upper_cert),
+                                result.upper_cert),
         lower_cert=result.lower_cert,
         upper_cert=result.upper_cert,
         iterations=result.iterations,
@@ -148,7 +154,8 @@ def solve_and_report(
     full trace) rides along for callers that want it.
 
     With a promise (a, b), the threshold gap is checked before any solver
-    work and the report carries a decision.
+    work and the report carries the decision the certified bracket
+    supports; a bracket that reaches both thresholds is refused.
     """
     cfg = MMWConfig() if cfg is None else cfg
     thresholds = None
@@ -159,10 +166,7 @@ def solve_and_report(
     result = solve_equilibrium(inst, cfg)
     decision = None
     if promise is not None:
-        # The value is at most upper_cert, so below t_close it is not
-        # 'close'; otherwise the window, narrower than the gap, starts above
-        # t_far.
-        decision = "far" if result.upper_cert < thresholds[1] else "close"
+        decision = _decide(result, *thresholds)
         promise = (float(promise[0]), float(promise[1]))
     report = _report(result, cfg, decision=decision, promise=promise,
                      thresholds=thresholds)
@@ -179,10 +183,11 @@ def decide_qcd(inst: ReducedInstance, a: float, b: float,
     """Decide a distinguishability promise on a reduced instance.
 
     Under the promise that the diamond distance is either >= a ('far') or
-    <= b ('close'), the certified window on the equilibrium value lies on
+    <= b ('close'), the certified bracket on the equilibrium value lies on
     one side of the threshold gap; the decision names that side.
     Raises GapTooSmallError when the thresholds are not separated well
-    enough for the configured precision.
+    enough for the configured precision, or when the bracket of a run cut
+    short by ``rounds`` still reaches both thresholds.
     """
     return solve_and_report(inst, cfg, promise=(a, b))[0]
 

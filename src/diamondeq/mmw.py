@@ -9,8 +9,8 @@ for every density rho*, provided every loss matrix satisfies 0 <= M <= I.
 Instantiated with the channel-pair difference map, the averaged per-round
 value approximates the equilibrium value within delta after
 T = ceil(16 ln N / delta^2) rounds at learning rate eps = delta/4; with
-floating-point kernels the guarantee degrades by at most the configured
-slack budget delta1 on each side (accounted as (1/2) T delta1 inside the
+floating-point kernels the guarantee degrades by at most the slack budget
+delta1 = delta/10 on each side (accounted as (1/2) T delta1 inside the
 regret inequality).
 
 T is a cap, not a schedule. Whatever the update rule, two weak-duality
@@ -24,7 +24,9 @@ value bound) wide, runs all T rounds when it never is, and records which of
 the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds'; a run
 cut short by ``max_rounds`` raises IterationCapError with reason 'cap').
 The reported value is the upper certificate, which never exceeds the mean
-of the per-round values, so the a-priori guarantee still holds at T.
+of the per-round values. The certificates, not the a-priori guarantee, are
+what callers report: they hold after any number of rounds, so a run cut
+short by ``rounds`` gives a sound, possibly wider bracket.
 
 The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
 ``dims``, N = prod dims) on which every loss is a Kronecker sum
@@ -64,39 +66,30 @@ CLIP_TOL = 1e-9
 class MMWConfig:
     """Solver configuration.
 
-    ``delta`` is the target precision of the returned value. ``epsilon``
-    and ``rounds`` default to delta/4 and ceil(16 ln N / delta^2) and are
-    only overridden for experiments. ``delta1`` is the aggregate slack
-    budget charged to approximate arithmetic (default delta/10).
+    ``delta`` is the target precision of the returned value; it fixes the
+    learning rate eps = delta/4 and the slack budget delta1 = delta/10
+    charged to approximate arithmetic. ``rounds`` defaults to
+    ceil(16 ln N / delta^2); fewer rounds leave the certificates sound but
+    possibly wider than delta. ``max_rounds`` is a safety cap.
     """
 
     delta: float = 0.2
-    epsilon: float | None = None
     rounds: int | None = None
-    delta1: float | None = None
     max_rounds: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 2.0:
             raise ValidationError(f"delta must lie in (0, 2], got {self.delta}")
-        if not 0.0 < self.resolved_epsilon() <= 0.5:
-            raise ValidationError(
-                f"learning rate must lie in (0, 1/2], got {self.resolved_epsilon()}"
-            )
         if self.rounds is not None and self.rounds < 1:
             raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
-        if not self.resolved_delta1() < self.delta:
-            raise ValidationError(
-                f"slack budget delta1={self.resolved_delta1()} must be below delta={self.delta}"
-            )
         if self.max_rounds < 1:
             raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
     def resolved_epsilon(self) -> float:
-        return self.delta / 4.0 if self.epsilon is None else self.epsilon
+        return self.delta / 4.0
 
     def resolved_delta1(self) -> float:
-        return self.delta / 10.0 if self.delta1 is None else self.delta1
+        return self.delta / 10.0
 
     def resolved_rounds(self, dim: int) -> int:
         """Rounds for an N-dimensional density space; at least one, since at

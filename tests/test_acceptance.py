@@ -78,7 +78,7 @@ def tracked_solve(name, inst, cfg):
 
 @pytest.fixture(scope="module")
 def cfg():
-    return MMWConfig(delta=DELTA, delta1=DELTA1)
+    return MMWConfig(delta=DELTA)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,8 @@ from diamondeq import (
     pdn_decide,
     solve_and_report,
 )
-from diamondeq.oracles import random_unitary, unitary_diamond
+from diamondeq.estimator import _fvdg_interval
+from diamondeq.oracles import naive_equilibrium, random_unitary, unitary_diamond
 from tests.conftest import (
     I2,
     KET0,
@@ -159,9 +160,16 @@ class TestBracketReport:
         assert report.stop_reason == result.trace.stop_reason == "rounds"
         assert report.iterations == 20 and first_closed_round(result.trace) is None
         mean = float(np.mean(result.trace.losses))
-        old_lo, old_hi = diamond_interval(mean, cfg.delta + cfg.resolved_delta1())
+        old_lo = diamond_interval(mean, cfg.delta + cfg.resolved_delta1())[0]
         lo, hi = report.interval
-        assert old_lo < lo <= hi <= old_hi
+        assert old_lo < lo <= hi
+        assert report.interval == _fvdg_interval(report.lower_cert, report.upper_cert)
+        # The a-priori window mean -/+ (delta + delta1) holds only at the
+        # formula's T: here its lower end lies above the value, which the
+        # naive bracket, rigorous on its own, pins below it.
+        naive_lb, naive_ub = naive_equilibrium(inst)
+        assert naive_lb <= report.upper_cert and report.lower_cert <= naive_ub
+        assert mean - (cfg.delta + cfg.resolved_delta1()) > naive_ub
         assert report.value == report.upper_cert < mean
 
     def test_bracket_stop_reports_the_bracket(self):
@@ -172,19 +180,45 @@ class TestBracketReport:
         assert report.interval == pytest.approx((2.0, 2.0), abs=1e-9)
 
 
+def _promises_around(d, slack):
+    """Promises (a, b) that distance d satisfies, with the true side, whose
+    threshold gap just clears twice the solver slack: d as the 'far' end with
+    the largest b, and d as the 'close' end with the smallest a."""
+    gap = 2.0 * slack + 1e-3
+    t_far = math.sqrt(max(0.0, 4.0 - d * d)) / 2.0
+    t_close = (2.0 - d) / 2.0
+    out = []
+    b = 2.0 - 2.0 * (t_far + gap)
+    if 0.0 <= b < d:
+        out.append(((d, b), "far"))
+    if t_close - gap >= 0.0:
+        a = math.sqrt(4.0 - 4.0 * (t_close - gap) ** 2)
+        if d < a <= 2.0:
+            out.append(((a, d), "close"))
+    return out
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
-       delta=st.sampled_from([0.1, 0.2, 0.4]))
-def test_bracket_interval_contains_unitary_distance(seed, n, delta):
+       delta=st.sampled_from([0.1, 0.2, 0.4]), rounds=st.sampled_from([1, 2, 5, None]))
+def test_bracket_interval_contains_unitary_distance(seed, n, delta, rounds):
     rng = np.random.default_rng(seed)
     u, v = random_unitary(rng, n), random_unitary(rng, n)
-    report, result = solve_and_report(unitary_instance(u, v), MMWConfig(delta=delta))
+    inst, truth = unitary_instance(u, v), unitary_diamond(u, v)
+    cfg = MMWConfig(delta=delta, rounds=rounds)
+    report, result = solve_and_report(inst, cfg)
     lo, hi = report.interval
-    assert lo - 1e-9 <= unitary_diamond(u, v) <= hi + 1e-9
+    assert lo - 1e-9 <= truth <= hi + 1e-9
     assert report.iterations <= result.trace.rounds
     assert report.stop_reason in ("bracket", "rounds")
     if report.stop_reason == "bracket":
         assert report.upper_cert - report.lower_cert <= delta
+    # A promise the true distance satisfies is decided on its side or refused.
+    for (a, b), want in _promises_around(truth, delta + cfg.resolved_delta1()):
+        try:
+            assert decide_qcd(inst, a, b, cfg).decision == want, (a, b)
+        except GapTooSmallError:
+            assert rounds is not None
 
 
 class TestReportInvariants:

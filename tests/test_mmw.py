@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from diamondeq import (
+    CertificateViolation,
     IterationCapError,
     MMWConfig,
     OracleBoundError,
@@ -47,18 +49,16 @@ class TestConfig:
         assert cfg.resolved_delta1() == pytest.approx(0.02)
 
     def test_overrides(self):
-        cfg = MMWConfig(delta=0.2, epsilon=0.25, rounds=10, delta1=1e-3)
-        assert cfg.resolved_epsilon() == 0.25
+        cfg = MMWConfig(delta=0.2, rounds=10)
         assert cfg.resolved_rounds(100) == 10
-        assert cfg.resolved_delta1() == 1e-3
 
     @pytest.mark.parametrize("kwargs", [
         {"delta": 0.0},
         {"delta": 2.5},
-        {"delta": 0.2, "epsilon": 0.6},
+        {"delta": -0.1},
         {"delta": 0.2, "rounds": 0},
-        {"delta": 0.2, "delta1": 0.3},
-        {"delta": 0.2, "epsilon": 0.0},
+        {"delta": 0.2, "rounds": -5},
+        {"delta": float("nan")},
         {"delta": 0.2, "max_rounds": 0},
     ])
     def test_invalid_configs(self, kwargs):
@@ -288,6 +288,21 @@ class TestSolveEquilibrium:
         assert res.lower_cert <= res.value + res.trace.delta + 1e-9
         assert res.upper_cert >= res.value - res.trace.delta - 1e-9
         assert res.lower_cert <= res.upper_cert + 2 * res.trace.delta1 + 1e-9
+
+    def test_crossed_certificates_raise_beyond_the_slack(self, phase_instance):
+        res = solve_equilibrium(phase_instance, FAST)
+        slack = 2.0 * res.trace.delta1 + 1e-9
+        inside = dataclasses.replace(res, lower_cert=res.upper_cert + slack - 1e-12)
+        assert inside.lower_cert > inside.upper_cert
+        with pytest.raises(CertificateViolation, match="certificates crossed"):
+            dataclasses.replace(res, lower_cert=res.upper_cert + slack + 1e-12)
+
+    def test_value_outside_the_certificate_window_raises(self, phase_instance):
+        res = solve_equilibrium(phase_instance, FAST)
+        width = res.trace.delta + 1e-9
+        dataclasses.replace(res, value=res.upper_cert + width - 1e-12)
+        with pytest.raises(CertificateViolation, match="outside certificate window"):
+            dataclasses.replace(res, value=res.upper_cert + width + 1e-12)
 
     def test_determinism(self, phase_instance):
         first = solve_equilibrium(phase_instance, FAST)
