@@ -14,16 +14,17 @@ from .errors import (
     CertificateViolation,
     EigendecompositionError,
     GapTooSmallError,
-    IterationCapError,
     OracleBoundError,
     ValidationError,
 )
 from .estimator import (
     DiamondReport,
+    build_report,
     decide_qcd,
     diamond_interval,
     equilibrium_report,
     pdn_decide,
+    require_gap,
     solve_and_report,
 )
 from .linalg import (
@@ -67,14 +68,15 @@ __all__ = [
     "CertificateViolation",
     "EigendecompositionError",
     "GapTooSmallError",
-    "IterationCapError",
     "OracleBoundError",
     "ValidationError",
     "DiamondReport",
+    "build_report",
     "decide_qcd",
     "diamond_interval",
     "equilibrium_report",
     "pdn_decide",
+    "require_gap",
     "solve_and_report",
     "EigDecomp",
     "best_effect",

@@ -17,9 +17,10 @@ certificate, ``interval`` is the Fuchs-van de Graaf image of the certified
 bracket [``lower_cert``, ``upper_cert``] (see ``estimator``), ``widening``
 is the measured eigendecomposition error added to it, ``iterations`` the
 rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
-closed to delta, 'rounds' when T = ceil(16 ln n^2 / delta^2) ran out first.
-``--rounds`` overrides T; below the formula the interval stays sound but
-may be wider, and ``qcd`` may refuse. Traces are line-delimited JSON: a
+closed to delta, 'rounds' when the round limit T ran out first. T is
+``--rounds`` when given, else ceil(16 ln n^2 / delta^2) clamped to
+``mmw.MAX_ROUNDS``; below the formula the interval stays sound but may be
+wider, and ``qcd`` may refuse. Traces are line-delimited JSON: a
 leading meta record, one ``iter`` record per round with the keys of
 ``mmw.SERIES``, and a trailing summary record with the value, the stop
 reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
@@ -28,9 +29,9 @@ output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision or the certified bracket reaches both thresholds, 1 on
-any other error; a run stopped by
-``--max-rounds`` before its bracket closed or T ran out (stop reason 'cap')
-still writes its partial trace to ``--trace-out``.
+any other error. Every run that solves writes its trace to ``--trace-out``
+as soon as the solver returns, so a ``qcd`` run refused after solving
+leaves its trace too; a refusal before solving writes none.
 """
 
 from __future__ import annotations
@@ -51,12 +52,11 @@ from .errors import (
     CertificateViolation,
     EigendecompositionError,
     GapTooSmallError,
-    IterationCapError,
     OracleBoundError,
     ValidationError,
 )
-from .estimator import DiamondReport, solve_and_report
-from .mmw import SERIES, MMWConfig, SolverTrace
+from .estimator import DiamondReport, build_report, require_gap
+from .mmw import SERIES, MMWConfig, SolverTrace, solve_equilibrium
 from .reduction import build_instance
 
 COMMANDS = ("equilibrium", "qcd", "bounds", "oracle")
@@ -73,7 +73,6 @@ class RunConfig:
     b: float | None = None
     seed: int = 0
     rounds: int | None = None
-    max_rounds: int = 1_000_000
     trials: int = 2000
     restarts: int = 50
     trace_path: str | None = None
@@ -97,7 +96,7 @@ class RunConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def mmw_config(self) -> MMWConfig:
-        return MMWConfig(delta=self.delta, rounds=self.rounds, max_rounds=self.max_rounds)
+        return MMWConfig(delta=self.delta, rounds=self.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +374,15 @@ def run(config: RunConfig, stream=None) -> int:
         inst = build_instance(normalize(spec0), normalize(spec1))
         cfg = config.mmw_config()
         promise = (config.a, config.b) if config.command == "qcd" else None
-        report, result = solve_and_report(inst, cfg, promise=promise)
-        _emit(report_to_dict(report), config, stream)
+        require_gap(promise, cfg)
+        result = solve_equilibrium(inst, cfg)
         if config.trace_path:
             write_trace(result.trace, config.trace_path)
+        _emit(report_to_dict(build_report(result, promise)), config, stream)
         return 0
     except GapTooSmallError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except IterationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if config.trace_path and exc.trace is not None:
-            try:
-                write_trace(exc.trace, config.trace_path)
-            except OSError as err:
-                print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValidationError, OSError, EigendecompositionError,
             OracleBoundError, CertificateViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -426,11 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float,
                            help="target precision of the solved value")
             p.add_argument("--rounds", type=int,
-                           help="override the iteration-count formula; the interval "
-                                "stays sound but may widen, and qcd may refuse")
-            p.add_argument("--max-rounds", type=int,
-                           help="safety cap on iterations; a run that reaches it "
-                                "before its bracket closes or T ends fails")
+                           help="round limit T in place of the iteration-count "
+                                "formula; the interval stays sound but may widen, "
+                                "and qcd may refuse")
             p.add_argument("--trace-out",
                            help="write the per-iteration trace here (JSONL)")
         if name == "qcd":

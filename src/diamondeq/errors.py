@@ -17,19 +17,12 @@ class OracleBoundError(RuntimeError):
     by more than the clip tolerance."""
 
 
-class IterationCapError(RuntimeError):
-    """The iteration count needed by the accuracy formula exceeds the safety
-    cap. Carries the partial trace collected so far in ``trace``."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class GapTooSmallError(RuntimeError):
-    """The promise gap is too small for a direct decision at the configured
-    precision; the amplification pipeline that would handle such instances is
-    out of scope."""
+    """A promise decision is refused rather than guessed: before solving,
+    when the promise gap is too small for a direct decision at the
+    configured precision, or after solving, when the certified bracket
+    reaches both thresholds. The amplification pipeline that would handle
+    such instances is out of scope."""
 
 
 class CertificateViolation(RuntimeError):

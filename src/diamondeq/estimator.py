@@ -9,10 +9,14 @@ Fuchs-van de Graaf image of the bracket. A promise decision names the side
 of the threshold gap the bracket certifies: 'far' when upper_cert lies below
 t_close, 'close' when lower_cert lies above t_far. It is only attempted when
 the threshold gap exceeds twice the total solver slack (delta + delta1), so a
-bracket closed to delta certifies a side; a run cut short by ``rounds`` whose
-bracket still reaches both thresholds refuses instead. Refusals raise
-GapTooSmallError (the amplification machinery that could shrink arbitrary
-gaps is out of scope).
+bracket closed to delta certifies a side; a run that uses up its round limit
+T with a bracket that still reaches both thresholds refuses instead.
+Refusals raise GapTooSmallError (the amplification machinery that could
+shrink arbitrary gaps is out of scope).
+
+``solve_and_report`` is the two steps around the solver: ``require_gap``
+before it and ``build_report`` on its result. Callers that keep the trace
+of every run, refused or not, call the steps themselves.
 """
 
 from __future__ import annotations
@@ -94,7 +98,14 @@ def diamond_interval(value: float, delta_total: float) -> tuple[float, float]:
     return _fvdg_interval(v - delta_total, v + delta_total)
 
 
-def _require_gap(t_far: float, t_close: float, delta_total: float) -> None:
+def require_gap(promise: tuple[float, float] | None, cfg: MMWConfig) -> None:
+    """Refuse a promise (a, b) before any solver work when its threshold gap
+    does not exceed twice the total solver slack (delta + delta1); no
+    promise passes."""
+    if promise is None:
+        return
+    t_far, t_close = promise_thresholds(*promise)
+    delta_total = cfg.delta + cfg.resolved_delta1()
     gap = t_close - t_far
     if gap <= 2.0 * delta_total:
         raise GapTooSmallError(
@@ -124,12 +135,21 @@ def _decide(result: EquilibriumResult, t_far: float, t_close: float) -> str:
     )
 
 
-def _report(result: EquilibriumResult, cfg: MMWConfig, decision=None,
-            promise=None, thresholds=None) -> DiamondReport:
+def build_report(result: EquilibriumResult,
+                 promise: tuple[float, float] | None = None) -> DiamondReport:
+    """The report of a solver result: the interval of its certified bracket
+    and, with a promise (a, b), the side of the threshold gap the bracket
+    certifies. A bracket that reaches both thresholds is refused."""
+    trace = result.trace
+    decision = thresholds = None
+    if promise is not None:
+        thresholds = promise_thresholds(*promise)
+        decision = _decide(result, *thresholds)
+        promise = (float(promise[0]), float(promise[1]))
     return DiamondReport(
         value=result.value,
-        delta=cfg.delta,
-        delta1=cfg.resolved_delta1(),
+        delta=trace.delta,
+        delta1=trace.delta1,
         # Certificates that cross (within the slack EquilibriumResult
         # checks) pin the value at the upper one.
         interval=_fvdg_interval(min(result.lower_cert, result.upper_cert),
@@ -141,7 +161,7 @@ def _report(result: EquilibriumResult, cfg: MMWConfig, decision=None,
         promise=promise,
         thresholds=thresholds,
         widening=result.widening,
-        stop_reason=result.trace.stop_reason,
+        stop_reason=trace.stop_reason,
     )
 
 
@@ -158,19 +178,9 @@ def solve_and_report(
     supports; a bracket that reaches both thresholds is refused.
     """
     cfg = MMWConfig() if cfg is None else cfg
-    thresholds = None
-    if promise is not None:
-        a, b = promise
-        thresholds = promise_thresholds(a, b)
-        _require_gap(thresholds[0], thresholds[1], cfg.delta + cfg.resolved_delta1())
+    require_gap(promise, cfg)
     result = solve_equilibrium(inst, cfg)
-    decision = None
-    if promise is not None:
-        decision = _decide(result, *thresholds)
-        promise = (float(promise[0]), float(promise[1]))
-    report = _report(result, cfg, decision=decision, promise=promise,
-                     thresholds=thresholds)
-    return report, result
+    return build_report(result, promise), result
 
 
 def equilibrium_report(inst: ReducedInstance, cfg: MMWConfig | None = None) -> DiamondReport:
@@ -186,8 +196,8 @@ def decide_qcd(inst: ReducedInstance, a: float, b: float,
     <= b ('close'), the certified bracket on the equilibrium value lies on
     one side of the threshold gap; the decision names that side.
     Raises GapTooSmallError when the thresholds are not separated well
-    enough for the configured precision, or when the bracket of a run cut
-    short by ``rounds`` still reaches both thresholds.
+    enough for the configured precision, or when the bracket of a run that
+    used up its round limit T still reaches both thresholds.
     """
     return solve_and_report(inst, cfg, promise=(a, b))[0]
 

@@ -13,20 +13,20 @@ floating-point kernels the guarantee degrades by at most the slack budget
 delta1 = delta/10 on each side (accounted as (1/2) T delta1 inside the
 regret inequality).
 
-T is a cap, not a schedule. Whatever the update rule, two weak-duality
-certificates bound the equilibrium value after every round (Arora-Kale,
-primal-dual MMW): the smallest best-response value seen so far from above,
-and the smallest eigenvalue of the adjoint image of the averaged (or of the
-best single) witness from below. Both are widened by the measured residuals
-of the eigendecompositions they come from. ``solve_generic`` stops on the
-first round at which this certified bracket is at most delta (times the
-value bound) wide, runs all T rounds when it never is, and records which of
-the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds'; a run
-cut short by ``max_rounds`` raises IterationCapError with reason 'cap').
+T is the run's only limit, not a schedule: ``MMWConfig.rounds`` when set,
+else the formula clamped to MAX_ROUNDS. Whatever the update rule, two
+weak-duality certificates bound the equilibrium value after every round
+(Arora-Kale, primal-dual MMW): the smallest best-response value seen so far
+from above, and the smallest eigenvalue of the adjoint image of the averaged
+(or of the best single) witness from below. Both are widened by the measured
+residuals of the eigendecompositions they come from. ``solve_generic`` stops
+on the first round at which this certified bracket is at most delta (times
+the value bound) wide, runs all T rounds when it never is, and records which
+of the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds').
 The reported value is the upper certificate, which never exceeds the mean
 of the per-round values. The certificates, not the a-priori guarantee, are
-what callers report: they hold after any number of rounds, so a run cut
-short by ``rounds`` gives a sound, possibly wider bracket.
+what callers report: they hold after any number of rounds, so a run that
+uses up a T below the formula's gives a sound, possibly wider bracket.
 
 The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
 ``dims``, N = prod dims) on which every loss is a Kronecker sum
@@ -48,18 +48,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CertificateViolation,
-    IterationCapError,
-    OracleBoundError,
-    ValidationError,
-)
+from .errors import CertificateViolation, OracleBoundError, ValidationError
 from .linalg import EigDecomp, as_cmatrix, best_effect, herm_eig, hs_inner, kron_sum
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
 #: clipped back into it; anything larger is a hard error.
 CLIP_TOL = 1e-9
+
+#: Largest round count T of one run: ``rounds`` may not exceed it, and the
+#: formula's T is clamped to it.
+MAX_ROUNDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,22 @@ class MMWConfig:
 
     ``delta`` is the target precision of the returned value; it fixes the
     learning rate eps = delta/4 and the slack budget delta1 = delta/10
-    charged to approximate arithmetic. ``rounds`` defaults to
-    ceil(16 ln N / delta^2); fewer rounds leave the certificates sound but
-    possibly wider than delta. ``max_rounds`` is a safety cap.
+    charged to approximate arithmetic. ``rounds``, the round limit T, lies
+    in [1, MAX_ROUNDS] and defaults to ceil(16 ln N / delta^2) clamped to
+    MAX_ROUNDS; fewer rounds leave the certificates sound but possibly wider
+    than delta.
     """
 
     delta: float = 0.2
     rounds: int | None = None
-    max_rounds: int = 1_000_000
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 2.0:
             raise ValidationError(f"delta must lie in (0, 2], got {self.delta}")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValidationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.max_rounds < 1:
-            raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.rounds is not None and not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValidationError(
+                f"rounds must lie in [1, {MAX_ROUNDS}], got {self.rounds}"
+            )
 
     def resolved_epsilon(self) -> float:
         return self.delta / 4.0
@@ -92,11 +91,17 @@ class MMWConfig:
         return self.delta / 10.0
 
     def resolved_rounds(self, dim: int) -> int:
-        """Rounds for an N-dimensional density space; at least one, since at
-        N = 1 the single density's exact best response is the value."""
+        """Round limit T for an N-dimensional density space. One round at
+        N = 1, since the single density's exact best response is the value;
+        MAX_ROUNDS wherever the formula exceeds it, including where delta^2
+        underflows to 0 or the quotient overflows."""
         if self.rounds is not None:
             return int(self.rounds)
-        return max(1, int(math.ceil(16.0 * math.log(dim) / (self.delta * self.delta))))
+        if dim == 1:
+            return 1
+        square = self.delta * self.delta
+        planned = 16.0 * math.log(dim) / square if square > 0.0 else math.inf
+        return MAX_ROUNDS if planned >= MAX_ROUNDS else math.ceil(planned)
 
 
 #: Per-round series of a trace, as (SolverTrace field, key of the JSONL
@@ -129,9 +134,8 @@ class SolverTrace:
     loss sum after the round; the ``*_err`` series bound the error of each
     from the measured eigendecomposition residuals. ``loss_sums`` holds the
     per-factor sums S_k of all losses, whose Kronecker sum is the N x N loss
-    sum S. ``rounds`` is the planned T and ``stop_reason`` says why the loop
-    ended: 'bracket' (the stop rule fired), 'rounds' (T reached) or 'cap'
-    (``max_rounds`` reached first).
+    sum S. ``rounds`` is the round limit T and ``stop_reason`` says why the
+    loop ended: 'bracket' (the stop rule fired) or 'rounds' (T reached).
     """
 
     dim: int
@@ -228,17 +232,15 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
 
     ``stop``, if given, is called as ``stop(t, record)`` after round t with
     that round's record (SERIES field -> value) and ends the run when it
-    returns True (stop reason 'bracket'). Otherwise the loop runs the planned
-    T rounds; if the accuracy formula asks for more rounds than
-    ``max_rounds``, it runs to the cap and raises IterationCapError carrying
-    the partial trace.
+    returns True (stop reason 'bracket'). Otherwise the loop runs all T
+    rounds (stop reason 'rounds'). Either way the trace is returned.
     """
     cfg = MMWConfig() if cfg is None else cfg
     dims = _factor_dims(dims)
     dim = math.prod(dims)
     eps = cfg.resolved_epsilon()
     planned = cfg.resolved_rounds(dim)
-    reason = "rounds" if planned <= cfg.max_rounds else "cap"
+    reason = "rounds"
 
     records = {name: [] for name, _ in SERIES}
     sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
@@ -247,7 +249,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
     # rho(1) = I/d per factor.
     decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
 
-    for t in range(1, min(planned, cfg.max_rounds) + 1):
+    for t in range(1, planned + 1):
         gibbs = [_gibbs_density(dec, eps) for dec in decs]
         rhos = [g[0] for g in gibbs]
         traces = [float(np.trace(r).real) for r in rhos]
@@ -301,7 +303,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
             reason = "bracket"
             break
 
-    trace = SolverTrace(
+    return SolverTrace(
         dim=dim,
         epsilon=eps,
         rounds=planned,
@@ -312,13 +314,6 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
         stop_reason=reason,
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )
-    if reason == "cap":
-        raise IterationCapError(
-            f"accuracy formula asks for {planned} rounds but max_rounds is "
-            f"{cfg.max_rounds}; partial trace attached",
-            trace=trace,
-        )
-    return trace
 
 
 def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None) -> float:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondeq import MMWConfig, ValidationError, kron_sum, solve_equilibrium
-from diamondeq import cli
+from diamondeq import cli, mmw
 from diamondeq.cli import (
     RunConfig,
     main,
@@ -341,23 +341,27 @@ class TestCommands:
         assert read_trace(str(trace_path)).dim == 4
 
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
+        # T = 10 ends the run before its bracket closes: the run reports the
+        # bracket it has and writes the trace of its 10 rounds.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--max-rounds", "10",
+        code = main(["bounds", open_kraus_pair_file, "--rounds", "10",
                      "--trace-out", str(trace_path)])
-        assert code == 1
-        assert "max_rounds is 10" in capsys.readouterr().err
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 10
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
         trace = read_trace(str(trace_path))
-        assert trace.executed == 10 and trace.rounds == 555 and trace.value is None
-        assert trace.stop_reason == "cap"
+        assert trace.executed == 10 and trace.rounds == 10
+        assert trace.value == doc["lambda"] == doc["upper_cert"]
+        assert trace.stop_reason == "rounds"
         assert first_closed_round(trace) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
-        # The same pair's bracket closes before a cap of 200 rounds: the run
-        # succeeds and reports where it stopped.
+        # The same pair's bracket closes before a limit of 200 rounds: the
+        # run reports where it stopped.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--max-rounds", "200",
+        code = main(["bounds", open_kraus_pair_file, "--rounds", "200",
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -367,6 +371,62 @@ class TestCommands:
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
         assert doc["lambda"] == doc["upper_cert"] == trace.value
         assert 0.0 < doc["widening"] <= 1e-9
+
+    def test_set_and_clamped_round_limits_run_alike(self, open_kraus_pair_file, tmp_path,
+                                                    capsys, monkeypatch):
+        # One limit, one path: T = 3 from --rounds and T = 3 from the clamp
+        # give the same report and the same trace.
+        def bounds(tag, *flags):
+            report, trace = tmp_path / f"{tag}.json", tmp_path / f"{tag}.jsonl"
+            code = main(["bounds", open_kraus_pair_file, *flags, "--report-out",
+                         str(report), "--trace-out", str(trace)])
+            capsys.readouterr()
+            return code, report.read_bytes(), trace.read_text().splitlines()
+
+        set_code, set_report, set_trace = bounds("set", "--rounds", "3")
+        monkeypatch.setattr(mmw, "MAX_ROUNDS", 3)
+        clamped_code, clamped_report, clamped_trace = bounds("clamped")
+        assert set_code == clamped_code == 0
+        assert set_report == clamped_report
+        assert json.loads(set_report)["stop_reason"] == "rounds"
+        assert set_trace == clamped_trace
+        assert sum(json.loads(line)["kind"] == "iter" for line in set_trace) == 3
+
+    def test_tiny_delta_runs_to_the_clamp(self, open_kraus_pair_file, capsys,
+                                          monkeypatch):
+        # delta^2 underflows to 0 at 1e-300 and the quotient overflows at
+        # 1e-160: both give T = MAX_ROUNDS, not a traceback.
+        monkeypatch.setattr(mmw, "MAX_ROUNDS", 2)
+        for delta in ("1e-300", "1e-160"):
+            assert main(["bounds", open_kraus_pair_file, "--delta", delta]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["stop_reason"] == "rounds" and doc["iterations"] == 2
+
+    def test_qcd_refused_after_solving_writes_its_trace(self, tmp_path, capsys):
+        # One round leaves the bracket of U = I, V = diag(1, i, -1) across
+        # both thresholds: the decision is refused, the trace is kept.
+        path = write_channels(
+            tmp_path,
+            spec_doc("unitary", 3, 3, [np.eye(3)]),
+            spec_doc("unitary", 3, 3, [np.diag([1.0, 1j, -1.0])]),
+        )
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["qcd", path, "--a", "2.0", "--b", "1.4", "--delta", "0.1",
+                     "--rounds", "1", "--trace-out", str(trace_path)])
+        assert code == 2
+        assert "neither side" in capsys.readouterr().err
+        kinds = [json.loads(line)["kind"] for line in trace_path.read_text().splitlines()]
+        assert kinds == ["meta", "iter", "summary"]
+        assert read_trace(str(trace_path)).stop_reason == "rounds"
+
+    def test_qcd_refused_before_solving_writes_no_trace(self, identity_pair_file,
+                                                         tmp_path, capsys):
+        trace_path = tmp_path / "t.jsonl"
+        code = main(["qcd", identity_pair_file, "--a", "1.0", "--b", "0.9",
+                     "--trace-out", str(trace_path)])
+        assert code == 2
+        assert "gap too small" in capsys.readouterr().err
+        assert not trace_path.exists()
 
     def test_trace_summary_keeps_factor_loss_sums(self, tmp_path, capsys):
         # The summary holds one n x n loss sum per factor, never the

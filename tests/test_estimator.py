@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondeq import (
+    ChannelSpec,
     DiamondReport,
     GapTooSmallError,
     MMWConfig,
@@ -20,11 +21,12 @@ from diamondeq import (
     solve_and_report,
 )
 from diamondeq.estimator import _fvdg_interval
-from diamondeq.oracles import naive_equilibrium, random_unitary, unitary_diamond
+from diamondeq.oracles import constant_diamond, naive_equilibrium, random_unitary, unitary_diamond
 from tests.conftest import (
     I2,
     KET0,
     KET1,
+    PAULI_X,
     PAULI_Z,
     constant_spec,
     first_closed_round,
@@ -219,6 +221,85 @@ def test_bracket_interval_contains_unitary_distance(seed, n, delta, rounds):
             assert decide_qcd(inst, a, b, cfg).decision == want, (a, b)
         except GapTooSmallError:
             assert rounds is not None
+
+
+def _rank_deficient_density(rng, m, support, flat):
+    """Density of rank len(support) < m on the given computational-basis
+    directions, with flat or random weights."""
+    weights = np.zeros(m)
+    weights[support] = 1.0 if flat else rng.uniform(0.1, 1.0, len(support))
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3]),
+       m=st.sampled_from([2, 3, 4]), delta=st.sampled_from([0.1, 0.2]),
+       flat=st.booleans())
+def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, flat):
+    # sigma0 lives on directions [0, r0), sigma1 on [start, start + r1); both
+    # ranks lie below m and the supports share at least direction start.
+    # Flat weights on equal ranks make the difference vanish exactly on the
+    # shared directions; the common rotation turns those zeros into
+    # roundoff-sized eigenvalues.
+    r0 = data.draw(st.integers(1, m - 1), label="r0")
+    r1 = data.draw(st.integers(1, m - 1), label="r1")
+    start = data.draw(st.integers(0, min(r0 - 1, m - r1)), label="start")
+    rng = np.random.default_rng(seed)
+    w = random_unitary(rng, m)
+    sigmas = [w @ _rank_deficient_density(rng, m, list(support), flat) @ w.conj().T
+              for support in (range(r0), range(start, start + r1))]
+    truth = constant_diamond(*sigmas)
+    cfg = MMWConfig(delta=delta)
+    inst = build_instance(*(normalize(constant_spec(x, n)) for x in sigmas))
+    report, result = solve_and_report(inst, cfg)
+    lo, hi = report.interval
+    assert lo - 1e-9 <= truth <= hi + 1e-9
+    assert report.lower_cert <= report.upper_cert + 1e-9
+    assert report.iterations <= cfg.resolved_rounds(n * n) == result.trace.rounds
+
+
+_PAULIS = (I2, PAULI_X, np.array([[0.0, -1j], [1j, 0.0]]), PAULI_Z)
+
+
+def _pauli_probabilities(draw_slot, rng):
+    """Probability vector over the four Paulis whose slots are 0, 1e-12,
+    1e-8 or random; the random slots (at least one) carry the rest."""
+    slots = [draw_slot() for _ in range(4)]
+    if "random" not in slots:
+        slots[int(rng.integers(4))] = "random"
+    tiny = {"zero": 0.0, "1e-12": 1e-12, "1e-8": 1e-8}
+    p = np.array([tiny.get(slot, 0.0) for slot in slots])
+    free = [k for k, slot in enumerate(slots) if slot == "random"]
+    p[free] = (1.0 - p.sum()) * rng.dirichlet(np.ones(len(free)))
+    return p
+
+
+def _pauli_spec(p, form):
+    """The Pauli channel rho -> sum_i p_i s_i rho s_i as Kraus operators
+    sqrt(p_i) s_i, or as the isometry stacking them with the environment
+    index after the output index."""
+    kraus = [math.sqrt(pi) * np.asarray(s, dtype=complex) for pi, s in zip(p, _PAULIS)]
+    if form == "kraus":
+        return ChannelSpec("kraus", 2, 2, tuple(kraus))
+    iso = np.stack(kraus, axis=1).reshape(2 * len(kraus), 2)
+    return ChannelSpec("stinespring", 2, 2, (iso,), env_dim=len(kraus))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), delta=st.sampled_from([0.1, 0.2]),
+       forms=st.tuples(*[st.sampled_from(["kraus", "stinespring"])] * 2))
+def test_near_singular_pauli_kraus_sets_keep_the_distance(data, seed, delta, forms):
+    # The diamond distance of two Pauli channels is the l1 distance of
+    # their probability vectors.
+    rng = np.random.default_rng(seed)
+    slot = st.sampled_from(["zero", "1e-12", "1e-8", "random"])
+    p, q = (_pauli_probabilities(lambda: data.draw(slot), rng) for _ in range(2))
+    truth = float(np.abs(p - q).sum())
+    specs = [_pauli_spec(x, form) for x, form in zip((p, q), forms)]
+    report = equilibrium_report(build_instance(*map(normalize, specs)),
+                                MMWConfig(delta=delta))
+    lo, hi = report.interval
+    assert lo - 1e-9 <= truth <= hi + 1e-9
 
 
 class TestReportInvariants:

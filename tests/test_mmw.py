@@ -6,7 +6,6 @@ import pytest
 
 from diamondeq import (
     CertificateViolation,
-    IterationCapError,
     MMWConfig,
     OracleBoundError,
     ValidationError,
@@ -42,11 +41,24 @@ class TestConfig:
         assert MMWConfig(delta=0.2).resolved_rounds(4) == 555
         # ln 1 = 0, but a single density still needs its one exact round.
         assert MMWConfig(delta=0.2).resolved_rounds(1) == 1
+        # Below the clamp T is the formula, bit for bit.
+        for delta in (0.05, 0.1, 0.2, 0.4, 1.0, 2.0):
+            for dim in (2, 4, 9, 64, 576):
+                want = math.ceil(16.0 * math.log(dim) / (delta * delta))
+                assert MMWConfig(delta=delta).resolved_rounds(dim) == want
 
     def test_defaults(self):
         cfg = MMWConfig(delta=0.2)
         assert cfg.resolved_epsilon() == pytest.approx(0.05)
         assert cfg.resolved_delta1() == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e-3])
+    def test_tiny_delta_clamps_the_formula(self, delta):
+        # delta^2 underflows to 0 at 1e-300 and the quotient overflows at
+        # 1e-160; at 1e-3 the formula's 22 180 710 rounds exceed the clamp.
+        assert MMWConfig(delta=delta).resolved_rounds(4) == mmw.MAX_ROUNDS
+        # N = 1 needs its one round whatever delta is.
+        assert MMWConfig(delta=delta).resolved_rounds(1) == 1
 
     def test_overrides(self):
         cfg = MMWConfig(delta=0.2, rounds=10)
@@ -59,7 +71,7 @@ class TestConfig:
         {"delta": 0.2, "rounds": 0},
         {"delta": 0.2, "rounds": -5},
         {"delta": float("nan")},
-        {"delta": 0.2, "max_rounds": 0},
+        {"delta": 0.2, "rounds": mmw.MAX_ROUNDS + 1},
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
@@ -202,13 +214,13 @@ class TestMetaAlgorithm:
             mmw_run(lambda r0, r1: (np.zeros((2, 2)), np.zeros((2, 2))), (2, 3),
                     MMWConfig(delta=0.2, rounds=2))
 
-    def test_iteration_cap_carries_partial_trace(self):
-        with pytest.raises(IterationCapError) as err:
-            mmw_run(lambda rho: np.zeros((2, 2)), 2,
-                    MMWConfig(delta=0.2, rounds=50, max_rounds=10))
-        assert err.value.trace is not None
-        assert err.value.trace.executed == 10
-        assert err.value.trace.rounds == 50
+    def test_iteration_cap_carries_partial_trace(self, monkeypatch):
+        # The formula asks for 278 rounds at N = 2; the clamp cuts T to 10,
+        # and the run returns the trace of those 10 rounds.
+        monkeypatch.setattr(mmw, "MAX_ROUNDS", 10)
+        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2))
+        assert trace.executed == 10 and trace.rounds == 10
+        assert trace.stop_reason == "rounds"
 
     def test_stop_hook_ends_the_run_before_the_cap(self):
         seen = []
@@ -218,20 +230,20 @@ class TestMetaAlgorithm:
             return t == 4
 
         trace = mmw_run(lambda rho: np.eye(2) / 2, 2,
-                        MMWConfig(delta=0.2, rounds=50, max_rounds=10), stop=stop)
-        assert trace.executed == 4 and trace.rounds == 50
+                        MMWConfig(delta=0.2, rounds=10), stop=stop)
+        assert trace.executed == 4 and trace.rounds == 10
         assert trace.stop_reason == "bracket"
         assert seen == [(t, sorted(name for name, _ in SERIES)) for t in range(1, 5)]
         # The loss sum after round t is t I / 2.
         assert np.allclose(trace.sum_min_eig, 0.5 * np.arange(1, 5))
 
-    def test_stop_reason_without_stop_hook(self):
+    def test_stop_reason_without_stop_hook(self, monkeypatch):
         trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2, rounds=5))
         assert trace.stop_reason == "rounds" and trace.executed == 5
-        with pytest.raises(IterationCapError) as err:
-            mmw_run(lambda rho: np.zeros((2, 2)), 2,
-                    MMWConfig(delta=0.2, rounds=5, max_rounds=3))
-        assert err.value.trace.stop_reason == "cap"
+        # A T clamped by MAX_ROUNDS ends the same way as a set one.
+        monkeypatch.setattr(mmw, "MAX_ROUNDS", 3)
+        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2))
+        assert trace.stop_reason == "rounds" and trace.executed == 3
 
     def test_exponent_records(self):
         trace = mmw_run(lambda rho: np.eye(2), 2, MMWConfig(delta=0.2, rounds=8))
