@@ -7,7 +7,6 @@ from .channels import (
     StinespringChannel,
     apply,
     check_isometry,
-    circuit_to_stinespring,
     normalize,
 )
 from .errors import (
@@ -20,10 +19,6 @@ from .errors import (
 from .estimator import (
     DiamondReport,
     build_report,
-    decide_qcd,
-    diamond_interval,
-    equilibrium_report,
-    pdn_decide,
     require_gap,
     solve_and_report,
 )
@@ -33,7 +28,6 @@ from .linalg import (
     fidelity,
     herm_eig,
     hs_inner,
-    kron,
     kron_sum,
     partial_trace,
     trace_norm,
@@ -63,7 +57,6 @@ __all__ = [
     "StinespringChannel",
     "apply",
     "check_isometry",
-    "circuit_to_stinespring",
     "normalize",
     "CertificateViolation",
     "EigendecompositionError",
@@ -72,10 +65,6 @@ __all__ = [
     "ValidationError",
     "DiamondReport",
     "build_report",
-    "decide_qcd",
-    "diamond_interval",
-    "equilibrium_report",
-    "pdn_decide",
     "require_gap",
     "solve_and_report",
     "EigDecomp",
@@ -83,7 +72,6 @@ __all__ = [
     "fidelity",
     "herm_eig",
     "hs_inner",
-    "kron",
     "kron_sum",
     "partial_trace",
     "trace_norm",

@@ -1,5 +1,5 @@
-"""Channel data model: validation, normalization to Stinespring form,
-application, and compilation of small gate circuits into isometries.
+"""Channel data model for the channel-file kinds ``KINDS`` (gate circuits
+are not one): validation, normalization to Stinespring form, application.
 
 A channel on input space X (dim n) with output space Y (dim m) is stored as
 an isometry A from X into Y tensor Z (environment dim z), acting as
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import ValidationError
-from .linalg import (as_cmatrix, choi_factor, herm_eig, kron, partial_trace, require_units,
+from .linalg import (as_cmatrix, choi_factor, herm_eig, partial_trace, require_units,
                      unit_residuals)
 
 KINDS = ("stinespring", "kraus", "unitary", "constant")
@@ -249,79 +249,3 @@ def pad_env(ch: StinespringChannel, env_dim: int) -> StinespringChannel:
         ch.output_dim,
         env_dim,
     )
-
-
-def _embed_gate(gate: np.ndarray, wires, dims) -> np.ndarray:
-    """Lift a gate acting on ``wires`` to the full wire register."""
-    w = len(dims)
-    rest = [i for i in range(w) if i not in wires]
-    order = list(wires) + rest
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(gate, np.eye(rest_dim, dtype=np.complex128))
-    shape = [dims[i] for i in order]
-    tensor = full.reshape(shape + shape)
-    inv = np.argsort(order)
-    perm = list(inv) + [w + int(i) for i in inv]
-    side = int(np.prod(dims))
-    return tensor.transpose(perm).reshape(side, side)
-
-
-def circuit_to_stinespring(
-    gates,
-    wire_dims,
-    ancilla_count: int = 0,
-    traced_wires=(),
-) -> StinespringChannel:
-    """Compile a gate list into a Stinespring channel.
-
-    ``wire_dims`` lists every wire's dimension, inputs first; the final
-    ``ancilla_count`` wires start in |0>. Each gate is a pair
-    ``(unitary, wires)`` where ``wires`` are distinct wire indices whose
-    combined dimension matches the unitary. Wires listed in ``traced_wires``
-    form the environment Z; the remaining wires, in their original order,
-    form the output Y.
-    """
-    dims = tuple(int(d) for d in wire_dims)
-    w = len(dims)
-    if any(d <= 0 for d in dims):
-        raise ValidationError(f"wire dimensions must be positive, got {dims}")
-    if not 0 <= ancilla_count <= w:
-        raise ValidationError(f"ancilla_count {ancilla_count} out of range for {w} wires")
-    traced = tuple(sorted(set(int(t) for t in traced_wires)))
-    if any(t < 0 or t >= w for t in traced):
-        raise ValidationError(f"traced wires {traced} out of range for {w} wires")
-
-    total = int(np.prod(dims))
-    unitary = np.eye(total, dtype=np.complex128)
-    for g, (gate, wires) in enumerate(gates):
-        wires = tuple(int(x) for x in wires)
-        if len(set(wires)) != len(wires):
-            raise ValidationError(f"gate {g} lists duplicate wires {wires}")
-        if any(x < 0 or x >= w for x in wires):
-            raise ValidationError(f"gate {g} wiring {wires} out of range for {w} wires")
-        u = as_cmatrix(gate)
-        gdim = int(np.prod([dims[x] for x in wires]))
-        if u.shape != (gdim, gdim):
-            raise ValidationError(
-                f"gate {g} has shape {u.shape}, wires {wires} need ({gdim}, {gdim})"
-            )
-        residual = check_isometry(u)
-        if residual > tolerances.ISO_TOL:
-            raise ValidationError(
-                f"gate {g} is not unitary: residual {residual:.3e}"
-            )
-        unitary = _embed_gate(u, wires, dims) @ unitary
-
-    n_wires = w - ancilla_count
-    n = int(np.prod(dims[:n_wires])) if n_wires else 1
-    anc_dim = int(np.prod(dims[n_wires:])) if ancilla_count else 1
-    anc = np.zeros((anc_dim, 1), dtype=np.complex128)
-    anc[0, 0] = 1.0
-    a = unitary @ kron(np.eye(n, dtype=np.complex128), anc)
-
-    kept = [i for i in range(w) if i not in traced]
-    perm = kept + list(traced)
-    a = a.reshape(dims + (n,)).transpose(perm + [w]).reshape(total, n)
-    m = int(np.prod([dims[i] for i in kept])) if kept else 1
-    z = int(np.prod([dims[i] for i in traced])) if traced else 1
-    return StinespringChannel(a, n, m, z)

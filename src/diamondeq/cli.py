@@ -1,5 +1,8 @@
 """Command-line entry point, channel-file ingestion, and serialization.
 
+Commands: ``bounds`` (the interval), ``qcd`` (a promise decision) and
+``oracle`` (reference computations); the first two run ``estimator``'s steps.
+
 Channel file format (JSON): an object ``{"channels": [spec, spec]}`` where
 each spec is
 
@@ -29,9 +32,10 @@ output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision or the certified bracket reaches both thresholds, 1 on
-any other error. Every run that solves writes its trace to ``--trace-out``
-as soon as the solver returns, so a ``qcd`` run refused after solving
-leaves its trace too; a refusal before solving writes none.
+any other error, usage errors included. Every run that solves writes its
+trace to ``--trace-out`` as soon as the solver returns, so a ``qcd`` run
+refused after solving leaves its trace too; a refusal before solving writes
+none.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .estimator import DiamondReport, build_report, require_gap
 from .mmw import SERIES, MMWConfig, SolverTrace, solve_equilibrium
 from .reduction import build_instance
 
-COMMANDS = ("equilibrium", "qcd", "bounds", "oracle")
+COMMANDS = ("qcd", "bounds", "oracle")
 
 
 @dataclass(frozen=True)
@@ -389,17 +393,24 @@ def run(config: RunConfig, stream=None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError and so exit 1, not argparse's 2
+    (the refusal code). Sub-parsers are built from this class too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser. A flag left out is left out of the parsed
     namespace too, so its default is the ``RunConfig`` field's."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diamondeq",
         description="Distinguishability decisions and diamond-norm intervals "
                     "for quantum channel pairs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in (
-        ("equilibrium", "solve for the equilibrium value of the channel pair"),
         ("qcd", "decide a distinguishability promise (requires --a/--b)"),
         ("bounds", "report a rigorous interval for the diamond distance"),
         ("oracle", "run independent reference computations for cross-checks"),
@@ -444,8 +455,8 @@ _FIELDS = {"channels": "channel_path", "trace_out": "trace_path",
 
 
 def main(argv=None) -> int:
-    args = vars(_parser().parse_args(argv))
     try:
+        args = vars(_parser().parse_args(argv))
         config = RunConfig(**{_FIELDS.get(k, k): v for k, v in args.items()})
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

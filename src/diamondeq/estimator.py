@@ -14,9 +14,9 @@ T with a bracket that still reaches both thresholds refuses instead.
 Refusals raise GapTooSmallError (the amplification machinery that could
 shrink arbitrary gaps is out of scope).
 
-``solve_and_report`` is the two steps around the solver: ``require_gap``
-before it and ``build_report`` on its result. Callers that keep the trace
-of every run, refused or not, call the steps themselves.
+Every answer takes three steps: ``require_gap``, ``mmw.solve_equilibrium``
+and ``build_report``. ``solve_and_report`` is the one wrapper; the CLI calls
+the steps itself to write the trace before the report.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channels import ChannelSpec, normalize
 from .errors import GapTooSmallError, ValidationError
 from .mmw import EquilibriumResult, MMWConfig, solve_equilibrium
-from .reduction import ReducedInstance, build_instance, promise_thresholds
-
-_FUZZ = 1e-9
+from .reduction import ReducedInstance, promise_thresholds
 
 
 @dataclass(frozen=True)
@@ -81,27 +78,13 @@ def _fvdg_interval(v_lo: float, v_hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def diamond_interval(value: float, delta_total: float) -> tuple[float, float]:
-    """Interval for the diamond distance from an equilibrium value known to
-    precision ``delta_total``.
-
-    With v- = max(0, value - delta_total) and v+ = min(1, value + delta_total),
-    the distance lies in [2 (1 - v+), 2 sqrt(1 - v-^2)].
-    """
-    if delta_total < 0:
-        raise ValidationError(f"delta_total must be nonnegative, got {delta_total}")
-    if not -delta_total - _FUZZ <= value <= 1.0 + delta_total + _FUZZ:
-        raise ValidationError(
-            f"value {value} outside the plausible range [-{delta_total}, 1 + {delta_total}]"
-        )
-    v = min(1.0, max(0.0, value))
-    return _fvdg_interval(v - delta_total, v + delta_total)
-
-
 def require_gap(promise: tuple[float, float] | None, cfg: MMWConfig) -> None:
     """Refuse a promise (a, b) before any solver work when its threshold gap
     does not exceed twice the total solver slack (delta + delta1); no
-    promise passes."""
+    promise passes. This is the paper's condition a^2 - (4b - b^2) >
+    8 (delta + delta1)(t_close + t_far), because a^2 - (4b - b^2) =
+    4 (t_close - t_far)(t_close + t_far) and t_close + t_far > 0.
+    """
     if promise is None:
         return
     t_far, t_close = promise_thresholds(*promise)
@@ -181,35 +164,3 @@ def solve_and_report(
     require_gap(promise, cfg)
     result = solve_equilibrium(inst, cfg)
     return build_report(result, promise), result
-
-
-def equilibrium_report(inst: ReducedInstance, cfg: MMWConfig | None = None) -> DiamondReport:
-    """Solve an instance and report the value with its unconditional interval."""
-    return solve_and_report(inst, cfg)[0]
-
-
-def decide_qcd(inst: ReducedInstance, a: float, b: float,
-               cfg: MMWConfig | None = None) -> DiamondReport:
-    """Decide a distinguishability promise on a reduced instance.
-
-    Under the promise that the diamond distance is either >= a ('far') or
-    <= b ('close'), the certified bracket on the equilibrium value lies on
-    one side of the threshold gap; the decision names that side.
-    Raises GapTooSmallError when the thresholds are not separated well
-    enough for the configured precision, or when the bracket of a run that
-    used up its round limit T still reaches both thresholds.
-    """
-    return solve_and_report(inst, cfg, promise=(a, b))[0]
-
-
-def pdn_decide(spec0: ChannelSpec, spec1: ChannelSpec, a: float, b: float,
-               cfg: MMWConfig | None = None) -> DiamondReport:
-    """Decide a diamond-norm promise directly from two channel descriptions.
-
-    Refuses with GapTooSmallError exactly where ``decide_qcd`` does, never
-    guesses. The paper's condition a^2 - (4b - b^2) > 8 (delta + delta1)
-    (t_close + t_far) needs no check of its own: since a^2 - (4b - b^2) =
-    4 (t_close - t_far)(t_close + t_far) and t_close + t_far > 0, it is the
-    threshold-gap condition t_close - t_far > 2 (delta + delta1).
-    """
-    return decide_qcd(build_instance(normalize(spec0), normalize(spec1)), a, b, cfg)

@@ -234,11 +234,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(ma, mb))
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the leftmost factor most significant."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
 def kron_sum(factors) -> np.ndarray:
     """Kronecker sum F1 (x) I (x) ... (x) I + ... + I (x) ... (x) I (x) Fk of
     square matrices, leftmost factor most significant.

@@ -12,15 +12,14 @@ from diamondeq import (
     GapTooSmallError,
     MMWConfig,
     build_instance,
-    decide_qcd,
-    diamond_interval,
+    build_report,
     fidelity,
     hs_inner,
     kron_sum,
     normalize,
     partial_trace,
-    pdn_decide,
     regret_check,
+    solve_and_report,
     solve_equilibrium,
     trace_norm,
 )
@@ -146,8 +145,8 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
         res_or.trace.rounds == 555,
         res_id.iterations == first_closed_round(res_id.trace),
         res_or.iterations == first_closed_round(res_or.trace),
-        decide_qcd(inst_id, 1.9, 0.1, cfg).decision == "close",
-        decide_qcd(inst_or, 1.9, 0.1, cfg).decision == "far",
+        solve_and_report(inst_id, cfg, (1.9, 0.1))[0].decision == "close",
+        solve_and_report(inst_or, cfg, (1.9, 0.1))[0].decision == "far",
         dt_id < 10.0,
         dt_or < 10.0,
     ]
@@ -184,7 +183,7 @@ def test_criterion_03_unitary_containment(unitary_runs):
     ok = True
     phase_interval = None
     for u, v, result in unitary_runs:
-        lo, hi = diamond_interval(result.value, SLACK)
+        lo, hi = build_report(result).interval
         truth = unitary_diamond(u, v)
         ok &= lo - 1e-9 <= truth <= hi + 1e-9
         if phase_interval is None:
@@ -325,7 +324,8 @@ def test_criterion_09_duality_residual(identical_run, orthogonal_run):
 def test_criterion_10_refusal_contract(cfg):
     quad = 1.0 ** 2 - (4 * 0.3 - 0.3 ** 2)
     with pytest.raises(GapTooSmallError, match="out of scope"):
-        pdn_decide(unitary_spec(I2), unitary_spec(I2), 1.0, 0.3, cfg)
+        solve_and_report(build_instance(normalize(unitary_spec(I2)),
+                                        normalize(unitary_spec(I2))), cfg, (1.0, 0.3))
     report_line(
         10, quad <= 0,
         f"pdn promise (a, b) = (1.0, 0.3) has condition value {quad:.2f} <= 0 "

@@ -11,27 +11,12 @@ from diamondeq import (
     ValidationError,
     apply,
     check_isometry,
-    circuit_to_stinespring,
     normalize,
 )
 from diamondeq import channels, partial_trace, tolerances
 from diamondeq.channels import pad_env
 from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import I2, KET0, PAULI_X, PAULI_Z, constant_spec, unitary_spec
-
-CNOT = np.array([
-    [1, 0, 0, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 1],
-    [0, 0, 1, 0],
-], dtype=complex)
-
-SWAP = np.array([
-    [1, 0, 0, 0],
-    [0, 0, 1, 0],
-    [0, 1, 0, 0],
-    [0, 0, 0, 1],
-], dtype=complex)
 
 RESET_KRAUS = (
     np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),   # |0><0|
@@ -209,77 +194,6 @@ class TestApply:
         ch = normalize(unitary_spec(I2))
         with pytest.raises(ValidationError):
             apply(ch, np.eye(3) / 3)
-
-
-class TestCircuits:
-    def test_empty_circuit_is_identity(self):
-        ch = circuit_to_stinespring([], wire_dims=(2,))
-        assert (ch.input_dim, ch.output_dim, ch.env_dim) == (2, 2, 1)
-        assert np.allclose(ch.isometry, I2)
-
-    def test_cnot_ancilla_dephases(self):
-        # CNOT onto a traced |0> ancilla kills the off-diagonal terms.
-        ch = circuit_to_stinespring(
-            [(CNOT, (0, 1))], wire_dims=(2, 2), ancilla_count=1, traced_wires=(1,)
-        )
-        plus = 0.5 * np.ones((2, 2), dtype=complex)
-        out = apply(ch, plus)
-        assert np.allclose(np.diag(out), [0.5, 0.5])
-        assert abs(out[0, 1]) <= 1e-12
-        # Explicit 4x4 check: CNOT |+,0> is a Bell state, marginal I/2.
-        vec = CNOT @ np.kron(np.array([1.0, 1.0]) / math.sqrt(2), [1.0, 0.0])
-        from diamondeq import partial_trace
-
-        want = partial_trace(np.outer(vec, vec.conj()), (2, 2), (0,))
-        assert np.allclose(out, want, atol=1e-12)
-
-    def test_swap_traces_to_constant(self):
-        # The SWAP moves the input onto the ancilla wire; tracing that wire
-        # leaves the |0> that came from the ancilla.
-        ch = circuit_to_stinespring(
-            [(SWAP, (0, 1))], wire_dims=(2, 2), ancilla_count=1, traced_wires=(1,)
-        )
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            assert np.allclose(apply(ch, random_density(rng, 2)), KET0, atol=1e-12)
-
-    def test_tracing_other_wire_is_identity(self):
-        ch = circuit_to_stinespring(
-            [(SWAP, (0, 1))], wire_dims=(2, 2), ancilla_count=1, traced_wires=(0,)
-        )
-        rng = np.random.default_rng(7)
-        rho = random_density(rng, 2)
-        assert np.allclose(apply(ch, rho), rho, atol=1e-12)
-
-    def test_no_trace_no_ancilla_equals_product(self):
-        rng = np.random.default_rng(8)
-        g1, g2 = random_unitary(rng, 2), random_unitary(rng, 2)
-        g12 = random_unitary(rng, 4)
-        ch = circuit_to_stinespring(
-            [(g1, (0,)), (g12, (0, 1)), (g2, (1,))], wire_dims=(2, 2)
-        )
-        want = np.kron(I2, g2) @ g12 @ np.kron(g1, I2)
-        assert ch.env_dim == 1
-        assert np.allclose(ch.isometry, want, atol=1e-12)
-
-    def test_gate_order_of_wires_matters(self):
-        # CNOT with control on wire 1 instead of wire 0.
-        ch = circuit_to_stinespring([(CNOT, (1, 0))], wire_dims=(2, 2))
-        want = np.array([
-            [1, 0, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-        ], dtype=complex)
-        assert np.allclose(ch.isometry, want)
-
-    def test_wiring_out_of_range(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            circuit_to_stinespring([(CNOT, (0, 2))], wire_dims=(2, 2))
-
-    def test_non_unitary_gate(self):
-        with pytest.raises(ValidationError, match="not unitary"):
-            circuit_to_stinespring([(np.diag([1.0, 0.5]), (0,))], wire_dims=(2,))
 
 
 class TestIsometry:

@@ -24,7 +24,7 @@ from diamondeq.cli import (
     trace_to_records,
     write_trace,
 )
-from diamondeq.estimator import decide_qcd
+from diamondeq.estimator import solve_and_report
 from diamondeq.oracles import random_unitary
 from tests.conftest import (
     I2,
@@ -254,15 +254,28 @@ class TestRunConfig:
         assert main(["oracle", identity_pair_file, "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed")
 
-    @pytest.mark.parametrize("command", ["equilibrium", "qcd", "bounds"])
+    @pytest.mark.parametrize("command", ["qcd", "bounds"])
     def test_seed_only_on_oracle(self, identity_pair_file, capsys, command):
         # Only the oracle's randomized searches read a seed; the solver is
         # deterministic, so the other commands do not take the flag.
         promise = ["--a", "1.9", "--b", "0.1"] if command == "qcd" else []
-        with pytest.raises(SystemExit) as exc:
-            main([command, identity_pair_file, "--seed", "1", *promise])
-        assert exc.value.code == 2
+        assert main([command, identity_pair_file, "--seed", "1", *promise]) == 1
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_equilibrium_is_not_a_command(self, identity_pair_file, capsys):
+        # bounds is the one interval command; a usage error exits 1, not
+        # the refusal code 2.
+        assert main(["equilibrium", identity_pair_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "invalid choice: 'equilibrium'" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: diamondeq" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["trials", "restarts"])
     @pytest.mark.parametrize("count", [0, -1])
@@ -307,7 +320,7 @@ class TestCommands:
 
     def test_trace_output(self, identity_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
-        config = RunConfig(command="equilibrium", channel_path=identity_pair_file,
+        config = RunConfig(command="bounds", channel_path=identity_pair_file,
                            rounds=25, trace_path=str(trace_path))
         assert run(config) == 0
         capsys.readouterr()
@@ -511,10 +524,8 @@ class TestProcess:
             assert _fresh_main(argv) == got
             assert (tmp_path / f"{k}.json").read_bytes() == report
         for argv in (["bounds"], ["bounds", phase_pair_file, "--delta", "x"]):
-            with pytest.raises(SystemExit) as stop:
-                main(argv)
-            assert stop.value.code == 2
-        capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_reports_identical_across_blas_threads(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -540,7 +551,8 @@ class TestProcess:
 
 class TestSerialization:
     def test_report_roundtrip(self, identity_instance):
-        report = decide_qcd(identity_instance, 1.9, 0.1, MMWConfig(delta=0.2, rounds=30))
+        report = solve_and_report(identity_instance, MMWConfig(delta=0.2, rounds=30),
+                                  (1.9, 0.1))[0]
         doc = json.loads(json.dumps(report_to_dict(report)))
         assert report_from_dict(doc) == report
 

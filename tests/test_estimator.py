@@ -13,14 +13,12 @@ from diamondeq import (
     MMWConfig,
     ValidationError,
     build_instance,
-    decide_qcd,
-    diamond_interval,
-    equilibrium_report,
     normalize,
-    pdn_decide,
+    require_gap,
     solve_and_report,
 )
 from diamondeq.estimator import _fvdg_interval
+from diamondeq.reduction import promise_thresholds
 from diamondeq.oracles import constant_diamond, naive_equilibrium, random_unitary, unitary_diamond
 from tests.conftest import (
     I2,
@@ -38,50 +36,47 @@ from tests.conftest import (
 FAST = MMWConfig(delta=0.2)
 
 
+def _decide_specs(spec0, spec1, promise, cfg):
+    """The report of a promise (a, b) on two channel descriptions."""
+    return solve_and_report(build_instance(normalize(spec0), normalize(spec1)), cfg,
+                            promise)[0]
+
+
 class TestDiamondInterval:
+    """The report's map from a bracket on lambda to an interval on D."""
+
     def test_identical_extreme(self):
-        assert diamond_interval(1.0, 0.0) == (0.0, 0.0)
+        assert _fvdg_interval(1.0, 1.0) == (0.0, 0.0)
 
     def test_far_extreme(self):
-        assert diamond_interval(0.0, 0.0) == (2.0, 2.0)
+        assert _fvdg_interval(0.0, 0.0) == (2.0, 2.0)
 
     def test_halfway(self):
-        lo, hi = diamond_interval(0.5, 0.0)
+        lo, hi = _fvdg_interval(0.5, 0.5)
         assert lo == pytest.approx(1.0)
         assert hi == pytest.approx(math.sqrt(3.0))
 
-    def test_monotone_in_slack(self):
-        widths = [diamond_interval(0.6, d) for d in (0.0, 0.05, 0.1, 0.3)]
-        los = [w[0] for w in widths]
-        his = [w[1] for w in widths]
-        assert all(a >= b for a, b in zip(los, los[1:]))
-        assert all(a <= b for a, b in zip(his, his[1:]))
-
     def test_clipping(self):
-        lo, hi = diamond_interval(1.05, 0.1)
+        lo, hi = _fvdg_interval(0.95, 1.15)
         assert 0.0 <= lo <= hi <= 2.0
-
-    def test_rejects_implausible_value(self):
-        with pytest.raises(ValidationError, match="plausible"):
-            diamond_interval(1.5, 0.1)
-        with pytest.raises(ValidationError, match="nonnegative"):
-            diamond_interval(0.5, -0.1)
+        assert _fvdg_interval(1.05, 1.15) == (0.0, 0.0)
+        assert _fvdg_interval(-0.15, -0.05) == (2.0, 2.0)
 
 
 class TestDecide:
     def test_identical_close(self, identity_instance):
-        report = decide_qcd(identity_instance, 1.9, 0.1, FAST)
+        report = solve_and_report(identity_instance, FAST, (1.9, 0.1))[0]
         assert report.decision == "close"
         assert report.promise == (1.9, 0.1)
         assert report.thresholds[1] == pytest.approx(0.95)
 
     def test_orthogonal_far(self, orthogonal_instance):
-        report = decide_qcd(orthogonal_instance, 1.9, 0.1, FAST)
+        report = solve_and_report(orthogonal_instance, FAST, (1.9, 0.1))[0]
         assert report.decision == "far"
 
     def test_inverted_thresholds_refused(self, identity_instance):
         with pytest.raises(GapTooSmallError, match="out of scope"):
-            decide_qcd(identity_instance, 1.0, 0.9, FAST)
+            solve_and_report(identity_instance, FAST, (1.0, 0.9))
 
     def test_never_contradicts_oracle_on_promise_family(self):
         # Every member satisfies the (1.9, 0.1) promise with a known side.
@@ -92,50 +87,53 @@ class TestDecide:
             (unitary_instance(I2, PAULI_Z), "far"),              # distance 2
         ]
         for inst, want in family:
-            assert decide_qcd(inst, 1.9, 0.1, FAST).decision == want
+            assert solve_and_report(inst, FAST, (1.9, 0.1))[0].decision == want
 
     def test_constant_family_decisions(self, orthogonal_instance):
-        report = decide_qcd(orthogonal_instance, 2.0, 0.1, FAST)
+        report = solve_and_report(orthogonal_instance, FAST, (2.0, 0.1))[0]
         assert report.decision == "far"
 
 
 class TestPdnDecide:
     def test_wide_promise_proceeds(self):
-        report = pdn_decide(constant_spec(KET0), constant_spec(KET1), 1.9, 0.1, FAST)
+        report = _decide_specs(constant_spec(KET0), constant_spec(KET1), (1.9, 0.1), FAST)
         assert report.decision == "far"
 
     def test_condition_failure_refuses(self):
         # a^2 - (4b - b^2) = 1.0 - 1.11 < 0.
         with pytest.raises(GapTooSmallError, match="out of scope"):
-            pdn_decide(unitary_spec(I2), unitary_spec(I2), 1.0, 0.3, FAST)
+            _decide_specs(unitary_spec(I2), unitary_spec(I2), (1.0, 0.3), FAST)
 
     def test_refuses_exactly_where_decide_qcd_does(self):
         # a^2 - (4b - b^2) = 4 (t_close - t_far)(t_close + t_far), so the
-        # paper's promise condition is the threshold-gap check; on a grid of
-        # (a, b, delta) both entry points refuse, or decide, alike.
-        specs = (unitary_spec(I2), unitary_spec(PAULI_Z))
-        inst = build_instance(*(normalize(s) for s in specs))
+        # paper's promise condition is the threshold-gap check: on a grid of
+        # (a, b, delta), require_gap, the pre-solve refusal of every promise
+        # decision, refuses exactly where the paper's form fails.
         decided = set()
         for delta in (0.05, 0.1, 0.2, 0.39):
             cfg = MMWConfig(delta=delta)
+            slack = cfg.delta + cfg.resolved_delta1()
             for a in (k / 5 for k in range(1, 11)):
                 for b in (k / 5 for k in range(10)):
                     if b >= a:
                         continue
-                    outcomes = []
-                    for decide in (lambda: pdn_decide(*specs, a, b, cfg),
-                                   lambda: decide_qcd(inst, a, b, cfg)):
-                        try:
-                            outcomes.append(decide().decision)
-                        except GapTooSmallError as exc:
-                            outcomes.append(str(exc))
-                    assert outcomes[0] == outcomes[1], (a, b, delta)
-                    decided.add(outcomes[0] in ("far", "close"))
+                    t_far, t_close = promise_thresholds(a, b)
+                    lhs = a * a - (4.0 * b - b * b)
+                    rhs = 8.0 * slack * (t_close + t_far)
+                    if abs(lhs - rhs) <= 1e-12:
+                        continue
+                    try:
+                        require_gap((a, b), cfg)
+                        passed = True
+                    except GapTooSmallError:
+                        passed = False
+                    assert passed == (lhs > rhs), (a, b, delta)
+                    decided.add(passed)
         assert decided == {True, False}
 
     def test_extreme_promise_decidable_at_loose_delta(self):
-        report = pdn_decide(
-            unitary_spec(I2), unitary_spec(I2), 2.0, 0.0, MMWConfig(delta=0.39)
+        report = _decide_specs(
+            unitary_spec(I2), unitary_spec(I2), (2.0, 0.0), MMWConfig(delta=0.39)
         )
         assert report.decision == "close"
         assert report.thresholds == (0.0, 1.0)
@@ -146,7 +144,7 @@ class TestContainment:
         rng = np.random.default_rng(77)
         for _ in range(5):
             u, v = random_unitary(rng, 2), random_unitary(rng, 2)
-            report = equilibrium_report(unitary_instance(u, v), FAST)
+            report = solve_and_report(unitary_instance(u, v), FAST)[0]
             truth = unitary_diamond(u, v)
             lo, hi = report.interval
             assert lo - 1e-9 <= truth <= hi + 1e-9
@@ -162,7 +160,8 @@ class TestBracketReport:
         assert report.stop_reason == result.trace.stop_reason == "rounds"
         assert report.iterations == 20 and first_closed_round(result.trace) is None
         mean = float(np.mean(result.trace.losses))
-        old_lo = diamond_interval(mean, cfg.delta + cfg.resolved_delta1())[0]
+        slack = cfg.delta + cfg.resolved_delta1()
+        old_lo = _fvdg_interval(mean - slack, mean + slack)[0]
         lo, hi = report.interval
         assert old_lo < lo <= hi
         assert report.interval == _fvdg_interval(report.lower_cert, report.upper_cert)
@@ -171,11 +170,11 @@ class TestBracketReport:
         # naive bracket, rigorous on its own, pins below it.
         naive_lb, naive_ub = naive_equilibrium(inst)
         assert naive_lb <= report.upper_cert and report.lower_cert <= naive_ub
-        assert mean - (cfg.delta + cfg.resolved_delta1()) > naive_ub
+        assert mean - slack > naive_ub
         assert report.value == report.upper_cert < mean
 
     def test_bracket_stop_reports_the_bracket(self):
-        report = equilibrium_report(unitary_instance(I2, PAULI_Z), FAST)
+        report = solve_and_report(unitary_instance(I2, PAULI_Z), FAST)[0]
         assert report.stop_reason == "bracket"
         assert report.iterations < 555
         assert report.upper_cert - report.lower_cert <= FAST.delta
@@ -218,7 +217,7 @@ def test_bracket_interval_contains_unitary_distance(seed, n, delta, rounds):
     # A promise the true distance satisfies is decided on its side or refused.
     for (a, b), want in _promises_around(truth, delta + cfg.resolved_delta1()):
         try:
-            assert decide_qcd(inst, a, b, cfg).decision == want, (a, b)
+            assert solve_and_report(inst, cfg, (a, b))[0].decision == want, (a, b)
         except GapTooSmallError:
             assert rounds is not None
 
@@ -296,8 +295,8 @@ def test_near_singular_pauli_kraus_sets_keep_the_distance(data, seed, delta, for
     p, q = (_pauli_probabilities(lambda: data.draw(slot), rng) for _ in range(2))
     truth = float(np.abs(p - q).sum())
     specs = [_pauli_spec(x, form) for x, form in zip((p, q), forms)]
-    report = equilibrium_report(build_instance(*map(normalize, specs)),
-                                MMWConfig(delta=delta))
+    report = solve_and_report(build_instance(*map(normalize, specs)),
+                              MMWConfig(delta=delta))[0]
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9
 

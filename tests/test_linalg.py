@@ -11,7 +11,6 @@ from diamondeq import (
     fidelity,
     herm_eig,
     hs_inner,
-    kron,
     kron_sum,
     partial_trace,
     trace_norm,
@@ -342,19 +341,6 @@ class TestHsInner:
 
 
 class TestKron:
-    def test_identities(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
-                           np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(21)
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
-
     def test_kron_sum_spectrum_and_exponential(self):
         rng = np.random.default_rng(22)
         factors = [random_hermitian(rng, d) for d in (2, 3, 2)]

@@ -13,7 +13,6 @@ from diamondeq import (
     build_instance,
     difference_adjoint_factors,
     hs_inner,
-    kron,
     normalize,
     partial_trace,
     promise_thresholds,
@@ -249,7 +248,7 @@ class TestDifferenceAdjoint:
             assert np.linalg.norm(out - want_out) <= 1e-12
             assert np.linalg.norm(g - stack.conj().T @ lifted @ stack) <= 1e-12
         eye = np.eye(n)
-        want = kron(g_plus, eye) + kron(eye, neg_g_minus)
+        want = np.kron(g_plus, eye) + np.kron(eye, neg_g_minus)
         assert np.linalg.norm(difference_adjoint(inst, effect) - want) <= 1e-12
 
     def test_rejects_out_of_bounds_effect(self, phase_instance):
