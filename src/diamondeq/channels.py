@@ -31,7 +31,7 @@ def check_isometry(a) -> float:
 def _require_isometry(a, what: str, iso_tol: float) -> np.ndarray:
     m = as_cmatrix(a)
     residual = check_isometry(m)
-    if residual > iso_tol:
+    if not residual <= iso_tol:
         raise ValidationError(
             f"{what} is not an isometry: ||A*A - I||_F = {residual:.3e} > {iso_tol:.3e}"
         )
@@ -48,13 +48,13 @@ def require_density(rho, dim: int | None = None) -> np.ndarray:
     if dim is not None and m.shape[0] != dim:
         raise ValidationError(f"density operator has dim {m.shape[0]}, expected {dim}")
     herm = float(np.linalg.norm(m - m.conj().T))
-    if herm > limit:
+    if not herm <= limit:
         raise ValidationError(f"density operator not Hermitian: residual {herm:.3e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > limit:
+    if not abs(tr - 1.0) <= limit:
         raise ValidationError(f"density operator has trace {tr}, expected 1")
     low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    if low < -limit:
+    if not low >= -limit:
         raise ValidationError(f"density operator has negative eigenvalue {low:.3e}")
     return 0.5 * (m + m.conj().T)
 
@@ -129,7 +129,7 @@ class ChannelSpec:
                 )
         total = sum(k.conj().T @ k for k in self.matrices)
         residual = float(np.linalg.norm(total - np.eye(n)))
-        if residual > tolerances.ISO_TOL:
+        if not residual <= tolerances.ISO_TOL:
             raise ValidationError(
                 f"kraus set is not trace preserving: ||sum K*K - I||_F = {residual:.3e}"
             )

@@ -27,8 +27,9 @@ wider, and ``qcd`` may refuse. Traces are line-delimited JSON: a
 leading meta record, one ``iter`` record per round with the keys of
 ``mmw.SERIES``, and a trailing summary record with the value, the stop
 reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
-channel pair). Identical inputs and configuration produce byte-identical
-output.
+channel pair). Both are write-only, built from the solver's
+``EquilibriumResult``; nothing here parses them back. Identical inputs and
+configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision or the certified bracket reaches both thresholds, 1 on
@@ -60,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import DiamondReport, build_report, require_gap
-from .mmw import SERIES, MMWConfig, SolverTrace, solve_equilibrium
+from .mmw import SERIES, EquilibriumResult, MMWConfig, solve_equilibrium
 from .reduction import build_instance
 
 COMMANDS = ("qcd", "bounds", "oracle")
@@ -227,44 +228,28 @@ def parse_channel_file(path: str) -> tuple[ChannelSpec, ChannelSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Report and trace serialization.
+# Report and trace serialization (write-only).
 
 def report_to_dict(report: DiamondReport) -> dict:
+    result = report.result
     return {
-        "lambda": report.value,
-        "delta": report.delta,
-        "delta1": report.delta1,
-        "interval": [report.interval[0], report.interval[1]],
+        "lambda": result.value,
+        "delta": result.trace.delta,
+        "delta1": result.trace.delta1,
+        "interval": list(report.interval),
         "decision": report.decision,
-        "promise": None if report.promise is None else [report.promise[0], report.promise[1]],
-        "thresholds": None if report.thresholds is None
-        else [report.thresholds[0], report.thresholds[1]],
-        "lower_cert": report.lower_cert,
-        "upper_cert": report.upper_cert,
-        "iterations": report.iterations,
-        "widening": report.widening,
-        "stop_reason": report.stop_reason,
+        "promise": None if report.promise is None else list(report.promise),
+        "thresholds": None if report.thresholds is None else list(report.thresholds),
+        "lower_cert": result.lower_cert,
+        "upper_cert": result.upper_cert,
+        "iterations": result.iterations,
+        "widening": result.widening,
+        "stop_reason": result.trace.stop_reason,
     }
 
 
-def report_from_dict(doc: dict) -> DiamondReport:
-    return DiamondReport(
-        value=doc["lambda"],
-        delta=doc["delta"],
-        delta1=doc["delta1"],
-        interval=(doc["interval"][0], doc["interval"][1]),
-        lower_cert=doc["lower_cert"],
-        upper_cert=doc["upper_cert"],
-        iterations=doc["iterations"],
-        decision=doc["decision"],
-        promise=None if doc["promise"] is None else tuple(doc["promise"]),
-        thresholds=None if doc["thresholds"] is None else tuple(doc["thresholds"]),
-        widening=doc["widening"],
-        stop_reason=doc["stop_reason"],
-    )
-
-
-def trace_to_records(trace: SolverTrace) -> list:
+def trace_to_records(result: EquilibriumResult) -> list:
+    trace = result.trace
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     records = [{
@@ -286,47 +271,18 @@ def trace_to_records(trace: SolverTrace) -> list:
     records += [dict(zip(keys, row), kind="iter") for row in zip(*columns)]
     records.append({
         "kind": "summary",
-        "lambda": trace.value,
+        "lambda": result.value,
         "stop_reason": trace.stop_reason,
         "loss_sums": [matrix_to_json(s) for s in trace.loss_sums],
     })
     return records
 
 
-def trace_from_records(records: list) -> SolverTrace:
-    if not records or records[0].get("kind") != "meta" or records[-1].get("kind") != "summary":
-        raise ValidationError("trace records must start with meta and end with summary")
-    meta, summary = records[0], records[-1]
-    iters = [r for r in records[1:-1] if r.get("kind") == "iter"]
-    if len(iters) != len(records) - 2:
-        raise ValidationError("unexpected record kind inside trace body")
-    return SolverTrace(
-        dim=meta["dim"],
-        epsilon=meta["epsilon"],
-        rounds=meta["rounds"],
-        delta=meta["delta"],
-        delta1=meta["delta1"],
-        exponent_norm_bound=meta["exponent_norm_bound"],
-        loss_sums=tuple(_as_complex_matrix(m, f"/loss_sums/{k}")
-                        for k, m in enumerate(summary["loss_sums"])),
-        stop_reason=summary["stop_reason"],
-        value=summary["lambda"],
-        **{name: np.array([r[key] for r in iters], dtype=np.float64)
-           for name, key in SERIES},
-    )
-
-
-def write_trace(trace: SolverTrace, path: str) -> None:
+def write_trace(result: EquilibriumResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for record in trace_to_records(trace):
+        for record in trace_to_records(result):
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
-
-
-def read_trace(path: str) -> SolverTrace:
-    with open(path, "r", encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.strip()]
-    return trace_from_records(records)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +337,7 @@ def run(config: RunConfig, stream=None) -> int:
         require_gap(promise, cfg)
         result = solve_equilibrium(inst, cfg)
         if config.trace_path:
-            write_trace(result.trace, config.trace_path)
+            write_trace(result, config.trace_path)
         _emit(report_to_dict(build_report(result, promise)), config, stream)
         return 0
     except GapTooSmallError as exc:

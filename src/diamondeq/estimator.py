@@ -16,7 +16,8 @@ shrink arbitrary gaps is out of scope).
 
 Every answer takes three steps: ``require_gap``, ``mmw.solve_equilibrium``
 and ``build_report``. ``solve_and_report`` is the one wrapper; the CLI calls
-the steps itself to write the trace before the report.
+the steps itself to write the trace before the report. A report keeps the
+solver result (``report.result``) and adds only the interval and decision.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GapTooSmallError, ValidationError
+from .errors import GapTooSmallError
 from .mmw import EquilibriumResult, MMWConfig, solve_equilibrium
 from .reduction import ReducedInstance, promise_thresholds
 
@@ -33,39 +34,18 @@ from .reduction import ReducedInstance, promise_thresholds
 class DiamondReport:
     """Decision and/or interval for the diamond distance of a channel pair.
 
-    ``interval`` always contains the true diamond distance given the
-    certificates; ``decision`` ('far' or 'close') is present only when a
-    promise (a, b) was supplied. ``widening`` is the measured
-    eigendecomposition error added to the certificates, and ``stop_reason``
-    says whether the bracket closed ('bracket') or all T rounds ran
-    ('rounds').
+    ``result`` is the solver run the report rests on; its certified bracket,
+    round count and trace are read from there. ``interval`` always contains
+    the true diamond distance given the certificates; ``decision`` ('far' or
+    'close') is present only when a promise (a, b) was supplied, together
+    with the promise and its ``thresholds`` (t_far, t_close).
     """
 
-    value: float
-    delta: float
-    delta1: float
+    result: EquilibriumResult
     interval: tuple[float, float]
-    lower_cert: float
-    upper_cert: float
-    iterations: int
     decision: str | None = None
     promise: tuple[float, float] | None = None
     thresholds: tuple[float, float] | None = None
-    widening: float = 0.0
-    stop_reason: str | None = None
-
-    def __post_init__(self):
-        lo, hi = self.interval
-        if not (0.0 <= lo <= hi <= 2.0):
-            raise ValidationError(f"interval [{lo}, {hi}] must be ordered inside [0, 2]")
-        if (self.decision is None) != (self.promise is None):
-            raise ValidationError("decision and promise must be supplied together")
-        if self.decision is not None and self.decision not in ("far", "close"):
-            raise ValidationError(f"decision must be 'far' or 'close', got {self.decision!r}")
-        if self.stop_reason not in (None, "bracket", "rounds"):
-            raise ValidationError(
-                f"stop_reason must be 'bracket' or 'rounds', got {self.stop_reason!r}"
-            )
 
 
 def _fvdg_interval(v_lo: float, v_hi: float) -> tuple[float, float]:
@@ -123,28 +103,20 @@ def build_report(result: EquilibriumResult,
     """The report of a solver result: the interval of its certified bracket
     and, with a promise (a, b), the side of the threshold gap the bracket
     certifies. A bracket that reaches both thresholds is refused."""
-    trace = result.trace
     decision = thresholds = None
     if promise is not None:
         thresholds = promise_thresholds(*promise)
         decision = _decide(result, *thresholds)
         promise = (float(promise[0]), float(promise[1]))
     return DiamondReport(
-        value=result.value,
-        delta=trace.delta,
-        delta1=trace.delta1,
+        result=result,
         # Certificates that cross (within the slack EquilibriumResult
         # checks) pin the value at the upper one.
         interval=_fvdg_interval(min(result.lower_cert, result.upper_cert),
                                 result.upper_cert),
-        lower_cert=result.lower_cert,
-        upper_cert=result.upper_cert,
-        iterations=result.iterations,
         decision=decision,
         promise=promise,
         thresholds=thresholds,
-        widening=result.widening,
-        stop_reason=trace.stop_reason,
     )
 
 
@@ -152,9 +124,9 @@ def solve_and_report(
     inst: ReducedInstance,
     cfg: MMWConfig | None = None,
     promise: tuple[float, float] | None = None,
-) -> tuple[DiamondReport, EquilibriumResult]:
-    """Solve an instance and build its report; the solver result (with the
-    full trace) rides along for callers that want it.
+) -> DiamondReport:
+    """Solve an instance and build its report; the solver result, with the
+    full trace, is ``report.result``.
 
     With a promise (a, b), the threshold gap is checked before any solver
     work and the report carries the decision the certified bracket
@@ -162,5 +134,4 @@ def solve_and_report(
     """
     cfg = MMWConfig() if cfg is None else cfg
     require_gap(promise, cfg)
-    result = solve_equilibrium(inst, cfg)
-    return build_report(result, promise), result
+    return build_report(solve_equilibrium(inst, cfg), promise)

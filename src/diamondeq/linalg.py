@@ -47,7 +47,7 @@ def require_hermitian(h) -> np.ndarray:
     limit = tolerances.HERM_TOL
     mh = m.conj().T
     residual = _frobenius(m - mh)
-    if residual > limit:
+    if not residual <= limit:
         raise ValidationError(
             f"matrix is not Hermitian: ||H - H*||_F = {residual:.3e} > {limit:.3e}"
         )
@@ -80,15 +80,11 @@ class EigDecomp:
         scale = float(np.max(np.abs(self.eigenvalues)))
         return self.recon + self.unit * (2.0 + self.unit) * scale
 
-    def reconstruct(self) -> np.ndarray:
-        """Return U diag(w) U*."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
 
 def herm_eig(h) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Checks the reconstruction and unitarity residuals against
+    Checks the residuals ||H - U diag(w) U*|| and ||U* U - I|| against
     ``EIG_TOL * dim`` before returning them on the result.
     """
     hs = require_hermitian(h)
@@ -107,10 +103,10 @@ def herm_eig(h) -> EigDecomp:
     gram = uh @ u
     gram.flat[::n + 1] -= 1.0
     unit = _frobenius(gram)
-    if recon > limit or unit > limit:
+    if not (recon <= limit and unit <= limit):
         raise EigendecompositionError(
             f"eigendecomposition of a {n}x{n} matrix exceeded residual bounds: "
-            f"reconstruction {recon:.3e}, unitarity {unit:.3e}, limit {limit:.3e}"
+            f"||H - U diag(w) U*|| {recon:.3e}, ||U* U - I|| {unit:.3e}, limit {limit:.3e}"
         )
     return EigDecomp(w, u, recon, unit)
 
@@ -150,7 +146,7 @@ def _psd_sqrt(p) -> np.ndarray:
     dec = herm_eig(p)
     low = float(dec.eigenvalues[-1])
     limit = tolerances.PSD_TOL
-    if low < -limit:
+    if not low >= -limit:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{limit:.3e}"
         )
@@ -218,8 +214,9 @@ def unit_residuals(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
 
 
 def require_units(residuals: np.ndarray, what: str) -> None:
-    """Raise ValidationError on the first unit (row-major) over ``BASIS_TOL``."""
-    bad = np.flatnonzero(residuals > tolerances.BASIS_TOL)
+    """Raise ValidationError on the first unit (row-major) over ``BASIS_TOL``
+    or NaN."""
+    bad = np.flatnonzero(~(residuals <= tolerances.BASIS_TOL))
     if bad.size:
         i, j = divmod(int(bad[0]), residuals.shape[1])
         raise ValidationError(f"{what} basis unit ({i},{j}): residual {residuals[i, j]:.3e}")

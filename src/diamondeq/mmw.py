@@ -23,10 +23,12 @@ residuals of the eigendecompositions they come from. ``solve_generic`` stops
 on the first round at which this certified bracket is at most delta (times
 the value bound) wide, runs all T rounds when it never is, and records which
 of the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds').
-The reported value is the upper certificate, which never exceeds the mean
-of the per-round values. The certificates, not the a-priori guarantee, are
-what callers report: they hold after any number of rounds, so a run that
-uses up a T below the formula's gives a sound, possibly wider bracket.
+Its ``EquilibriumResult`` stores the bracket and the trace and derives the
+rest: the value is the upper certificate, which never exceeds the mean of
+the per-round values, and the round count is the trace's. The certificates,
+not the a-priori guarantee, are what callers report: they hold after any
+number of rounds, so a run that uses up a T below the formula's gives a
+sound, possibly wider bracket.
 
 The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
 ``dims``, N = prod dims) on which every loss is a Kronecker sum
@@ -143,7 +145,6 @@ class SolverTrace:
     rounds: int
     delta: float
     delta1: float
-    exponent_norm_bound: float
     losses: np.ndarray
     step_inners: np.ndarray
     exp_min: np.ndarray
@@ -157,22 +158,14 @@ class SolverTrace:
     sum_eig_err: np.ndarray
     loss_sums: tuple
     stop_reason: str
-    value: float | None = None
 
     @property
     def executed(self) -> int:
         return int(self.losses.shape[0])
 
-    def __eq__(self, other):
-        if not isinstance(other, SolverTrace):
-            return NotImplemented
-        scalars = ("dim", "epsilon", "rounds", "delta", "delta1",
-                   "exponent_norm_bound", "stop_reason", "value")
-        mine = [getattr(self, name) for name, _ in SERIES] + list(self.loss_sums)
-        theirs = [getattr(other, name) for name, _ in SERIES] + list(other.loss_sums)
-        return (all(getattr(self, k) == getattr(other, k) for k in scalars)
-                and len(mine) == len(theirs)
-                and all(np.array_equal(a, b) for a, b in zip(mine, theirs)))
+    @property
+    def exponent_norm_bound(self) -> float:
+        return self.epsilon * self.rounds
 
 
 def _gibbs_density(dec: EigDecomp, epsilon: float):
@@ -272,7 +265,7 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
         spectra = [herm_eig(m) for m in ms]
         high = sum(float(dec.eigenvalues[0]) for dec in spectra)
         low = sum(float(dec.eigenvalues[-1]) for dec in spectra)
-        if low < -CLIP_TOL or high > 1.0 + CLIP_TOL:
+        if not (low >= -CLIP_TOL and high <= 1.0 + CLIP_TOL):
             raise OracleBoundError(
                 f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
                 f"[0, 1] beyond the clip tolerance {CLIP_TOL:.1e}"
@@ -309,7 +302,6 @@ def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> Solve
         rounds=planned,
         delta=cfg.delta,
         delta1=cfg.resolved_delta1(),
-        exponent_norm_bound=eps * planned,
         loss_sums=tuple(sums),
         stop_reason=reason,
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
@@ -353,32 +345,33 @@ class EquilibriumResult:
     the equilibrium value; ``upper_cert`` is the smallest per-round value,
     an upper bound since every round plays an exact best response. Both are
     widened by the measured eigendecomposition error, whose total is
-    ``widening``. ``value`` is ``upper_cert``. The certificates are checked
-    against each other at construction.
+    ``widening``. The certificates are checked against each other at
+    construction.
     """
 
-    value: float
     lower_cert: float
     upper_cert: float
-    iterations: int
     trace: SolverTrace
     widening: float
     bound: float = 1.0
 
     def __post_init__(self):
-        fuzz = 1e-9 * max(1.0, self.bound)
-        slack = 2.0 * self.trace.delta1 * self.bound + fuzz
-        if self.lower_cert > self.upper_cert + slack:
+        slack = 2.0 * self.trace.delta1 * self.bound + 1e-9 * max(1.0, self.bound)
+        if not self.lower_cert <= self.upper_cert + slack:
             raise CertificateViolation(
                 f"certificates crossed: lower {self.lower_cert} > upper "
                 f"{self.upper_cert} + {slack}"
             )
-        width = self.trace.delta * self.bound + fuzz
-        if not (self.lower_cert - width <= self.value <= self.upper_cert + width):
-            raise CertificateViolation(
-                f"value {self.value} outside certificate window "
-                f"[{self.lower_cert - width}, {self.upper_cert + width}]"
-            )
+
+    @property
+    def value(self) -> float:
+        """The reported equilibrium value, the upper certificate."""
+        return self.upper_cert
+
+    @property
+    def iterations(self) -> int:
+        """Rounds run, the trace's ``executed``."""
+        return self.trace.executed
 
 
 def solve_generic(
@@ -408,7 +401,7 @@ def solve_generic(
     most ``delta * bound`` wide, and otherwise after the planned T rounds.
     """
     cfg = MMWConfig() if cfg is None else cfg
-    if bound <= 0:
+    if not bound > 0:
         raise ValidationError(f"value bound must be positive, got {bound}")
     eye = np.eye(_factor_dims(dims)[0], dtype=np.complex128)
     state = {"witness_sum": None, "errs": []}
@@ -418,7 +411,7 @@ def solve_generic(
         out = argmax_op(value_op)
         witness, err = out if isinstance(out, tuple) else (out, 0.0)
         loss = float(hs_inner(witness, value_op).real)
-        if abs(loss) > bound * (1.0 + CLIP_TOL) + CLIP_TOL:
+        if not abs(loss) <= bound * (1.0 + CLIP_TOL) + CLIP_TOL:
             raise OracleBoundError(
                 f"round value {loss} exceeds the declared bound {bound}"
             )
@@ -466,13 +459,9 @@ def solve_generic(
     else:
         lower, lower_err = float(singles[top]), 2.0 * bound * float(trace.m_eig_err[top])
     low = int(np.argmin(trace.losses))
-    upper = float(trace.losses[low])
-    trace.value = upper
     return EquilibriumResult(
-        value=upper,
         lower_cert=lower,
-        upper_cert=upper,
-        iterations=trace.executed,
+        upper_cert=float(trace.losses[low]),
         trace=trace,
         bound=bound,
         widening=lower_err + state["errs"][low],

@@ -114,7 +114,7 @@ def unitary_diamond(u, v) -> float:
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"{name} must be square, got {m.shape}")
         residual = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-        if residual > tolerances.ISO_TOL:
+        if not residual <= tolerances.ISO_TOL:
             raise ValidationError(f"{name} is not unitary: residual {residual:.3e}")
     if mu.shape != mv.shape:
         raise ValidationError(f"shape mismatch: {mu.shape} vs {mv.shape}")

@@ -105,7 +105,7 @@ def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedI
 
     for label, c in (("plus", plus), ("minus", minus)):
         residual = float(np.linalg.norm(c.conj().T @ c - np.eye(n)))
-        if residual > tolerances.ISO_TOL:
+        if not residual <= tolerances.ISO_TOL:
             raise ValidationError(
                 f"stacked {label} matrix is not an isometry: residual {residual:.3e}"
             )
@@ -167,7 +167,7 @@ def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarra
         raise ValidationError(f"effect has shape {e.shape}, expected ({d}, {d})")
     w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
     limit = tolerances.PSD_TOL
-    if w[0] < -limit or w[-1] > 1.0 + limit:
+    if not (w[0] >= -limit and w[-1] <= 1.0 + limit):
         raise ValidationError(
             f"effect eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1] "
             f"beyond tolerance {limit:.3e}"

@@ -2,7 +2,8 @@
 
 Fixed constants, so that identical inputs give byte-identical reports.
 Library code reads them at call time (``tolerances.EIG_TOL``), never as
-copies bound at import.
+copies bound at import. Every gate is written ``if not residual <= tol``,
+so that a NaN residual (an overflowed product, say) fails it.
 """
 
 #: Frobenius residual allowed for a matrix claimed Hermitian.
@@ -15,7 +16,7 @@ PSD_TOL = 1e-9
 ISO_TOL = 1e-9
 
 #: Per-dimension residual allowed for an eigendecomposition
-#: (reconstruction and unitarity, each bounded by EIG_TOL * dim).
+#: (||H - U diag(w) U*|| and ||U* U - I||, each bounded by EIG_TOL * dim).
 EIG_TOL = 1e-10
 
 #: Trace / eigenvalue slack for density-operator checks.

@@ -145,8 +145,8 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
         res_or.trace.rounds == 555,
         res_id.iterations == first_closed_round(res_id.trace),
         res_or.iterations == first_closed_round(res_or.trace),
-        solve_and_report(inst_id, cfg, (1.9, 0.1))[0].decision == "close",
-        solve_and_report(inst_or, cfg, (1.9, 0.1))[0].decision == "far",
+        solve_and_report(inst_id, cfg, (1.9, 0.1)).decision == "close",
+        solve_and_report(inst_or, cfg, (1.9, 0.1)).decision == "far",
         dt_id < 10.0,
         dt_or < 10.0,
     ]

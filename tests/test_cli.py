@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondeq import MMWConfig, ValidationError, kron_sum, solve_equilibrium
+from diamondeq import (
+    MMWConfig,
+    ValidationError,
+    build_instance,
+    kron_sum,
+    normalize,
+    solve_equilibrium,
+)
 from diamondeq import cli, mmw
 from diamondeq.cli import (
     RunConfig,
     main,
     matrix_to_json,
     parse_channel_file,
-    read_trace,
-    report_from_dict,
     report_to_dict,
     run,
-    trace_from_records,
     trace_to_records,
     write_trace,
 )
@@ -64,6 +68,25 @@ def unitary_pair_file(tmp_path):
         spec_doc("unitary", 2, 2, [I2]),
         spec_doc("unitary", 2, 2, [PAULI_Z]),
     )
+
+
+def read_records(path):
+    """The records of a written JSONL trace."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+def file_instance(path):
+    """The reduced instance the CLI builds from a channel file."""
+    return build_instance(*map(normalize, parse_channel_file(path)))
+
+
+def solved_trace(path, records, **cfg):
+    """The trace of an in-process solve of the channel file ``path``, after
+    checking that it is the run whose trace file holds ``records``."""
+    result = solve_equilibrium(file_instance(path), MMWConfig(**cfg))
+    assert trace_to_records(result) == records
+    return result.trace
 
 
 @pytest.fixture
@@ -318,6 +341,18 @@ class TestCommands:
         assert run(config) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_unitary_names_its_channel(self, tmp_path, capsys):
+        # A*A overflows to NaN for entries of 1e200: the isometry gate must
+        # refuse the input where it enters, naming it, and not pass the NaN
+        # residual on to the solver.
+        big = np.array([[1e200, 1e200], [1e200, -1e200]])
+        path = write_channels(tmp_path, spec_doc("unitary", 2, 2, [big]),
+                              spec_doc("unitary", 2, 2, [I2]))
+        with np.errstate(all="ignore"):
+            assert main(["bounds", path]) == 1
+        err = capsys.readouterr().err
+        assert "/channels/0" in err and "not an isometry" in err
+
     def test_trace_output(self, identity_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         config = RunConfig(command="bounds", channel_path=identity_pair_file,
@@ -328,8 +363,8 @@ class TestCommands:
         assert lines[0]["kind"] == "meta"
         assert lines[-1]["kind"] == "summary"
         assert lines[0]["rounds"] == 25
-        trace = read_trace(str(trace_path))
-        assert trace.stop_reason == "bracket"
+        assert lines[-1]["stop_reason"] == "bracket"
+        trace = solved_trace(identity_pair_file, lines, rounds=25)
         assert sum(1 for rec in lines if rec["kind"] == "iter") == first_closed_round(trace)
 
     @pytest.mark.parametrize("env, threads", [
@@ -351,7 +386,7 @@ class TestCommands:
         assert meta["numpy"] == np.__version__
         assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
         assert meta["blas_threads"] == threads
-        assert read_trace(str(trace_path)).dim == 4
+        assert meta["dim"] == 4
 
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
         # T = 10 ends the run before its bracket closes: the run reports the
@@ -362,12 +397,13 @@ class TestCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["stop_reason"] == "rounds" and doc["iterations"] == 10
-        lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        lines = read_records(trace_path)
         assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
-        trace = read_trace(str(trace_path))
+        assert lines[0]["rounds"] == 10
+        assert lines[-1]["lambda"] == doc["lambda"] == doc["upper_cert"]
+        assert lines[-1]["stop_reason"] == "rounds"
+        trace = solved_trace(open_kraus_pair_file, lines, rounds=10)
         assert trace.executed == 10 and trace.rounds == 10
-        assert trace.value == doc["lambda"] == doc["upper_cert"]
-        assert trace.stop_reason == "rounds"
         assert first_closed_round(trace) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
@@ -378,11 +414,12 @@ class TestCommands:
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        trace = read_trace(str(trace_path))
-        assert doc["stop_reason"] == trace.stop_reason == "bracket"
+        lines = read_records(trace_path)
+        trace = solved_trace(open_kraus_pair_file, lines, rounds=200)
+        assert doc["stop_reason"] == lines[-1]["stop_reason"] == "bracket"
         assert 10 < doc["iterations"] == first_closed_round(trace) <= 200
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
-        assert doc["lambda"] == doc["upper_cert"] == trace.value
+        assert doc["lambda"] == doc["upper_cert"] == lines[-1]["lambda"]
         assert 0.0 < doc["widening"] <= 1e-9
 
     def test_set_and_clamped_round_limits_run_alike(self, open_kraus_pair_file, tmp_path,
@@ -428,9 +465,9 @@ class TestCommands:
                      "--rounds", "1", "--trace-out", str(trace_path)])
         assert code == 2
         assert "neither side" in capsys.readouterr().err
-        kinds = [json.loads(line)["kind"] for line in trace_path.read_text().splitlines()]
-        assert kinds == ["meta", "iter", "summary"]
-        assert read_trace(str(trace_path)).stop_reason == "rounds"
+        records = read_records(trace_path)
+        assert [rec["kind"] for rec in records] == ["meta", "iter", "summary"]
+        assert records[-1]["stop_reason"] == "rounds"
 
     def test_qcd_refused_before_solving_writes_no_trace(self, identity_pair_file,
                                                          tmp_path, capsys):
@@ -452,12 +489,13 @@ class TestCommands:
         trace_path = tmp_path / "t.jsonl"
         assert main(["bounds", path, "--rounds", "20", "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
-        summary = json.loads(trace_path.read_text().splitlines()[-1])
+        records = read_records(trace_path)
+        summary = records[-1]
         assert set(summary) == {"kind", "lambda", "stop_reason", "loss_sums"}
-        assert [np.array(m).shape for m in summary["loss_sums"]] == [(3, 3, 2)] * 2
-        trace = read_trace(str(trace_path))
-        assert trace.dim == 9
-        assert kron_sum(trace.loss_sums).shape == (9, 9)
+        sums = [np.array(m) for m in summary["loss_sums"]]
+        assert [m.shape for m in sums] == [(3, 3, 2)] * 2
+        assert records[0]["dim"] == 9
+        assert kron_sum([m[..., 0] + 1j * m[..., 1] for m in sums]).shape == (9, 9)
 
     def test_bounds_on_single_input_dimension(self, tmp_path, capsys):
         # n = 1 is state discrimination: one density, one exact round.
@@ -550,23 +588,49 @@ class TestProcess:
 
 
 class TestSerialization:
-    def test_report_roundtrip(self, identity_instance):
-        report = solve_and_report(identity_instance, MMWConfig(delta=0.2, rounds=30),
-                                  (1.9, 0.1))[0]
-        doc = json.loads(json.dumps(report_to_dict(report)))
-        assert report_from_dict(doc) == report
+    # Reports and traces are write-only: each file is checked against the
+    # writer's output for the same run in process.
+    def test_report_file_is_report_to_dict(self, identity_pair_file, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["qcd", identity_pair_file, "--a", "1.9", "--b", "0.1",
+                     "--rounds", "30", "--report-out", str(path)]) == 0
+        capsys.readouterr()
+        report = solve_and_report(file_instance(identity_pair_file),
+                                  MMWConfig(delta=0.2, rounds=30), (1.9, 0.1))
+        assert report.decision == "close"
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == text.encode("utf-8")
 
     def test_trace_roundtrip_records(self, phase_instance):
-        trace = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40)).trace
-        assert trace_from_records(
-            json.loads(json.dumps(trace_to_records(trace)))
-        ) == trace
+        result = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40))
+        trace = result.trace
+        records = trace_to_records(result)
+        assert json.loads(json.dumps(records)) == records
+        iters = [rec for rec in records if rec["kind"] == "iter"]
+        assert [rec["t"] for rec in iters] == list(range(1, trace.executed + 1))
+        for name, key in mmw.SERIES:
+            assert [rec[key] for rec in iters] == getattr(trace, name).tolist()
+        summary = records[-1]
+        assert summary["lambda"] == result.value
+        assert summary["stop_reason"] == trace.stop_reason
+        sums = [np.array(m) for m in summary["loss_sums"]]
+        for got, want in zip(sums, trace.loss_sums, strict=True):
+            np.testing.assert_array_equal(got[..., 0] + 1j * got[..., 1], want)
 
     def test_trace_roundtrip_file(self, phase_instance, tmp_path):
-        trace = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40)).trace
+        result = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40))
         path = tmp_path / "trace.jsonl"
-        write_trace(trace, str(path))
-        assert read_trace(str(path)) == trace
+        write_trace(result, str(path))
+        assert read_records(path) == trace_to_records(result)
+
+    def test_trace_file_is_trace_to_records(self, phase_pair_file, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        assert main(["bounds", phase_pair_file, "--rounds", "40",
+                     "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        result = solve_equilibrium(file_instance(phase_pair_file),
+                                   MMWConfig(delta=0.2, rounds=40))
+        assert read_records(path) == trace_to_records(result)
 
     def test_reports_byte_identical(self, phase_pair_file, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

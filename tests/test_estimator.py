@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from diamondeq import (
     ChannelSpec,
-    DiamondReport,
     GapTooSmallError,
     MMWConfig,
-    ValidationError,
     build_instance,
     normalize,
     require_gap,
@@ -39,7 +37,7 @@ FAST = MMWConfig(delta=0.2)
 def _decide_specs(spec0, spec1, promise, cfg):
     """The report of a promise (a, b) on two channel descriptions."""
     return solve_and_report(build_instance(normalize(spec0), normalize(spec1)), cfg,
-                            promise)[0]
+                            promise)
 
 
 class TestDiamondInterval:
@@ -65,13 +63,13 @@ class TestDiamondInterval:
 
 class TestDecide:
     def test_identical_close(self, identity_instance):
-        report = solve_and_report(identity_instance, FAST, (1.9, 0.1))[0]
+        report = solve_and_report(identity_instance, FAST, (1.9, 0.1))
         assert report.decision == "close"
         assert report.promise == (1.9, 0.1)
         assert report.thresholds[1] == pytest.approx(0.95)
 
     def test_orthogonal_far(self, orthogonal_instance):
-        report = solve_and_report(orthogonal_instance, FAST, (1.9, 0.1))[0]
+        report = solve_and_report(orthogonal_instance, FAST, (1.9, 0.1))
         assert report.decision == "far"
 
     def test_inverted_thresholds_refused(self, identity_instance):
@@ -87,10 +85,10 @@ class TestDecide:
             (unitary_instance(I2, PAULI_Z), "far"),              # distance 2
         ]
         for inst, want in family:
-            assert solve_and_report(inst, FAST, (1.9, 0.1))[0].decision == want
+            assert solve_and_report(inst, FAST, (1.9, 0.1)).decision == want
 
     def test_constant_family_decisions(self, orthogonal_instance):
-        report = solve_and_report(orthogonal_instance, FAST, (2.0, 0.1))[0]
+        report = solve_and_report(orthogonal_instance, FAST, (2.0, 0.1))
         assert report.decision == "far"
 
 
@@ -144,7 +142,7 @@ class TestContainment:
         rng = np.random.default_rng(77)
         for _ in range(5):
             u, v = random_unitary(rng, 2), random_unitary(rng, 2)
-            report = solve_and_report(unitary_instance(u, v), FAST)[0]
+            report = solve_and_report(unitary_instance(u, v), FAST)
             truth = unitary_diamond(u, v)
             lo, hi = report.interval
             assert lo - 1e-9 <= truth <= hi + 1e-9
@@ -156,28 +154,30 @@ class TestBracketReport:
         rng = np.random.default_rng(5)
         inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
         cfg = MMWConfig(delta=0.2, rounds=20)
-        report, result = solve_and_report(inst, cfg)
-        assert report.stop_reason == result.trace.stop_reason == "rounds"
-        assert report.iterations == 20 and first_closed_round(result.trace) is None
+        report = solve_and_report(inst, cfg)
+        result = report.result
+        assert result.trace.stop_reason == "rounds"
+        assert result.iterations == 20 and first_closed_round(result.trace) is None
         mean = float(np.mean(result.trace.losses))
         slack = cfg.delta + cfg.resolved_delta1()
         old_lo = _fvdg_interval(mean - slack, mean + slack)[0]
         lo, hi = report.interval
         assert old_lo < lo <= hi
-        assert report.interval == _fvdg_interval(report.lower_cert, report.upper_cert)
+        assert report.interval == _fvdg_interval(result.lower_cert, result.upper_cert)
         # The a-priori window mean -/+ (delta + delta1) holds only at the
         # formula's T: here its lower end lies above the value, which the
         # naive bracket, rigorous on its own, pins below it.
         naive_lb, naive_ub = naive_equilibrium(inst)
-        assert naive_lb <= report.upper_cert and report.lower_cert <= naive_ub
+        assert naive_lb <= result.upper_cert and result.lower_cert <= naive_ub
         assert mean - slack > naive_ub
-        assert report.value == report.upper_cert < mean
+        assert result.value == result.upper_cert < mean
 
     def test_bracket_stop_reports_the_bracket(self):
-        report = solve_and_report(unitary_instance(I2, PAULI_Z), FAST)[0]
-        assert report.stop_reason == "bracket"
-        assert report.iterations < 555
-        assert report.upper_cert - report.lower_cert <= FAST.delta
+        report = solve_and_report(unitary_instance(I2, PAULI_Z), FAST)
+        result = report.result
+        assert result.trace.stop_reason == "bracket"
+        assert result.iterations < 555
+        assert result.upper_cert - result.lower_cert <= FAST.delta
         assert report.interval == pytest.approx((2.0, 2.0), abs=1e-9)
 
 
@@ -207,17 +207,19 @@ def test_bracket_interval_contains_unitary_distance(seed, n, delta, rounds):
     u, v = random_unitary(rng, n), random_unitary(rng, n)
     inst, truth = unitary_instance(u, v), unitary_diamond(u, v)
     cfg = MMWConfig(delta=delta, rounds=rounds)
-    report, result = solve_and_report(inst, cfg)
+    report = solve_and_report(inst, cfg)
+    result = report.result
     lo, hi = report.interval
+    assert 0.0 <= lo <= hi <= 2.0
     assert lo - 1e-9 <= truth <= hi + 1e-9
-    assert report.iterations <= result.trace.rounds
-    assert report.stop_reason in ("bracket", "rounds")
-    if report.stop_reason == "bracket":
-        assert report.upper_cert - report.lower_cert <= delta
+    assert result.iterations <= result.trace.rounds
+    assert result.trace.stop_reason in ("bracket", "rounds")
+    if result.trace.stop_reason == "bracket":
+        assert result.upper_cert - result.lower_cert <= delta
     # A promise the true distance satisfies is decided on its side or refused.
     for (a, b), want in _promises_around(truth, delta + cfg.resolved_delta1()):
         try:
-            assert solve_and_report(inst, cfg, (a, b))[0].decision == want, (a, b)
+            assert solve_and_report(inst, cfg, (a, b)).decision == want, (a, b)
         except GapTooSmallError:
             assert rounds is not None
 
@@ -250,11 +252,12 @@ def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, 
     truth = constant_diamond(*sigmas)
     cfg = MMWConfig(delta=delta)
     inst = build_instance(*(normalize(constant_spec(x, n)) for x in sigmas))
-    report, result = solve_and_report(inst, cfg)
+    report = solve_and_report(inst, cfg)
+    result = report.result
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9
-    assert report.lower_cert <= report.upper_cert + 1e-9
-    assert report.iterations <= cfg.resolved_rounds(n * n) == result.trace.rounds
+    assert result.lower_cert <= result.upper_cert + 1e-9
+    assert result.iterations <= cfg.resolved_rounds(n * n) == result.trace.rounds
 
 
 _PAULIS = (I2, PAULI_X, np.array([[0.0, -1j], [1j, 0.0]]), PAULI_Z)
@@ -296,30 +299,7 @@ def test_near_singular_pauli_kraus_sets_keep_the_distance(data, seed, delta, for
     truth = float(np.abs(p - q).sum())
     specs = [_pauli_spec(x, form) for x, form in zip((p, q), forms)]
     report = solve_and_report(build_instance(*map(normalize, specs)),
-                              MMWConfig(delta=delta))[0]
+                              MMWConfig(delta=delta))
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9
 
-
-class TestReportInvariants:
-    def test_interval_must_be_ordered(self):
-        with pytest.raises(ValidationError, match="ordered"):
-            DiamondReport(
-                value=0.5, delta=0.2, delta1=0.02, interval=(1.5, 1.0),
-                lower_cert=0.4, upper_cert=0.6, iterations=10,
-            )
-
-    def test_decision_requires_promise(self):
-        with pytest.raises(ValidationError, match="together"):
-            DiamondReport(
-                value=0.5, delta=0.2, delta1=0.02, interval=(0.5, 1.5),
-                lower_cert=0.4, upper_cert=0.6, iterations=10, decision="far",
-            )
-
-    def test_decision_vocabulary(self):
-        with pytest.raises(ValidationError, match="far.*close"):
-            DiamondReport(
-                value=0.5, delta=0.2, delta1=0.02, interval=(0.5, 1.5),
-                lower_cert=0.4, upper_cert=0.6, iterations=10,
-                decision="maybe", promise=(1.9, 0.1),
-            )

@@ -66,9 +66,16 @@ class TestHermEig:
             h = random_hermitian(rng, dim)
             dec = herm_eig(h)
             assert np.all(np.diff(dec.eigenvalues) <= 1e-14)
-            assert np.linalg.norm(dec.reconstruct() - h) <= 1e-10 * dim
             u = dec.eigenvectors
+            assert np.linalg.norm((u * dec.eigenvalues) @ u.conj().T - h) <= 1e-10 * dim
             assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-10 * dim
+
+    def test_nan_residuals_fail_the_gate(self):
+        # Entries near the float maximum overflow inside eigh; the NaN
+        # residuals must fail the residual gate, not slip past it.
+        h = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with np.errstate(all="ignore"), pytest.raises(EigendecompositionError):
+            herm_eig(h)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
