@@ -36,7 +36,6 @@ from .mmw import (
     EquilibriumResult,
     MMWConfig,
     SolverTrace,
-    mmw_run,
     regret_check,
     solve_equilibrium,
     solve_generic,
@@ -78,7 +77,6 @@ __all__ = [
     "EquilibriumResult",
     "MMWConfig",
     "SolverTrace",
-    "mmw_run",
     "regret_check",
     "solve_equilibrium",
     "solve_generic",

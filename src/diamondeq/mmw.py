@@ -11,7 +11,9 @@ value approximates the equilibrium value within delta after
 T = ceil(16 ln N / delta^2) rounds at learning rate eps = delta/4; with
 floating-point kernels the guarantee degrades by at most the slack budget
 delta1 = delta/10 on each side (accounted as (1/2) T delta1 inside the
-regret inequality).
+regret inequality). ``solve_generic`` is the one loop, for any game given by
+its value operator, adjoint and best response; ``solve_equilibrium`` is the
+channel-pair instance.
 
 T is the run's only limit, not a schedule: ``MMWConfig.rounds`` when set,
 else the formula clamped to MAX_ROUNDS. Whatever the update rule, two
@@ -184,19 +186,6 @@ def _gibbs_density(dec: EigDecomp, epsilon: float):
     return rho, -epsilon * float(w[0]), -epsilon * float(w[-1]), float(gains[-1] / total)
 
 
-def _factor_dims(dims) -> tuple[int, ...]:
-    out = (int(dims),) if np.ndim(dims) == 0 else tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise ValidationError(f"factor dimensions must be >= 1, got {dims}")
-    return out
-
-
-def _as_factors(out) -> tuple:
-    """A list or tuple holds Kronecker-sum factors; anything else is the
-    single factor of a one-factor space."""
-    return tuple(out) if isinstance(out, (list, tuple)) else (out,)
-
-
 def _clip_loss(ms: list, low: float, high: float) -> list:
     """Bring a loss spectrum [low, high] that leaves [0, 1] by at most
     CLIP_TOL back inside, keeping the Kronecker-sum factor form."""
@@ -208,104 +197,6 @@ def _clip_loss(ms: list, low: float, high: float) -> list:
     out = [m * scale for m in ms]
     out[0] = out[0] - (lo * scale) * np.eye(out[0].shape[0])
     return out
-
-
-def mmw_run(loss_oracle, dims, cfg: MMWConfig | None = None, stop=None) -> SolverTrace:
-    """Run the multiplicative weights loop on a product of density factors.
-
-    ``dims`` is the tuple of factor dimensions (an int means one factor).
-    ``loss_oracle`` is called with one density per factor, whose tensor
-    product is rho(t), and returns the loss M with 0 <= M <= I as its
-    Kronecker-sum factors, one matrix per factor (a bare matrix for one
-    factor), optionally paired as ``(factors, loss_value)`` to attach a
-    per-round scalar to the trace (defaults to <rho, M>). The loss spectrum,
-    whose extremes are the sums of the factor extremes, is checked each
-    round: excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones
-    raise OracleBoundError.
-
-    ``stop``, if given, is called as ``stop(t, record)`` after round t with
-    that round's record (SERIES field -> value) and ends the run when it
-    returns True (stop reason 'bracket'). Otherwise the loop runs all T
-    rounds (stop reason 'rounds'). Either way the trace is returned.
-    """
-    cfg = MMWConfig() if cfg is None else cfg
-    dims = _factor_dims(dims)
-    dim = math.prod(dims)
-    eps = cfg.resolved_epsilon()
-    planned = cfg.resolved_rounds(dim)
-    reason = "rounds"
-
-    records = {name: [] for name, _ in SERIES}
-    sums = [np.zeros((d, d), dtype=np.complex128) for d in dims]
-    # Each round's loss-sum decompositions feed the stop rule and the next
-    # round's Gibbs densities. The zero sums' exact decomposition makes
-    # rho(1) = I/d per factor.
-    decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
-
-    for t in range(1, planned + 1):
-        gibbs = [_gibbs_density(dec, eps) for dec in decs]
-        rhos = [g[0] for g in gibbs]
-        traces = [float(np.trace(r).real) for r in rhos]
-        row = {
-            "exp_min": sum(g[1] for g in gibbs),
-            "exp_max": sum(g[2] for g in gibbs),
-            "rho_trace_err": abs(math.prod(traces) - 1.0),
-            "rho_min_eig": math.prod(g[3] for g in gibbs),
-        }
-
-        out = loss_oracle(*rhos)
-        paired = isinstance(out, tuple) and len(out) == 2 and np.ndim(out[1]) == 0
-        factors, loss = out if paired else (out, None)
-        ms = [as_cmatrix(f) for f in _as_factors(factors)]
-        if [m.shape for m in ms] != [(d, d) for d in dims]:
-            raise OracleBoundError(
-                f"oracle returned factor shapes {[m.shape for m in ms]}, expected "
-                f"{[(d, d) for d in dims]}"
-            )
-        spectra = [herm_eig(m) for m in ms]
-        high = sum(float(dec.eigenvalues[0]) for dec in spectra)
-        low = sum(float(dec.eigenvalues[-1]) for dec in spectra)
-        if not (low >= -CLIP_TOL and high <= 1.0 + CLIP_TOL):
-            raise OracleBoundError(
-                f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
-                f"[0, 1] beyond the clip tolerance {CLIP_TOL:.1e}"
-            )
-        row["m_min_eig"], row["m_max_eig"] = low, high
-        row["m_eig_err"] = sum(dec.error_bound for dec in spectra)
-        if low < 0.0 or high > 1.0:
-            ms = _clip_loss(ms, low, high)
-        # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
-        inner = sum(
-            float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
-            for k, (r, m) in enumerate(zip(rhos, ms))
-        )
-        row["step_inners"] = inner
-        row["losses"] = inner if loss is None else float(loss)
-
-        for k, m in enumerate(ms):
-            s = sums[k] + m
-            sums[k] = 0.5 * (s + s.conj().T)
-        decs = [herm_eig(s) for s in sums]
-        # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
-        row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
-        row["sum_eig_err"] = sum(dec.error_bound for dec in decs)
-
-        for name, values in records.items():
-            values.append(row[name])
-        if stop is not None and stop(t, row):
-            reason = "bracket"
-            break
-
-    return SolverTrace(
-        dim=dim,
-        epsilon=eps,
-        rounds=planned,
-        delta=cfg.delta,
-        delta1=cfg.resolved_delta1(),
-        loss_sums=tuple(sums),
-        stop_reason=reason,
-        **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
-    )
 
 
 def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None) -> float:
@@ -384,88 +275,133 @@ def solve_generic(
     loss_range: tuple[float, float] | None = None,
 ) -> EquilibriumResult:
     """Equilibrium value of min over densities, max over a convex witness
-    set, of ``<witness, apply_op(rho)>``.
+    set, of ``<witness, apply_op(rho)>``, by one multiplicative weights loop.
 
-    ``dims`` are the density factor dimensions (an int means one factor);
-    ``apply_op`` is called with one density per factor and must depend on
-    rho only through them. ``adjoint_op`` returns the adjoint image of a
-    witness as its Kronecker-sum factors (a bare matrix for one factor).
-    ``argmax_op`` must return the exact maximizing witness for a given value
-    operator, or a pair ``(witness, err)`` whose ``err`` bounds how far the
-    witness's value may fall short of the maximum; the round's value is
-    rounded up by it. ``bound`` bounds ``|<witness, apply_op(rho)>|`` over
-    all inputs (spot-checked every round; the accuracy guarantee scales with
-    it).
+    ``dims`` is the tuple of density factor dimensions, ``(N,)`` for a dense
+    game. ``apply_op`` is called with one density per factor, whose tensor
+    product is rho(t). ``argmax_op`` returns ``(witness, err)``: a maximizing
+    witness and a finite ``err >= 0`` bounding how far its value may fall
+    short of the maximum; the round's value is rounded up by it.
+    ``adjoint_op`` returns a witness's adjoint image as a tuple of
+    Kronecker-sum factors, one per density factor. ``bound`` bounds
+    ``|<witness, apply_op(rho)>|`` (spot-checked every round; the accuracy
+    guarantee scales with it).
 
-    The run stops on the first round at which the certified bracket is at
-    most ``delta * bound`` wide, and otherwise after the planned T rounds.
+    The round's loss M = (I + image / bound) / 2 has its spectrum checked:
+    excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones raise
+    OracleBoundError. The run stops ('bracket') on the first round at which
+    the certified bracket is at most ``delta * bound`` wide, else after T
+    rounds ('rounds').
     """
     cfg = MMWConfig() if cfg is None else cfg
     if not bound > 0:
         raise ValidationError(f"value bound must be positive, got {bound}")
-    eye = np.eye(_factor_dims(dims)[0], dtype=np.complex128)
-    state = {"witness_sum": None, "errs": []}
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ValidationError(f"factor dimensions must be >= 1, got {dims}")
+    shapes = [(d, d) for d in dims]
+    dim = math.prod(dims)
+    eps = cfg.resolved_epsilon()
+    planned = cfg.resolved_rounds(dim)
+    eye = np.eye(dims[0], dtype=np.complex128)
 
-    def oracle(*rhos):
+    records = {name: [] for name, _ in SERIES}
+    sums = [np.zeros(shape, dtype=np.complex128) for shape in shapes]
+    # Each round's loss-sum decompositions feed the stop rule and the next
+    # round's Gibbs densities. The zero sums' exact decomposition makes
+    # rho(1) = I/d per factor.
+    decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
+    witness_sum = 0.0
+    # The bracket so far: the smallest round value, the largest lambda_min of
+    # one round's adjoint image, and the error of each.
+    upper, upper_err, single, single_err, reason = math.inf, 0.0, -math.inf, 0.0, "rounds"
+
+    for t in range(1, planned + 1):
+        gibbs = [_gibbs_density(dec, eps) for dec in decs]
+        rhos = [g[0] for g in gibbs]
+        traces = [float(np.trace(r).real) for r in rhos]
+        row = {
+            "exp_min": sum(g[1] for g in gibbs),
+            "exp_max": sum(g[2] for g in gibbs),
+            "rho_trace_err": abs(math.prod(traces) - 1.0),
+            "rho_min_eig": math.prod(g[3] for g in gibbs),
+        }
+
         value_op = apply_op(*rhos)
-        out = argmax_op(value_op)
-        witness, err = out if isinstance(out, tuple) else (out, 0.0)
-        loss = float(hs_inner(witness, value_op).real)
-        if not abs(loss) <= bound * (1.0 + CLIP_TOL) + CLIP_TOL:
-            raise OracleBoundError(
-                f"round value {loss} exceeds the declared bound {bound}"
-            )
+        witness, err = argmax_op(value_op)
+        if not 0.0 <= err < math.inf:
+            raise OracleBoundError(f"best-response error {err} must be finite and >= 0")
+        value = float(hs_inner(witness, value_op).real)
+        if not abs(value) <= bound * (1.0 + CLIP_TOL) + CLIP_TOL:
+            raise OracleBoundError(f"round value {value} exceeds the declared bound {bound}")
         if loss_range is not None and not (
-            loss_range[0] - CLIP_TOL <= loss <= loss_range[1] + CLIP_TOL
+            loss_range[0] - CLIP_TOL <= value <= loss_range[1] + CLIP_TOL
         ):
+            raise OracleBoundError(f"round value {value} outside promised range {loss_range}")
+        image = [as_cmatrix(f) for f in adjoint_op(witness)]
+        if [f.shape for f in image] != shapes:
             raise OracleBoundError(
-                f"round value {loss} outside promised range {loss_range}"
+                f"adjoint_op returned factor shapes {[f.shape for f in image]}, "
+                f"expected {shapes}"
             )
-        image = _as_factors(adjoint_op(witness))
-        # M = (I + image / bound) / 2, with the identity carried by factor 0.
-        m = [0.5 * (image[0] / bound + eye)] + [0.5 * (f / bound) for f in image[1:]]
-        if state["witness_sum"] is None:
-            state["witness_sum"] = np.array(witness, dtype=np.complex128)
-        else:
-            state["witness_sum"] += witness
-        state["errs"].append(err)
-        return m, loss + err
+        ms = [0.5 * (image[0] / bound + eye)] + [0.5 * (f / bound) for f in image[1:]]
+        witness_sum = witness_sum + witness
 
-    # lambda_min of each round's adjoint image, recovered from the recorded
-    # loss-matrix spectrum: image = bound * (2 M - I).
-    def single_lower(m_min_eig, m_eig_err):
-        return bound * (2.0 * (m_min_eig - m_eig_err) - 1.0)
+        spectra = [herm_eig(m) for m in ms]
+        high = sum(float(dec.eigenvalues[0]) for dec in spectra)
+        low = sum(float(dec.eigenvalues[-1]) for dec in spectra)
+        if not (low >= -CLIP_TOL and high <= 1.0 + CLIP_TOL):
+            raise OracleBoundError(
+                f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
+                f"[0, 1] beyond the clip tolerance {CLIP_TOL:.1e}"
+            )
+        row["m_min_eig"], row["m_max_eig"] = low, high
+        row["m_eig_err"] = sum(dec.error_bound for dec in spectra)
+        if low < 0.0 or high > 1.0:
+            ms = _clip_loss(ms, low, high)
+        # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
+        row["step_inners"] = sum(
+            float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
+            for k, (r, m) in enumerate(zip(rhos, ms))
+        )
+        row["losses"] = float(value + err)
 
-    running = {"upper": math.inf, "single": -math.inf}
+        for k, m in enumerate(ms):
+            s = sums[k] + m
+            sums[k] = 0.5 * (s + s.conj().T)
+        decs = [herm_eig(s) for s in sums]
+        # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
+        row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
+        row["sum_eig_err"] = sum(dec.error_bound for dec in decs)
+        for name, values in records.items():
+            values.append(row[name])
 
-    def bracket_closed(t, row):
-        running["upper"] = min(running["upper"], row["losses"])
-        running["single"] = max(running["single"],
-                                single_lower(row["m_min_eig"], row["m_eig_err"]))
+        if row["losses"] < upper:
+            upper, upper_err = row["losses"], err
+        # The round's image is bound * (2 M - I), M before any clip.
+        mine = bound * (2.0 * (low - row["m_eig_err"]) - 1.0)
+        if mine > single:
+            single, single_err = mine, 2.0 * bound * row["m_eig_err"]
         # The averaged witness's image is bound * (2 S / t - I), S the loss sum.
         averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"]) / t - 1.0)
-        return running["upper"] - max(running["single"], averaged) <= cfg.delta * bound
+        if upper - max(single, averaged) <= cfg.delta * bound:
+            reason = "bracket"
+            break
 
-    trace = mmw_run(oracle, dims, cfg, stop=bracket_closed)
-
-    decs = [herm_eig(f) for f in
-            _as_factors(adjoint_op(state["witness_sum"] / trace.executed))]
+    trace = SolverTrace(
+        dim=dim, epsilon=eps, rounds=planned, delta=cfg.delta, delta1=cfg.resolved_delta1(),
+        loss_sums=tuple(sums), stop_reason=reason,
+        **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
+    )
+    decs = [herm_eig(f) for f in adjoint_op(witness_sum / trace.executed)]
     avg_err = sum(dec.error_bound for dec in decs)
     lower_avg = sum(float(dec.eigenvalues[-1]) for dec in decs) - avg_err
-    singles = single_lower(trace.m_min_eig, trace.m_eig_err)
-    top = int(np.argmax(singles))
-    if lower_avg >= singles[top]:
+    if lower_avg >= single:
         lower, lower_err = lower_avg, avg_err
     else:
-        lower, lower_err = float(singles[top]), 2.0 * bound * float(trace.m_eig_err[top])
-    low = int(np.argmin(trace.losses))
-    return EquilibriumResult(
-        lower_cert=lower,
-        upper_cert=float(trace.losses[low]),
-        trace=trace,
-        bound=bound,
-        widening=lower_err + state["errs"][low],
-    )
+        lower, lower_err = float(single), single_err
+    return EquilibriumResult(lower_cert=lower, upper_cert=upper, trace=trace, bound=bound,
+                             widening=lower_err + upper_err)
 
 
 def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> EquilibriumResult:

@@ -11,6 +11,7 @@ from diamondeq import (
     marginal_difference_output,
     normalize,
     partial_trace,
+    solve_generic,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -99,6 +100,33 @@ def first_closed_round(trace, bound=1.0):
     averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err) / t - 1.0)
     closed = np.flatnonzero(upper - np.maximum(single, averaged) <= trace.delta * bound)
     return int(closed[0]) + 1 if closed.size else None
+
+
+def replay_losses(losses, dims, cfg, bound=1.0):
+    """Run ``solve_generic`` on a game that replays a fixed loss sequence.
+
+    Round t's loss is the Kronecker sum of ``losses[t - 1]``, one matrix per
+    factor of ``dims``. Every round's witness, the 1 x 1 identity, has value
+    ``bound``, and its adjoint image is bound (2 M_t - I) on factor 0 and
+    2 bound M_t on the others, so the solver's loss is M_t up to rounding.
+    The upper certificate is ``bound`` throughout, and the bracket closes
+    only once the losses' lambda_min reaches 1 - delta/2. Returns the result
+    and the densities of each round, one per factor.
+    """
+    seen = []
+
+    def apply_op(*rhos):
+        seen.append([r.copy() for r in rhos])
+        return np.array([[bound]])
+
+    def adjoint_op(witness):
+        # The count of densities seen picks the loss of the round just
+        # played; the final averaged witness gets the last round's.
+        first, *rest = losses[len(seen) - 1]
+        return (bound * (2.0 * first - np.eye(first.shape[0])), *(2.0 * bound * m for m in rest))
+
+    result = solve_generic(dims, apply_op, adjoint_op, lambda y: (np.eye(1), 0.0), bound, cfg)
+    return result, seen
 
 
 @pytest.fixture

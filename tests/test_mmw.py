@@ -13,14 +13,12 @@ from diamondeq import (
     difference_adjoint_factors,
     kron_sum,
     marginal_difference_output,
-    mmw_run,
     regret_check,
     solve_equilibrium,
     solve_generic,
 )
 from diamondeq import mmw
 from diamondeq.cli import trace_to_records
-from diamondeq.mmw import SERIES
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
 from tests.conftest import (
     constant_spec,
@@ -29,6 +27,7 @@ from tests.conftest import (
     first_closed_round,
     min_eig_projector,
     random_kraus_pair_spec,
+    replay_losses,
     unitary_spec,
 )
 from diamondeq import build_instance, normalize
@@ -81,17 +80,14 @@ class TestConfig:
 
 class TestMetaAlgorithm:
     def test_zero_oracle_keeps_uniform_density(self):
-        seen = []
-
-        def oracle(rho):
-            seen.append(rho.copy())
-            return np.zeros((3, 3))
-
         cfg = MMWConfig(delta=0.2, rounds=25)
-        trace = mmw_run(oracle, 3, cfg)
-        for rho in seen:
+        res, seen = replay_losses([(np.zeros((3, 3)),)] * 25, (3,), cfg)
+        trace = res.trace
+        for (rho,) in seen:
             assert np.allclose(rho, np.eye(3) / 3, atol=1e-12)
-        assert np.allclose(trace.losses, 0.0)
+        # Every <rho(t), M(t)> is 0; the round values are the witness's bound.
+        assert np.allclose(trace.step_inners, 0.0)
+        assert np.all(trace.losses == 1.0)
         # With nothing accumulated the regret slack is exactly ln(N)/eps.
         slack = regret_check(trace, delta1=0.0)
         assert slack == pytest.approx(math.log(3) / cfg.resolved_epsilon(), abs=1e-12)
@@ -100,35 +96,28 @@ class TestMetaAlgorithm:
     def test_first_densities_are_exactly_uniform(self, dims, monkeypatch):
         # The zero loss sums start from their exact decomposition: rho(1) is
         # I/d per factor to the last bit, and the only eigendecompositions of
-        # a one-round run are the loss's and the new sums', one each per factor.
+        # a one-round run are the loss's, the new sums' and the averaged
+        # witness's adjoint image's, one each per factor.
         factor_dims = (dims,) if isinstance(dims, int) else dims
-        seen, calls = [], []
+        calls = []
         herm_eig = mmw.herm_eig
         monkeypatch.setattr(mmw, "herm_eig", lambda h: calls.append(h) or herm_eig(h))
 
-        def oracle(*rhos):
-            seen.append([r.copy() for r in rhos])
-            return [np.zeros(r.shape) for r in rhos]
-
-        mmw_run(oracle, dims, MMWConfig(delta=0.2, rounds=1))
+        zeros = tuple(np.zeros((d, d)) for d in factor_dims)
+        _, seen = replay_losses([zeros], factor_dims, MMWConfig(delta=0.2, rounds=1))
         assert len(seen) == 1
         assert all(np.array_equal(r, np.eye(d) / d) for r, d in zip(seen[0], factor_dims))
-        assert len(calls) == 2 * len(factor_dims)
+        assert len(calls) == 3 * len(factor_dims)
 
     def test_rank_one_oracle_matches_scalar_recursion(self):
         # Constant loss diag(1, 0, ..., 0): the weight on coordinate 1 decays
         # as exp(-eps (t-1)) against N-1 idle coordinates.
         n = 4
-        seen = []
-
-        def oracle(rho):
-            seen.append(rho.copy())
-            return np.diag([1.0] + [0.0] * (n - 1))
-
         cfg = MMWConfig(delta=0.2, rounds=60)
         eps = cfg.resolved_epsilon()
-        mmw_run(oracle, n, cfg)
-        for t, rho in enumerate(seen, start=1):
+        _, seen = replay_losses([(np.diag([1.0] + [0.0] * (n - 1)),)] * 60, (n,), cfg)
+        assert len(seen) == 60
+        for t, (rho,) in enumerate(seen, start=1):
             decay = math.exp(-eps * (t - 1))
             want = decay / (decay + n - 1)
             assert rho[0, 0].real == pytest.approx(want, abs=1e-12)
@@ -138,31 +127,31 @@ class TestMetaAlgorithm:
         for run in range(20):
             n = int(rng.integers(2, 5))
             rounds = int(rng.integers(5, 40))
-
-            def oracle(rho, rng=rng, n=n):
+            losses = []
+            for _ in range(rounds):
                 g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 h = 0.5 * (g + g.conj().T)
                 _, u = np.linalg.eigh(h)
-                return (u * rng.uniform(0.0, 1.0, n)) @ u.conj().T
+                losses.append(((u * rng.uniform(0.0, 1.0, n)) @ u.conj().T,))
 
-            trace = mmw_run(oracle, n, MMWConfig(delta=0.2, rounds=rounds))
+            trace = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=rounds))[0].trace
             # Adversarial comparator.
             assert regret_check(trace, delta1=0.0) >= -1e-9
             # Arbitrary comparators satisfy it a fortiori.
-            from diamondeq.oracles import random_density
-
             for _ in range(3):
                 star = random_density(rng, n)
                 assert regret_check(trace, star, delta1=0.0) >= -1e-9
 
     def test_oracle_bound_violation_is_hard_error(self):
         with pytest.raises(OracleBoundError, match="violate"):
-            mmw_run(lambda rho: 1.5 * np.eye(2), 2, MMWConfig(delta=0.2, rounds=5))
+            replay_losses([(1.5 * np.eye(2),)] * 5, (2,), MMWConfig(delta=0.2, rounds=5))
 
     def test_tiny_violations_are_clipped(self):
-        trace = mmw_run(
-            lambda rho: (1.0 + 5e-10) * np.eye(2), 2, MMWConfig(delta=0.2, rounds=5)
-        )
+        # The second eigenvalue 0.5 keeps the bracket open for all 5 rounds.
+        res, _ = replay_losses([(np.diag([1.0 + 5e-10, 0.5]),)] * 5, (2,),
+                               MMWConfig(delta=0.2, rounds=5))
+        trace = res.trace
+        assert trace.executed == 5
         assert trace.m_max_eig.max() <= 1.0 + 1e-9
         # Clipped losses keep the accumulated sum inside the cone.
         assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
@@ -179,21 +168,13 @@ class TestMetaAlgorithm:
             return (u * rng.uniform(0.0, 0.5, d)) @ u.conj().T
 
         losses = [(half_unit(2), half_unit(3)) for _ in range(30)]
-        seen_product, seen_dense = [], []
-
-        def product_oracle(rho0, rho1):
-            seen_product.append(np.kron(rho0, rho1))
-            return losses[len(seen_product) - 1]
-
-        def dense_oracle(rho):
-            seen_dense.append(rho)
-            return kron_sum(losses[len(seen_dense) - 1])
-
         cfg = MMWConfig(delta=0.2, rounds=30)
-        product = mmw_run(product_oracle, dims, cfg)
-        dense = mmw_run(dense_oracle, 6, cfg)
-        for a, b in zip(seen_product, seen_dense):
-            assert np.linalg.norm(a - b) <= 1e-12
+        product, seen_product = replay_losses(losses, dims, cfg)
+        dense, seen_dense = replay_losses([(kron_sum(pair),) for pair in losses], (6,), cfg)
+        product, dense = product.trace, dense.trace
+        assert len(seen_product) == len(seen_dense) == 30
+        for (rho0, rho1), (rho,) in zip(seen_product, seen_dense):
+            assert np.linalg.norm(np.kron(rho0, rho1) - rho) <= 1e-12
         assert product.dim == dense.dim == 6
         for name in ("losses", "step_inners", "exp_min", "exp_max",
                      "rho_min_eig", "m_min_eig", "m_max_eig", "sum_min_eig"):
@@ -203,55 +184,41 @@ class TestMetaAlgorithm:
         assert regret_check(product, delta1=0.0) >= -1e-9
 
     def test_tiny_violations_are_clipped_in_factor_form(self):
-        half = (0.5 + 5e-10) * np.eye(2)
-        trace = mmw_run(lambda r0, r1: (half, half), (2, 2),
-                        MMWConfig(delta=0.2, rounds=5))
+        # Spectrum [0.5, 1 + 1e-9]: the bracket stays open for all 5 rounds.
+        half = np.diag([0.5 + 5e-10, 0.25])
+        res, _ = replay_losses([(half, half)] * 5, (2, 2), MMWConfig(delta=0.2, rounds=5))
+        trace = res.trace
+        assert trace.executed == 5
         assert trace.m_max_eig.max() == pytest.approx(1.0 + 1e-9)
         # The rescaled losses keep the accumulated sum inside the cone.
         assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
-
-    def test_factor_shape_mismatch_is_hard_error(self):
-        with pytest.raises(OracleBoundError, match="shapes"):
-            mmw_run(lambda r0, r1: (np.zeros((2, 2)), np.zeros((2, 2))), (2, 3),
-                    MMWConfig(delta=0.2, rounds=2))
 
     def test_iteration_cap_carries_partial_trace(self, monkeypatch):
         # The formula asks for 278 rounds at N = 2; the clamp cuts T to 10,
         # and the run returns the trace of those 10 rounds.
         monkeypatch.setattr(mmw, "MAX_ROUNDS", 10)
-        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2))
+        trace = replay_losses([(np.zeros((2, 2)),)] * 10, (2,), MMWConfig(delta=0.2))[0].trace
         assert trace.executed == 10 and trace.rounds == 10
         assert trace.stop_reason == "rounds"
 
-    def test_stop_hook_ends_the_run_before_the_cap(self):
-        seen = []
-
-        def stop(t, row):
-            seen.append((t, sorted(row)))
-            return t == 4
-
-        trace = mmw_run(lambda rho: np.eye(2) / 2, 2,
-                        MMWConfig(delta=0.2, rounds=10), stop=stop)
-        assert trace.executed == 4 and trace.rounds == 10
-        assert trace.stop_reason == "bracket"
-        assert seen == [(t, sorted(name for name, _ in SERIES)) for t in range(1, 5)]
-        # The loss sum after round t is t I / 2.
-        assert np.allclose(trace.sum_min_eig, 0.5 * np.arange(1, 5))
-
     def test_stop_reason_without_stop_hook(self, monkeypatch):
-        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2, rounds=5))
+        # Zero losses never close the bracket, so the run uses up T.
+        zeros = [(np.zeros((2, 2)),)] * 5
+        trace = replay_losses(zeros, (2,), MMWConfig(delta=0.2, rounds=5))[0].trace
         assert trace.stop_reason == "rounds" and trace.executed == 5
         # A T clamped by MAX_ROUNDS ends the same way as a set one.
         monkeypatch.setattr(mmw, "MAX_ROUNDS", 3)
-        trace = mmw_run(lambda rho: np.zeros((2, 2)), 2, MMWConfig(delta=0.2))
+        trace = replay_losses(zeros, (2,), MMWConfig(delta=0.2))[0].trace
         assert trace.stop_reason == "rounds" and trace.executed == 3
 
     def test_exponent_records(self):
-        trace = mmw_run(lambda rho: np.eye(2), 2, MMWConfig(delta=0.2, rounds=8))
+        # Loss diag(1, 1/2): lambda_min 1/2 keeps the bracket open.
+        trace = replay_losses([(np.diag([1.0, 0.5]),)] * 8, (2,),
+                              MMWConfig(delta=0.2, rounds=8))[0].trace
         eps = trace.epsilon
-        # After t-1 identity losses the exponent is -eps (t-1) I.
+        # After t-1 losses the exponent is -eps (t-1) diag(1, 1/2).
         assert np.allclose(trace.exp_min, -eps * np.arange(8))
-        assert np.allclose(trace.exp_max, -eps * np.arange(8))
+        assert np.allclose(trace.exp_max, -0.5 * eps * np.arange(8))
         assert trace.exponent_norm_bound == pytest.approx(eps * 8)
 
 
@@ -329,12 +296,12 @@ class TestSolveEquilibrium:
         # of the N x N loss sum S, on a two-factor and a one-factor run.
         two = solve_equilibrium(phase_instance, FAST).trace
         rng = np.random.default_rng(3)
-
-        def oracle(rho):
+        losses = []
+        for _ in range(20):
             u = random_unitary(rng, 4)
-            return (u * rng.uniform(0.0, 1.0, 4)) @ u.conj().T
+            losses.append(((u * rng.uniform(0.0, 1.0, 4)) @ u.conj().T,))
 
-        one = mmw_run(oracle, 4, MMWConfig(delta=0.2, rounds=20))
+        one = replay_losses(losses, (4,), MMWConfig(delta=0.2, rounds=20))[0].trace
         for trace in (two, one):
             assert abs(regret_check(trace)
                        - regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums)))) <= 1e-9
@@ -369,10 +336,10 @@ def _seeded_pair(kind, n):
 
 def _dense_reference(inst, scale=1.0):
     return solve_generic(
-        inst.pair_dim,
+        (inst.pair_dim,),
         lambda rho: difference_output(inst, scale * rho),
-        lambda eff: difference_adjoint(inst, eff),
-        lambda y: best_effect(y)[0],
+        lambda eff: (difference_adjoint(inst, eff),),
+        lambda y: (best_effect(y)[0], 0.0),
         1.0,
         FAST,
         loss_range=(0.0, 1.0),
@@ -406,13 +373,48 @@ def test_product_solver_matches_dense_reference(kind, n):
         assert _gap(_dense_reference(inst, 1.0 + 1e-15), dense) > 1e-9
 
 
+# Zero-sum game embedded as diagonal operators; the classical value of
+# [[3, 1], [1, 2]] is 5/3 at x = (1/3, 2/3).
+PAYOFF = np.array([[3.0, 1.0], [1.0, 2.0]])
+
+
+def _matrix_game(err, cfg):
+    def apply_op(rho):
+        return np.diag(PAYOFF.T @ np.real(np.diag(rho)))
+
+    def adjoint_op(sigma):
+        return (np.diag(PAYOFF @ np.real(np.diag(sigma))),)
+
+    def best_column(value_op):
+        weights = np.real(np.diag(value_op))
+        pick = int(np.argmax(weights))
+        out = np.zeros((2, 2))
+        out[pick, pick] = 1.0
+        return out, err
+
+    return solve_generic((2,), apply_op, adjoint_op, best_column, 3.0, cfg)
+
+
+def _small_game(**overrides):
+    """Arguments of a one-factor game whose every round has value 1."""
+    args = {
+        "dims": (2,),
+        "apply_op": lambda rho: np.eye(2) / 2,
+        "adjoint_op": lambda eff: (np.zeros((2, 2)),),
+        "argmax_op": lambda y: (np.eye(2), 0.0),
+        "bound": 1.0,
+        "cfg": MMWConfig(delta=0.2, rounds=2),
+    }
+    return {**args, **overrides}
+
+
 class TestSolveGeneric:
     def test_zero_map(self):
         res = solve_generic(
-            3,
+            (3,),
             lambda rho: np.zeros((2, 2)),
-            lambda eff: np.zeros((3, 3)),
-            lambda y: best_effect(y)[0],
+            lambda eff: (np.zeros((3, 3)),),
+            lambda y: (best_effect(y)[0], 0.0),
             1.0,
             MMWConfig(delta=0.2, rounds=20),
         )
@@ -436,42 +438,53 @@ class TestSolveGeneric:
         assert direct.lower_cert == generic.lower_cert
 
     def test_matrix_game_value(self):
-        # Zero-sum game embedded as diagonal operators; the classical value
-        # of [[3, 1], [1, 2]] is 5/3 at x = (1/3, 2/3).
-        payoff = np.array([[3.0, 1.0], [1.0, 2.0]])
         bound = 3.0
-
-        def apply_op(rho):
-            return np.diag(payoff.T @ np.real(np.diag(rho)))
-
-        def adjoint_op(sigma):
-            return np.diag(payoff @ np.real(np.diag(sigma)))
-
-        def best_column(value_op):
-            weights = np.real(np.diag(value_op))
-            pick = int(np.argmax(weights))
-            out = np.zeros((2, 2))
-            out[pick, pick] = 1.0
-            return out
-
         cfg = MMWConfig(delta=0.05)
-        res = solve_generic(2, apply_op, adjoint_op, best_column, bound, cfg)
+        res = _matrix_game(0.0, cfg)
         tol = bound * (cfg.delta + cfg.resolved_delta1())
         assert abs(res.value - 5.0 / 3.0) <= tol
         assert res.lower_cert <= 5.0 / 3.0 + 1e-9
         assert res.upper_cert >= 5.0 / 3.0 - 1e-9
         assert res.iterations == first_closed_round(res.trace, bound) <= res.trace.rounds
 
+    @pytest.mark.parametrize("err", [-0.5, math.inf, math.nan])
+    def test_best_response_error_must_be_finite_and_nonnegative(self, err):
+        # A negative error would round the values down past the game's 5/3
+        # (the bracket [1.018, 1.167] after 171 rounds); an infinite one
+        # leaves no upper certificate.
+        with pytest.raises(OracleBoundError, match="best-response error"):
+            _matrix_game(err, MMWConfig(delta=0.05))
+
     def test_bound_violation_detected(self):
         with pytest.raises(OracleBoundError, match="bound"):
             solve_generic(
-                2,
+                (2,),
                 lambda rho: 5.0 * np.eye(2),
-                lambda eff: np.zeros((2, 2)),
-                lambda y: np.eye(2),
+                lambda eff: (np.zeros((2, 2)),),
+                lambda y: (np.eye(2), 0.0),
                 1.0,
                 MMWConfig(delta=0.2, rounds=5),
             )
+
+    @pytest.mark.parametrize("call, error, match", [
+        pytest.param(lambda: solve_generic(**_small_game(bound=0.0)),
+                     ValidationError, "must be positive", id="zero-bound"),
+        pytest.param(lambda: solve_generic(**_small_game(bound=-1.0)),
+                     ValidationError, "must be positive", id="negative-bound"),
+        pytest.param(lambda: solve_generic(**_small_game(loss_range=(0.0, 0.5))),
+                     OracleBoundError, "outside promised range", id="loss-range"),
+        pytest.param(lambda: solve_generic(**_small_game(dims=(2, 0))),
+                     ValidationError, "factor dimensions", id="factor-dim"),
+        pytest.param(lambda: solve_generic(**_small_game(
+                         dims=(2, 3), apply_op=lambda r0, r1: np.eye(2) / 2,
+                         adjoint_op=lambda eff: (np.zeros((2, 2)), np.zeros((2, 2))))),
+                     OracleBoundError, "shapes", id="adjoint-factor-shape"),
+        pytest.param(lambda: regret_check(solve_generic(**_small_game()).trace, np.eye(3) / 3),
+                     ValidationError, "does not match", id="rho-star-shape"),
+    ])
+    def test_entry_checks(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_min_eig_projector():
