@@ -127,7 +127,9 @@ class ChannelSpec:
                 raise ValidationError(
                     f"kraus operator {i} has shape {k.shape}, expected ({m}, {n})"
                 )
-        total = sum(k.conj().T @ k for k in self.matrices)
+        # sum_i K_i* K_i is the Gram matrix of the operators stacked by rows.
+        stack = np.concatenate(self.matrices, axis=0)
+        total = stack.conj().T @ stack
         residual = float(np.linalg.norm(total - np.eye(n)))
         if not residual <= tolerances.ISO_TOL:
             raise ValidationError(

@@ -23,8 +23,11 @@ rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
 closed to delta, 'rounds' when the round limit T ran out first. T is
 ``--rounds`` when given, else ceil(16 ln n^2 / delta^2) clamped to
 ``mmw.MAX_ROUNDS``; below the formula the interval stays sound but may be
-wider, and ``qcd`` may refuse. Traces are line-delimited JSON: a
-leading meta record, one ``iter`` record per round with the keys of
+wider, and ``qcd`` may refuse. The solver's learning rate is
+``mmw.learning_rate``, eta_t = min(1/2, sqrt(8 ln N / t)), whatever the
+flags. Traces are line-delimited JSON: a leading meta record (N, the rule
+``mmw.LEARNING_RATE_RULE``, T, delta, delta1, the exponent bound and the
+numeric environment), one ``iter`` record per round with the keys of
 ``mmw.SERIES``, and a trailing summary record with the value, the stop
 reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
 channel pair). Both are write-only, built from the solver's
@@ -61,7 +64,13 @@ from .errors import (
     ValidationError,
 )
 from .estimator import DiamondReport, build_report, require_gap
-from .mmw import SERIES, EquilibriumResult, MMWConfig, solve_equilibrium
+from .mmw import (
+    LEARNING_RATE_RULE,
+    SERIES,
+    EquilibriumResult,
+    MMWConfig,
+    solve_equilibrium,
+)
 from .reduction import build_instance
 
 COMMANDS = ("qcd", "bounds", "oracle")
@@ -255,7 +264,7 @@ def trace_to_records(result: EquilibriumResult) -> list:
     records = [{
         "kind": "meta",
         "dim": trace.dim,
-        "epsilon": trace.epsilon,
+        "learning_rate": LEARNING_RATE_RULE,
         "rounds": trace.rounds,
         "delta": trace.delta,
         "delta1": trace.delta1,

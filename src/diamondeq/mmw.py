@@ -1,18 +1,52 @@
 """Matrix multiplicative weights solver for equilibrium values.
 
 The meta-algorithm maintains a density rho(t) proportional to
-exp(-eps * sum of observed loss matrices) and enjoys the regret bound
+exp(-eta_t S(t-1)), S(t) the sum of the first t loss matrices, with the
+anytime learning rate
 
-    (1 - eps) * sum_t <rho(t), M(t)>  <=  <rho*, sum_t M(t)> + ln(N)/eps
+    eta_t = min(1/2, sqrt(8 ln N / t))        (``learning_rate``)
 
-for every density rho*, provided every loss matrix satisfies 0 <= M <= I.
-Instantiated with the channel-pair difference map, the averaged per-round
-value approximates the equilibrium value within delta after
-T = ceil(16 ln N / delta^2) rounds at learning rate eps = delta/4; with
-floating-point kernels the guarantee degrades by at most the slack budget
-delta1 = delta/10 on each side (accounted as (1/2) T delta1 inside the
-regret inequality). ``solve_generic`` is the one loop, for any game given by
-its value operator, adjoint and best response; ``solve_equilibrium`` is the
+(Cesa-Bianchi and Lugosi, Prediction, Learning, and Games, Thm 2.3). For
+losses 0 <= M(t) <= I it enjoys, after any number T of rounds, the regret
+bound
+
+    sum_t <rho(t), M(t)>  <=  lambda_min(S(T)) + ln(N)/eta_T + sum_t eta_t/8.
+
+Proof. Let F(eta, S) = -(1/eta) ln(tr exp(-eta S) / N). Golden-Thompson,
+tr exp(A + B) <= tr(exp(A) exp(B)), gives tr exp(-eta_t S(t)) /
+tr exp(-eta_t S(t-1)) <= <rho(t), exp(-eta_t M(t))>, and Hoeffding's lemma,
+applied to the distribution that rho(t) puts on the spectrum of M(t) in
+[0, 1], bounds its logarithm by -eta_t <rho(t), M(t)> + eta_t^2/8. So
+<rho(t), M(t)> <= F(eta_t, S(t)) - F(eta_t, S(t-1)) + eta_t/8. F depends
+only on the spectrum of S and is nonincreasing in eta (-eta F is convex in
+eta and vanishes at 0, so F is minus a secant slope), and eta_t is
+nonincreasing in t, so F(eta_t, S(t)) <= F(eta_{t+1}, S(t)) and the sum
+telescopes to F(eta_T, S(T)) - F(eta_1, 0) = F(eta_T, S(T)) <=
+lambda_min(S(T)) + ln(N)/eta_T. The bound implies Cesa-Bianchi and
+Lugosi's (2/eta_{T+1} - 1/eta_1) ln N form, since 1/eta_T + 1/eta_1 <=
+2/eta_{T+1}; ``regret_check`` checks the tighter one, plus the slack budget
+(1/2) T delta1 charged to floating-point kernels (delta1 = delta/10).
+
+Closure. Each round plays an exact best response W(t) to rho(t), of value
+v(t) = <rho(t), A(W(t))> for the adjoint A, and feeds back the loss
+M(t) = (I + A(W(t))/bound)/2, so <rho(t), M(t)> = (1 + v(t)/bound)/2. The
+bracket's upper end, min_t v(t), is at most the mean of the v(t); its lower
+end is at least lambda_min(A(mean_t W(t))) = bound (2 lambda_min(S(T))/T - 1).
+Their difference is at most 2 bound/T times the regret, so by the bound
+above, with sum_t eta_t/8 <= sqrt(T ln N / 2) and ln(N)/eta_T =
+sqrt(T ln N / 8) once T >= 32 ln N,
+
+    width(T) <= (3/sqrt 2) bound sqrt(ln N / T) <= 2 bound sqrt(2 ln N / T).
+
+At T = ceil(16 ln N / delta^2), where sqrt(ln N / T) <= delta/4, that is
+at most 0.54 delta bound for delta^2 <= 1/2. For larger delta the cap
+eta = 1/2 can bind; then ln(N)/eta_T <= 2 ln N <= T delta^2/8, and the
+width is at most (delta/4 + 0.36) delta bound <= 0.86 delta bound. Both lie
+below the stop threshold delta bound, up to the measured eigendecomposition
+widening. So a run to the formula's T closes its bracket as the paper's
+fixed rate eps = delta/4 does, and the larger early steps close it sooner.
+``solve_generic`` is the one loop, for any game given by its value
+operator, adjoint and best response; ``solve_equilibrium`` is the
 channel-pair instance.
 
 T is the run's only limit, not a schedule: ``MMWConfig.rounds`` when set,
@@ -37,7 +71,7 @@ The density space may be a tensor product X_1 (x) ... (x) X_K (dimensions
 M = sum_k I (x) M_k (x) I. Then the running sum S = sum_t M(t) is the
 Kronecker sum of the per-factor sums S_k, and
 
-    exp(-eps S) / tr exp(-eps S) = (x)_k exp(-eps S_k) / tr exp(-eps S_k),
+    exp(-eta S) / tr exp(-eta S) = (x)_k exp(-eta S_k) / tr exp(-eta S_k),
 
 so rho(t) is a product of K Gibbs states of the factor sizes and N x N
 matrices are never formed inside the loop. The channel-pair game has this
@@ -70,11 +104,11 @@ class MMWConfig:
     """Solver configuration.
 
     ``delta`` is the target precision of the returned value; it fixes the
-    learning rate eps = delta/4 and the slack budget delta1 = delta/10
-    charged to approximate arithmetic. ``rounds``, the round limit T, lies
-    in [1, MAX_ROUNDS] and defaults to ceil(16 ln N / delta^2) clamped to
-    MAX_ROUNDS; fewer rounds leave the certificates sound but possibly wider
-    than delta.
+    slack budget delta1 = delta/10 charged to approximate arithmetic. The
+    learning rate is ``learning_rate``'s, whatever the configuration.
+    ``rounds``, the round limit T, lies in [1, MAX_ROUNDS] and defaults to
+    ceil(16 ln N / delta^2) clamped to MAX_ROUNDS; fewer rounds leave the
+    certificates sound but possibly wider than delta.
     """
 
     delta: float = 0.2
@@ -87,9 +121,6 @@ class MMWConfig:
             raise ValidationError(
                 f"rounds must lie in [1, {MAX_ROUNDS}], got {self.rounds}"
             )
-
-    def resolved_epsilon(self) -> float:
-        return self.delta / 4.0
 
     def resolved_delta1(self) -> float:
         return self.delta / 10.0
@@ -106,6 +137,16 @@ class MMWConfig:
         square = self.delta * self.delta
         planned = 16.0 * math.log(dim) / square if square > 0.0 else math.inf
         return MAX_ROUNDS if planned >= MAX_ROUNDS else math.ceil(planned)
+
+
+#: The learning-rate rule, as the trace's meta record names it.
+LEARNING_RATE_RULE = "min(1/2, sqrt(8 ln N / t))"
+
+
+def learning_rate(t: int, dim: int) -> float:
+    """Round t's learning rate eta_t = min(1/2, sqrt(8 ln N / t)) on an
+    N-dimensional density space; nonincreasing in t, and 0 at N = 1."""
+    return min(0.5, math.sqrt(8.0 * math.log(dim) / t))
 
 
 #: Per-round series of a trace, as (SolverTrace field, key of the JSONL
@@ -131,19 +172,19 @@ class SolverTrace:
 
     The ``SERIES`` arrays are indexed by round (0-based for round t = 1).
     ``exp_min`` and ``exp_max`` are the extreme eigenvalues of the
-    accumulated exponent -eps * sum of prior losses that produced rho(t);
-    ``exponent_norm_bound`` is the a-priori operator-norm bound eps * T on
-    that exponent. ``m_min_eig``/``m_max_eig`` are the extremes of the
-    round's loss spectrum and ``sum_min_eig`` the smallest eigenvalue of the
-    loss sum after the round; the ``*_err`` series bound the error of each
-    from the measured eigendecomposition residuals. ``loss_sums`` holds the
-    per-factor sums S_k of all losses, whose Kronecker sum is the N x N loss
-    sum S. ``rounds`` is the round limit T and ``stop_reason`` says why the
+    accumulated exponent -eta_t * sum of prior losses that produced rho(t);
+    ``exponent_norm_bound`` is the a-priori operator-norm bound on that
+    exponent, the largest eta_t (t - 1) over t <= T. ``m_min_eig`` and
+    ``m_max_eig`` are the extremes of the round's loss spectrum and
+    ``sum_min_eig`` the smallest eigenvalue of the loss sum after the
+    round; the ``*_err`` series bound the error of each from the measured
+    eigendecomposition residuals. ``loss_sums`` holds the per-factor sums
+    S_k of all losses, whose Kronecker sum is the N x N loss sum S.
+    ``rounds`` is the round limit T and ``stop_reason`` says why the
     loop ended: 'bracket' (the stop rule fired) or 'rounds' (T reached).
     """
 
     dim: int
-    epsilon: float
     rounds: int
     delta: float
     delta1: float
@@ -167,23 +208,25 @@ class SolverTrace:
 
     @property
     def exponent_norm_bound(self) -> float:
-        return self.epsilon * self.rounds
+        # eta_t (t - 1) is nondecreasing in t: (t - 1)/2 and
+        # sqrt(8 ln N) (t - 1)/sqrt(t) both are.
+        return learning_rate(self.rounds, self.dim) * (self.rounds - 1)
 
 
-def _gibbs_density(dec: EigDecomp, epsilon: float):
-    """Density exp(-eps S) / tr exp(-eps S) from the eigendecomposition of S.
+def _gibbs_density(dec: EigDecomp, eta: float):
+    """Density exp(-eta S) / tr exp(-eta S) from the eigendecomposition of S.
 
     The exponent is shifted by its largest eigenvalue before exponentiating;
     the shift cancels in the normalization, so the returned density is the
     exact mathematical value up to the eigendecomposition residual.
     """
     w = dec.eigenvalues  # descending
-    gains = np.exp(-epsilon * (w - w[-1]))
+    gains = np.exp(-eta * (w - w[-1]))
     total = float(np.sum(gains))
     rho = (dec.eigenvectors * gains) @ dec.eigenvectors.conj().T / total
     rho = 0.5 * (rho + rho.conj().T)
     # Spectrum of rho is gains/total by construction.
-    return rho, -epsilon * float(w[0]), -epsilon * float(w[-1]), float(gains[-1] / total)
+    return rho, -eta * float(w[0]), -eta * float(w[-1]), float(gains[-1] / total)
 
 
 def _clip_loss(ms: list, low: float, high: float) -> list:
@@ -200,16 +243,17 @@ def _clip_loss(ms: list, low: float, high: float) -> list:
 
 
 def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None) -> float:
-    """Slack of the regret inequality for a completed trace.
+    """Slack of the anytime regret inequality for a completed trace.
 
-    Returns ``<rho*, sum M> + ln(N)/eps + (1/2) T delta1 - (1-eps) sum <rho(t), M(t)>``,
-    which must be nonnegative (within roundoff) whenever the inequality
-    holds. ``rho_star`` defaults to the adversarial choice, a minimum
-    eigenvector of the accumulated loss sum S, for which <rho*, S> is
+    Returns ``<rho*, sum M> + ln(N)/eta_T + sum_t eta_t/8 + (1/2) T delta1
+    - sum_t <rho(t), M(t)>`` over the T rounds run, which must be
+    nonnegative (within roundoff) whenever the inequality of the module
+    docstring holds. ``rho_star`` defaults to the adversarial choice, a
+    minimum eigenvector of the accumulated loss sum S, for which <rho*, S> is
     lambda_min(S), the last round's ``sum_min_eig``. An explicit N x N
     ``rho_star`` is paired with S, built for it as the Kronecker sum of
-    ``loss_sums``. Pass
-    ``delta1=0`` to check the exact-arithmetic form of the bound.
+    ``loss_sums``. Pass ``delta1=0`` to check the exact-arithmetic form of
+    the bound.
     """
     if rho_star is None:
         comparator = float(trace.sum_min_eig[-1])
@@ -222,9 +266,11 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
         comparator = float(hs_inner(star, loss_sum).real)
     slack_budget = trace.delta1 if delta1 is None else delta1
     t = trace.executed
-    lhs = (1.0 - trace.epsilon) * float(np.sum(trace.step_inners))
-    rhs = comparator + math.log(trace.dim) / trace.epsilon + 0.5 * t * slack_budget
-    return rhs - lhs
+    # At N = 1 every eta_t is 0 and the single density has no regret.
+    entropy = math.log(trace.dim) / learning_rate(t, trace.dim) if trace.dim > 1 else 0.0
+    steps = sum(learning_rate(s, trace.dim) for s in range(1, t + 1)) / 8.0
+    rhs = comparator + entropy + steps + 0.5 * t * slack_budget
+    return rhs - float(np.sum(trace.step_inners))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +347,6 @@ def solve_generic(
         raise ValidationError(f"factor dimensions must be >= 1, got {dims}")
     shapes = [(d, d) for d in dims]
     dim = math.prod(dims)
-    eps = cfg.resolved_epsilon()
     planned = cfg.resolved_rounds(dim)
     eye = np.eye(dims[0], dtype=np.complex128)
 
@@ -317,7 +362,8 @@ def solve_generic(
     upper, upper_err, single, single_err, reason = math.inf, 0.0, -math.inf, 0.0, "rounds"
 
     for t in range(1, planned + 1):
-        gibbs = [_gibbs_density(dec, eps) for dec in decs]
+        eta = learning_rate(t, dim)
+        gibbs = [_gibbs_density(dec, eta) for dec in decs]
         rhos = [g[0] for g in gibbs]
         traces = [float(np.trace(r).real) for r in rhos]
         row = {
@@ -389,7 +435,7 @@ def solve_generic(
             break
 
     trace = SolverTrace(
-        dim=dim, epsilon=eps, rounds=planned, delta=cfg.delta, delta1=cfg.resolved_delta1(),
+        dim=dim, rounds=planned, delta=cfg.delta, delta1=cfg.resolved_delta1(),
         loss_sums=tuple(sums), stop_reason=reason,
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )

@@ -47,6 +47,28 @@ class TestChannelSpecValidation:
             ChannelSpec("kraus", 2, 2, bad)
         assert "1.000e-01" in str(err.value)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kraus_residual_matches_the_operator_loop(self, seed):
+        # The check sums K*K as one product of the stacked operators; the
+        # per-operator sum is the reference. Kicks of 0.5 to 10 ISO_TOL put
+        # the residual on both sides of the gate, never within roundoff of it.
+        rng = np.random.default_rng([41, seed])
+        m, k = (int(v) for v in rng.integers(1, 4, size=2))
+        n = int(rng.integers(1, min(3, k * m) + 1))
+        g = rng.standard_normal((k * m, n)) + 1j * rng.standard_normal((k * m, n))
+        ops = np.split(np.linalg.qr(g)[0], k)
+        kick = rng.standard_normal((m, n))
+        for scale in (0.0, 0.5, 10.0):
+            step = scale * tolerances.ISO_TOL * kick / np.linalg.norm(kick)
+            kicked = (ops[0] + step, *ops[1:])
+            loop = float(np.linalg.norm(sum(op.conj().T @ op for op in kicked) - np.eye(n)))
+            if loop <= tolerances.ISO_TOL:
+                ChannelSpec("kraus", n, m, kicked)
+                continue
+            with pytest.raises(ValidationError, match="trace preserving") as err:
+                ChannelSpec("kraus", n, m, kicked)
+            assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(loop, rel=1e-3)
+
     def test_constant_requires_density(self):
         with pytest.raises(ValidationError, match="trace"):
             ChannelSpec("constant", 2, 2, (2.0 * KET0,))

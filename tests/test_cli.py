@@ -101,7 +101,7 @@ def identity_pair_file(tmp_path):
 @pytest.fixture
 def open_kraus_pair_file(tmp_path):
     # Seeded Kraus pair whose certified bracket stays wider than delta = 0.2
-    # until round 86.
+    # until round 10.
     rng = np.random.default_rng(5)
     specs = [random_kraus_pair_spec(rng) for _ in range(2)]
     return write_channels(tmp_path, *(spec_doc("kraus", 2, 2, s.matrices) for s in specs))
@@ -387,23 +387,30 @@ class TestCommands:
         assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
         assert meta["blas_threads"] == threads
         assert meta["dim"] == 4
+        # The meta record names the learning-rate rule; there is no epsilon.
+        assert meta["learning_rate"] == "min(1/2, sqrt(8 ln N / t))"
+        assert "epsilon" not in meta
+        # The exponent bound is the largest eta_t (t - 1), at t = T = 555.
+        assert meta["rounds"] == 555
+        eta = math.sqrt(8.0 * math.log(4) / 555)
+        assert meta["exponent_norm_bound"] == pytest.approx(eta * 554)
 
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
-        # T = 10 ends the run before its bracket closes: the run reports the
-        # bracket it has and writes the trace of its 10 rounds.
+        # T = 9 ends the run one round before its bracket closes: the run
+        # reports the bracket it has and writes the trace of its 9 rounds.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--rounds", "10",
+        code = main(["bounds", open_kraus_pair_file, "--rounds", "9",
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 10
+        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 9
         lines = read_records(trace_path)
-        assert sum(1 for rec in lines if rec["kind"] == "iter") == 10
-        assert lines[0]["rounds"] == 10
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == 9
+        assert lines[0]["rounds"] == 9
         assert lines[-1]["lambda"] == doc["lambda"] == doc["upper_cert"]
         assert lines[-1]["stop_reason"] == "rounds"
-        trace = solved_trace(open_kraus_pair_file, lines, rounds=10)
-        assert trace.executed == 10 and trace.rounds == 10
+        trace = solved_trace(open_kraus_pair_file, lines, rounds=9)
+        assert trace.executed == 9 and trace.rounds == 9
         assert first_closed_round(trace) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
@@ -417,7 +424,7 @@ class TestCommands:
         lines = read_records(trace_path)
         trace = solved_trace(open_kraus_pair_file, lines, rounds=200)
         assert doc["stop_reason"] == lines[-1]["stop_reason"] == "bracket"
-        assert 10 < doc["iterations"] == first_closed_round(trace) <= 200
+        assert doc["iterations"] == first_closed_round(trace) == 10
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
         assert doc["lambda"] == doc["upper_cert"] == lines[-1]["lambda"]
         assert 0.0 < doc["widening"] <= 1e-9

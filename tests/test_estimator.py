@@ -150,14 +150,14 @@ class TestContainment:
 
 class TestBracketReport:
     def test_run_to_t_is_inside_the_a_priori_interval(self):
-        # T = 20 rounds end before this pair's bracket closes (round 86).
+        # T = 2 rounds end before this pair's bracket closes (round 10).
         rng = np.random.default_rng(5)
         inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
-        cfg = MMWConfig(delta=0.2, rounds=20)
+        cfg = MMWConfig(delta=0.2, rounds=2)
         report = solve_and_report(inst, cfg)
         result = report.result
         assert result.trace.stop_reason == "rounds"
-        assert result.iterations == 20 and first_closed_round(result.trace) is None
+        assert result.iterations == 2 and first_closed_round(result.trace) is None
         mean = float(np.mean(result.trace.losses))
         slack = cfg.delta + cfg.resolved_delta1()
         old_lo = _fvdg_interval(mean - slack, mean + slack)[0]

@@ -49,8 +49,19 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = MMWConfig(delta=0.2)
-        assert cfg.resolved_epsilon() == pytest.approx(0.05)
         assert cfg.resolved_delta1() == pytest.approx(0.02)
+
+    def test_learning_rate_rule(self):
+        # eta_t = min(1/2, sqrt(8 ln N / t)): capped while t <= 32 ln N
+        # (44 rounds at N = 4), then sqrt(8 ln N / t), whatever delta is.
+        assert mmw.learning_rate(1, 4) == mmw.learning_rate(44, 4) == 0.5
+        assert mmw.learning_rate(45, 4) == pytest.approx(math.sqrt(8.0 * math.log(4) / 45))
+        want = math.sqrt(8.0 * math.log(576)) / 100
+        assert mmw.learning_rate(10_000, 576) == pytest.approx(want)
+        etas = [mmw.learning_rate(t, 9) for t in range(1, 500)]
+        assert all(a >= b for a, b in zip(etas, etas[1:]))
+        # A single density has nothing to learn.
+        assert mmw.learning_rate(1, 1) == 0.0
 
     @pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e-3])
     def test_tiny_delta_clamps_the_formula(self, delta):
@@ -88,9 +99,10 @@ class TestMetaAlgorithm:
         # Every <rho(t), M(t)> is 0; the round values are the witness's bound.
         assert np.allclose(trace.step_inners, 0.0)
         assert np.all(trace.losses == 1.0)
-        # With nothing accumulated the regret slack is exactly ln(N)/eps.
+        # With nothing accumulated the regret slack is exactly the bound's
+        # ln(N)/eta_T + sum_t eta_t/8; eta_t is capped at 1/2 for t <= 32 ln 3.
         slack = regret_check(trace, delta1=0.0)
-        assert slack == pytest.approx(math.log(3) / cfg.resolved_epsilon(), abs=1e-12)
+        assert slack == pytest.approx(math.log(3) / 0.5 + 25 * 0.5 / 8.0, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [1, 5, (2, 3), (4, 4), (1, 3, 2)])
     def test_first_densities_are_exactly_uniform(self, dims, monkeypatch):
@@ -111,14 +123,14 @@ class TestMetaAlgorithm:
 
     def test_rank_one_oracle_matches_scalar_recursion(self):
         # Constant loss diag(1, 0, ..., 0): the weight on coordinate 1 decays
-        # as exp(-eps (t-1)) against N-1 idle coordinates.
+        # as exp(-eta_t (t-1)) against N-1 idle coordinates, with
+        # eta_t = min(1/2, sqrt(8 ln 4 / t)) capped up to t = 44.
         n = 4
         cfg = MMWConfig(delta=0.2, rounds=60)
-        eps = cfg.resolved_epsilon()
         _, seen = replay_losses([(np.diag([1.0] + [0.0] * (n - 1)),)] * 60, (n,), cfg)
         assert len(seen) == 60
         for t, (rho,) in enumerate(seen, start=1):
-            decay = math.exp(-eps * (t - 1))
+            decay = math.exp(-min(0.5, math.sqrt(8.0 * math.log(n) / t)) * (t - 1))
             want = decay / (decay + n - 1)
             assert rho[0, 0].real == pytest.approx(want, abs=1e-12)
 
@@ -212,14 +224,17 @@ class TestMetaAlgorithm:
         assert trace.stop_reason == "rounds" and trace.executed == 3
 
     def test_exponent_records(self):
-        # Loss diag(1, 1/2): lambda_min 1/2 keeps the bracket open.
-        trace = replay_losses([(np.diag([1.0, 0.5]),)] * 8, (2,),
-                              MMWConfig(delta=0.2, rounds=8))[0].trace
-        eps = trace.epsilon
-        # After t-1 losses the exponent is -eps (t-1) diag(1, 1/2).
-        assert np.allclose(trace.exp_min, -eps * np.arange(8))
-        assert np.allclose(trace.exp_max, -0.5 * eps * np.arange(8))
-        assert trace.exponent_norm_bound == pytest.approx(eps * 8)
+        # Loss diag(1, 1/2): lambda_min 1/2 keeps the bracket open for all 30
+        # rounds, past the cap eta = 1/2 that holds up to t = 32 ln 2 = 22.2.
+        trace = replay_losses([(np.diag([1.0, 0.5]),)] * 30, (2,),
+                              MMWConfig(delta=0.2, rounds=30))[0].trace
+        t = np.arange(1, 31)
+        eta = np.minimum(0.5, np.sqrt(8.0 * math.log(2) / t))
+        # After t-1 losses the exponent is -eta_t (t-1) diag(1, 1/2).
+        assert np.allclose(trace.exp_min, -eta * (t - 1), rtol=0.0, atol=1e-12)
+        assert np.allclose(trace.exp_max, -0.5 * eta * (t - 1), rtol=0.0, atol=1e-12)
+        assert trace.exponent_norm_bound == pytest.approx(np.max(eta * (t - 1)))
+        assert trace.exponent_norm_bound == pytest.approx(eta[-1] * 29)
 
 
 class TestSolveEquilibrium:
@@ -231,12 +246,12 @@ class TestSolveEquilibrium:
         assert res.iterations == first_closed_round(res.trace)
 
     def test_stops_when_the_bracket_closes(self):
-        # Seeded Kraus pair whose bracket stays wider than delta for 85 rounds.
+        # Seeded Kraus pair whose bracket stays wider than delta for 9 rounds.
         rng = np.random.default_rng(5)
         inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
         res = solve_equilibrium(inst, FAST)
         assert res.trace.stop_reason == "bracket"
-        assert res.iterations == first_closed_round(res.trace) == 86
+        assert res.iterations == first_closed_round(res.trace) == 10
         assert res.iterations < res.trace.rounds == 555
         assert res.upper_cert - res.lower_cert <= FAST.delta
         assert res.value == res.upper_cert == np.min(res.trace.losses)
@@ -320,6 +335,62 @@ class TestSolveEquilibrium:
             assert res.upper_cert >= lb - 1e-9
             mid, half = 0.5 * (lb + ub), 0.5 * (ub - lb)
             assert abs(res.value - mid) <= 0.2 + 0.02 + half + 1e-9
+
+
+def _adversarial_losses(rng, n, length):
+    """Unit losses that each charge the coordinate the learner weights most,
+    the one of smallest cumulative loss (the first on ties), in a random
+    basis. The learner's densities depend only on past losses, so the
+    sequence is fixed in advance and replayed."""
+    u = random_unitary(rng, n)
+    cumulative = np.zeros(n)
+    losses = []
+    for _ in range(length):
+        k = int(np.argmin(cumulative))
+        cumulative[k] += 1.0
+        losses.append((np.outer(u[:, k], u[:, k].conj()),))
+    return losses
+
+
+class TestAnytimeGuarantee:
+    @pytest.mark.parametrize("delta", [0.1, 0.2])
+    @pytest.mark.parametrize("kind", ["unitary", "kraus"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_runs_to_the_formula_close_their_bracket(self, kind, n, delta):
+        # At the formula's T the anytime bound leaves the bracket at most
+        # about 0.54 delta wide, so no run may use up its rounds.
+        rng = np.random.default_rng([7, n, len(kind)])
+        if kind == "unitary":
+            specs = unitary_spec(random_unitary(rng, n)), unitary_spec(random_unitary(rng, n))
+        else:
+            specs = random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2)
+        cfg = MMWConfig(delta=delta)
+        res = solve_equilibrium(build_instance(*map(normalize, specs)), cfg)
+        assert res.trace.rounds == cfg.resolved_rounds(n * n)
+        assert res.trace.stop_reason == "bracket"
+        assert res.iterations == first_closed_round(res.trace) <= res.trace.rounds
+        assert res.upper_cert - res.lower_cert <= delta
+        assert regret_check(res.trace, delta1=0.0) >= -1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("length", [1, 7, 44, 45, 300])
+    def test_regret_bound_on_adversarial_sequences(self, n, length):
+        rng = np.random.default_rng([11, n, length])
+        losses = _adversarial_losses(rng, n, length)
+        trace = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=length))[0].trace
+        assert trace.executed == length and trace.stop_reason == "rounds"
+        assert regret_check(trace, delta1=0.0) >= -1e-9
+        # The sequence is adversarial: every round charges the learner at
+        # least 1/n, and the regret against the best coordinate is positive.
+        assert np.all(trace.step_inners >= 1.0 / n - 1e-12)
+        assert np.sum(trace.step_inners) > trace.sum_min_eig[-1] + 1e-6
+
+    def test_single_density_has_no_regret(self):
+        # At N = 1 every eta_t is 0 and the bound collapses to equality.
+        trace = replay_losses([(np.array([[0.3]]),)] * 3, (1,),
+                              MMWConfig(delta=0.2, rounds=3))[0].trace
+        assert trace.exponent_norm_bound == 0.0
+        assert regret_check(trace, delta1=0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def _seeded_pair(kind, n):
@@ -450,7 +521,7 @@ class TestSolveGeneric:
     @pytest.mark.parametrize("err", [-0.5, math.inf, math.nan])
     def test_best_response_error_must_be_finite_and_nonnegative(self, err):
         # A negative error would round the values down past the game's 5/3
-        # (the bracket [1.018, 1.167] after 171 rounds); an infinite one
+        # (the bracket [1.167, 1.178] after 6 rounds); an infinite one
         # leaves no upper certificate.
         with pytest.raises(OracleBoundError, match="best-response error"):
             _matrix_game(err, MMWConfig(delta=0.05))

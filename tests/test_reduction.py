@@ -61,6 +61,31 @@ class TestBuildInstance:
             residual = np.linalg.norm(stack.conj().T @ stack - np.eye(2))
             assert residual <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "padded", "constant"])
+    def test_minus_gram_is_the_plus_gram_bit_for_bit(self, kind):
+        # build_instance checks the plus stack's isometry residual only: the
+        # minus stack flips the sign of both factors in the A1 half of every
+        # product, which is exact, so its Gram matrix is the same array.
+        rng = np.random.default_rng([3, len(kind)])
+        # Environments z = 2 and z = 3 for "padded": the first is zero-padded.
+        shapes = {"unitary": (1, 1), "kraus": (2, 2), "padded": (2, 3)}
+        if kind == "constant":
+            specs = [constant_spec(random_density(rng, 2), 3) for _ in range(2)]
+        else:
+            specs = [random_kraus_pair_spec(rng, 3, k) for k in shapes[kind]]
+        inst = build_instance(*map(normalize, specs))
+        plus, minus = inst.stack_plus, inst.stack_minus
+        assert np.array_equal(minus.conj().T @ minus, plus.conj().T @ plus)
+
+    def test_non_isometric_stack_is_refused(self, monkeypatch):
+        # Scaling both halves by 1 + 1e-6 leaves a residual of about 3e-6,
+        # far above ISO_TOL, in both stacks.
+        ch = normalize(unitary_spec(I2))
+        vstack = np.vstack
+        monkeypatch.setattr(np, "vstack", lambda blocks: (1.0 + 1e-6) * vstack(blocks))
+        with pytest.raises(ValidationError, match="stacked matrices are not isometries"):
+            build_instance(ch, ch)
+
     def test_orthogonal_constants_build(self, orthogonal_instance):
         assert orthogonal_instance.env_dim == 4
         assert orthogonal_instance.witness_dim == 8
