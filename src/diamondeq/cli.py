@@ -17,20 +17,20 @@ each spec is
 Matrices are row-major; flattened tensor indices put the leftmost factor
 most significant. Reports are JSON objects: ``lambda`` is the upper
 certificate, ``interval`` is the Fuchs-van de Graaf image of the certified
-bracket [``lower_cert``, ``upper_cert``] (see ``estimator``), ``widening``
-is the measured eigendecomposition error added to it, ``iterations`` the
-rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
+bracket [``lower_cert``, ``upper_cert``] that stopped the solver (see
+``estimator``), ``widening`` is the measured eigendecomposition error and
+clip charge added to it, ``iterations`` the rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
 closed to delta, 'rounds' when the round limit T ran out first. T is
 ``--rounds`` when given, else ceil(16 ln n^2 / delta^2) clamped to
 ``mmw.MAX_ROUNDS``; below the formula the interval stays sound but may be
 wider, and ``qcd`` may refuse. The solver's learning rate is
 ``mmw.learning_rate``, eta_t = min(1/2, sqrt(8 ln N / t)), whatever the
 flags. Traces are line-delimited JSON: a leading meta record (N, the rule
-``mmw.LEARNING_RATE_RULE``, T, delta, delta1, the exponent bound and the
-numeric environment), one ``iter`` record per round with the keys of
-``mmw.SERIES``, and a trailing summary record with the value, the stop
-reason and the per-factor loss sums ``loss_sums`` (two n x n matrices for a
-channel pair). Both are write-only, built from the solver's
+``mmw.LEARNING_RATE_RULE``, T, delta, delta1, the exponent bound, the value
+floor and the numeric environment), one ``iter`` record per round with the
+keys of ``mmw.SERIES``, and a trailing summary record with the value, the
+stop reason and the per-factor loss sums ``loss_sums`` (two n x n matrices
+for a channel pair). Both are write-only, built from the solver's
 ``EquilibriumResult``; nothing here parses them back. Identical inputs and
 configuration produce byte-identical output.
 
@@ -272,7 +272,8 @@ def trace_to_records(result: EquilibriumResult) -> list:
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_threads": int(threads) if threads and threads.strip().isdigit() else threads,
+        "blas_threads_env": int(threads) if threads and threads.strip().isdigit() else threads,
+        "value_floor": trace.value_floor,
     }]
     keys = ["t"] + [key for _, key in SERIES]
     columns = [range(1, trace.executed + 1)] + [getattr(trace, name).tolist()

@@ -31,10 +31,10 @@ Closure. Each round plays an exact best response W(t) to rho(t), of value
 v(t) = <rho(t), A(W(t))> for the adjoint A, and feeds back the loss
 M(t) = (I + A(W(t))/bound)/2, so <rho(t), M(t)> = (1 + v(t)/bound)/2. The
 bracket's upper end, min_t v(t), is at most the mean of the v(t); its lower
-end is at least lambda_min(A(mean_t W(t))) = bound (2 lambda_min(S(T))/T - 1).
-Their difference is at most 2 bound/T times the regret, so by the bound
-above, with sum_t eta_t/8 <= sqrt(T ln N / 2) and ln(N)/eta_T =
-sqrt(T ln N / 8) once T >= 32 ln N,
+end is at least lambda_min(A(mean_t W(t))) = bound (2 lambda_min(S(T))/T - 1)
+(a proven floor on the value only raises it). Their difference is at most
+2 bound/T times the regret, so by the bound above, with sum_t eta_t/8 <=
+sqrt(T ln N / 2) and ln(N)/eta_T = sqrt(T ln N / 8) once T >= 32 ln N,
 
     width(T) <= (3/sqrt 2) bound sqrt(ln N / T) <= 2 bound sqrt(2 ln N / T).
 
@@ -54,11 +54,19 @@ else the formula clamped to MAX_ROUNDS. Whatever the update rule, two
 weak-duality certificates bound the equilibrium value after every round
 (Arora-Kale, primal-dual MMW): the smallest best-response value seen so far
 from above, and the smallest eigenvalue of the adjoint image of the averaged
-(or of the best single) witness from below. Both are widened by the measured
-residuals of the eigendecompositions they come from. ``solve_generic`` stops
-on the first round at which this certified bracket is at most delta (times
-the value bound) wide, runs all T rounds when it never is, and records which
-of the two happened (``SolverTrace.stop_reason``: 'bracket' or 'rounds').
+(or of the best single) witness from below. The averaged witness's image is
+read off the loss sum S(t): bound (2 lambda_min(S(t))/t - 1), lowered by the
+clip charge C, the sum over clipped rounds of 2c for
+c = max(high, 1) - min(low, 0) - 1. A clip maps the loss spectrum, inside
+[-c, 1 + c], affinely onto [0, 1], which moves the loss by at most
+c + c/(1 + c) <= 2c in norm. Both certificates are widened by the measured
+residuals of the eigendecompositions they come from. A caller that proves every round value lies in ``loss_range`` also
+proves the value is at least its lower end, a third lower certificate that
+needs no round (the channel-pair game's 0: the zero effect is feasible and
+has value 0). ``solve_generic`` stops on the first round at which this
+certified bracket is at most delta (times the value bound) wide, runs all T
+rounds when it never is, and records which of the two happened
+(``SolverTrace.stop_reason``: 'bracket' or 'rounds').
 Its ``EquilibriumResult`` stores the bracket and the trace and derives the
 rest: the value is the upper certificate, which never exceeds the mean of
 the per-round values, and the round count is the trace's. The certificates,
@@ -180,8 +188,10 @@ class SolverTrace:
     round; the ``*_err`` series bound the error of each from the measured
     eigendecomposition residuals. ``loss_sums`` holds the per-factor sums
     S_k of all losses, whose Kronecker sum is the N x N loss sum S.
-    ``rounds`` is the round limit T and ``stop_reason`` says why the
-    loop ended: 'bracket' (the stop rule fired) or 'rounds' (T reached).
+    ``value_floor`` is the lower end of the caller's proven value range, a
+    lower certificate from round 1 on (None without a range). ``rounds``
+    is the round limit T and ``stop_reason`` says why the loop ended:
+    'bracket' (the stop rule fired) or 'rounds' (T reached).
     """
 
     dim: int
@@ -199,6 +209,7 @@ class SolverTrace:
     m_eig_err: np.ndarray
     sum_min_eig: np.ndarray
     sum_eig_err: np.ndarray
+    value_floor: float | None
     loss_sums: tuple
     stop_reason: str
 
@@ -277,12 +288,15 @@ def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None)
 class EquilibriumResult:
     """Certified bracket [lower_cert, upper_cert] on an equilibrium value.
 
-    ``lower_cert`` is the minimum eigenvalue of the adjoint image of the
-    averaged (or best single-round) witness, a weak-duality lower bound on
-    the equilibrium value; ``upper_cert`` is the smallest per-round value,
-    an upper bound since every round plays an exact best response. Both are
-    widened by the measured eigendecomposition error, whose total is
-    ``widening``. The certificates are checked against each other at
+    ``lower_cert`` is the largest of three weak-duality lower bounds on the
+    equilibrium value: the minimum eigenvalue of the adjoint image of the
+    averaged witness, that of the best single-round witness, and the lower
+    end of the caller's proven value range (``SolverTrace.value_floor``).
+    ``upper_cert`` is the smallest per-round value, an upper bound since
+    every round plays an exact best response. Both are the bracket that
+    stopped the loop, widened by the measured eigendecomposition error and
+    the clip charge, whose total is ``widening`` (nothing for a lower end
+    set by the floor). The certificates are checked against each other at
     construction.
     """
 
@@ -331,7 +345,9 @@ def solve_generic(
     ``adjoint_op`` returns a witness's adjoint image as a tuple of
     Kronecker-sum factors, one per density factor. ``bound`` bounds
     ``|<witness, apply_op(rho)>|`` (spot-checked every round; the accuracy
-    guarantee scales with it).
+    guarantee scales with it). ``loss_range``, when given, is a range the
+    caller proves every round value lies in (checked every round); its
+    lower end is then a lower certificate from the start.
 
     The round's loss M = (I + image / bound) / 2 has its spectrum checked:
     excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones raise
@@ -356,10 +372,12 @@ def solve_generic(
     # round's Gibbs densities. The zero sums' exact decomposition makes
     # rho(1) = I/d per factor.
     decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
-    witness_sum = 0.0
+    floor = -math.inf if loss_range is None else float(loss_range[0])
     # The bracket so far: the smallest round value, the largest lambda_min of
-    # one round's adjoint image, and the error of each.
-    upper, upper_err, single, single_err, reason = math.inf, 0.0, -math.inf, 0.0, "rounds"
+    # one round's adjoint image, and the error of each; ``clipped`` bounds
+    # how far the clips moved the loss sum.
+    upper, upper_err, single, single_err, clipped = math.inf, 0.0, -math.inf, 0.0, 0.0
+    reason = "rounds"
 
     for t in range(1, planned + 1):
         eta = learning_rate(t, dim)
@@ -391,7 +409,6 @@ def solve_generic(
                 f"expected {shapes}"
             )
         ms = [0.5 * (image[0] / bound + eye)] + [0.5 * (f / bound) for f in image[1:]]
-        witness_sum = witness_sum + witness
 
         spectra = [herm_eig(m) for m in ms]
         high = sum(float(dec.eigenvalues[0]) for dec in spectra)
@@ -405,6 +422,8 @@ def solve_generic(
         row["m_eig_err"] = sum(dec.error_bound for dec in spectra)
         if low < 0.0 or high > 1.0:
             ms = _clip_loss(ms, low, high)
+            # The clip charge: the clip moves the loss by at most 2c in norm.
+            clipped += 2.0 * (max(high, 1.0) - min(low, 0.0) - 1.0)
         # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
         row["step_inners"] = sum(
             float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
@@ -428,24 +447,25 @@ def solve_generic(
         mine = bound * (2.0 * (low - row["m_eig_err"]) - 1.0)
         if mine > single:
             single, single_err = mine, 2.0 * bound * row["m_eig_err"]
-        # The averaged witness's image is bound * (2 S / t - I), S the loss sum.
-        averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"]) / t - 1.0)
-        if upper - max(single, averaged) <= cfg.delta * bound:
+        # The averaged witness's image is bound * (2 S / t - I), S the loss sum
+        # before any clip, within ``clipped`` of the one accumulated.
+        averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"] - clipped) / t - 1.0)
+        if averaged >= single:
+            lower, lower_err = averaged, 2.0 * bound * (row["sum_eig_err"] + clipped) / t
+        else:
+            lower, lower_err = single, single_err
+        if floor >= lower:
+            lower, lower_err = floor, 0.0
+        if upper - lower <= cfg.delta * bound:
             reason = "bracket"
             break
 
     trace = SolverTrace(
         dim=dim, rounds=planned, delta=cfg.delta, delta1=cfg.resolved_delta1(),
+        value_floor=None if loss_range is None else floor,
         loss_sums=tuple(sums), stop_reason=reason,
         **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
     )
-    decs = [herm_eig(f) for f in adjoint_op(witness_sum / trace.executed)]
-    avg_err = sum(dec.error_bound for dec in decs)
-    lower_avg = sum(float(dec.eigenvalues[-1]) for dec in decs) - avg_err
-    if lower_avg >= single:
-        lower, lower_err = lower_avg, avg_err
-    else:
-        lower, lower_err = float(single), single_err
     return EquilibriumResult(lower_cert=lower, upper_cert=upper, trace=trace, bound=bound,
                              widening=lower_err + upper_err)
 
@@ -458,7 +478,10 @@ def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> Eq
     loop runs on two n x n factors. Each round plays the positive-eigenspace
     projector of the difference output (the exact best response, with its
     measured error) and feeds back the shifted adjoint image as the loss.
-    The certified bracket lies in [0, 1] up to roundoff.
+    Every round value lies in [0, 1], the ``loss_range``; its 0 is exact,
+    since the zero effect is feasible and its adjoint image is 0, so 0 is a
+    lower certificate from round 1 on and a pair at distance 2 stops as soon
+    as its upper certificate is within delta of it.
     """
     n = inst.input_dim
     return solve_generic(

@@ -85,20 +85,33 @@ def mat_exp_hermitian(h):
     return 0.5 * (r + r.conj().T)
 
 
-def first_closed_round(trace, bound=1.0):
-    """First round t at which the certified bracket, rebuilt from the trace
-    records, is at most delta * bound wide; None if it never is.
+def certified_bracket(trace, bound=1.0):
+    """The certified bracket after each round, rebuilt from the trace records
+    alone, as arrays (lower, upper, averaged) indexed by round.
 
-    Upper: the smallest per-round value so far. Lower: the larger of the best
-    single-round image minimum, bound (2 m_min_eig - 1), and the averaged
-    image minimum, bound (2 sum_min_eig / t - 1), each lowered by its
-    recorded eigensolver error.
+    Upper: the smallest per-round value so far. Lower: the largest of the
+    best single-round image minimum, bound (2 m_min_eig - 1), the averaged
+    image minimum, bound (2 (sum_min_eig - C) / t - 1), and the trace's
+    ``value_floor``, each eigenvalue lowered by its recorded eigensolver
+    error. C, the clip charge, is the running sum of 2c with
+    c = max(m_max_eig, 1) - min(m_min_eig, 0) - 1, which is 0 on rounds
+    whose loss spectrum lies in [0, 1].
     """
     t = np.arange(1, trace.executed + 1)
     upper = np.minimum.accumulate(trace.losses)
     single = np.maximum.accumulate(bound * (2.0 * (trace.m_min_eig - trace.m_eig_err) - 1.0))
-    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err) / t - 1.0)
-    closed = np.flatnonzero(upper - np.maximum(single, averaged) <= trace.delta * bound)
+    charge = np.cumsum(2.0 * (np.maximum(trace.m_max_eig, 1.0)
+                              - np.minimum(trace.m_min_eig, 0.0) - 1.0))
+    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err - charge) / t - 1.0)
+    floor = -np.inf if trace.value_floor is None else trace.value_floor
+    return np.maximum(np.maximum(single, averaged), floor), upper, averaged
+
+
+def first_closed_round(trace, bound=1.0):
+    """First round t at which the certified bracket, rebuilt from the trace
+    records, is at most delta * bound wide; None if it never is."""
+    lower, upper, _ = certified_bracket(trace, bound)
+    closed = np.flatnonzero(upper - lower <= trace.delta * bound)
     return int(closed[0]) + 1 if closed.size else None
 
 
@@ -120,8 +133,7 @@ def replay_losses(losses, dims, cfg, bound=1.0):
         return np.array([[bound]])
 
     def adjoint_op(witness):
-        # The count of densities seen picks the loss of the round just
-        # played; the final averaged witness gets the last round's.
+        # The count of densities seen picks the loss of the round just played.
         first, *rest = losses[len(seen) - 1]
         return (bound * (2.0 * first - np.eye(first.shape[0])), *(2.0 * bound * m for m in rest))
 

@@ -331,6 +331,16 @@ class TestCommands:
         lo, hi = doc["interval"]
         assert lo <= 1.41421 <= hi
 
+    def test_unitary_pair_closes_on_the_value_floor(self, unitary_pair_file, capsys):
+        # I against Z: lambda = 0 and D = 2. Round 1's upper certificate is
+        # within delta of the zero effect's floor, so the run stops there
+        # with the exact interval.
+        assert main(["bounds", unitary_pair_file, "--delta", "0.2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["iterations"] == 1 and doc["stop_reason"] == "bracket"
+        assert doc["lower_cert"] == 0.0
+        assert doc["interval"] == [2.0, 2.0]
+
     def test_gap_too_small_exit_two(self, identity_pair_file, capsys):
         config = RunConfig(command="qcd", channel_path=identity_pair_file, a=1.0, b=0.9)
         assert run(config) == 2
@@ -385,8 +395,12 @@ class TestCommands:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert meta["numpy"] == np.__version__
         assert (meta["blas_name"], meta["blas_version"]) == (blas["name"], blas["version"])
-        assert meta["blas_threads"] == threads
+        # The thread count is the environment's setting, named as such.
+        assert meta["blas_threads_env"] == threads
+        assert "blas_threads" not in meta
         assert meta["dim"] == 4
+        # E = 0 is a feasible effect of value 0, the floor of every bracket.
+        assert meta["value_floor"] == 0.0
         # The meta record names the learning-rate rule; there is no epsilon.
         assert meta["learning_rate"] == "min(1/2, sqrt(8 ln N / t))"
         assert "epsilon" not in meta

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondeq import (
     CertificateViolation,
+    ChannelSpec,
     MMWConfig,
     OracleBoundError,
     ValidationError,
     best_effect,
     difference_adjoint_factors,
+    herm_eig,
     kron_sum,
     marginal_difference_output,
     regret_check,
@@ -21,10 +25,15 @@ from diamondeq import mmw
 from diamondeq.cli import trace_to_records
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
 from tests.conftest import (
+    I2,
+    PAULI_X,
+    PAULI_Z,
+    certified_bracket,
     constant_spec,
     difference_adjoint,
     difference_output,
     first_closed_round,
+    mat_exp_hermitian,
     min_eig_projector,
     random_kraus_pair_spec,
     replay_losses,
@@ -108,8 +117,8 @@ class TestMetaAlgorithm:
     def test_first_densities_are_exactly_uniform(self, dims, monkeypatch):
         # The zero loss sums start from their exact decomposition: rho(1) is
         # I/d per factor to the last bit, and the only eigendecompositions of
-        # a one-round run are the loss's, the new sums' and the averaged
-        # witness's adjoint image's, one each per factor.
+        # a one-round run are the loss's and the new sums', one each per
+        # factor: the averaged certificate comes from the sums'.
         factor_dims = (dims,) if isinstance(dims, int) else dims
         calls = []
         herm_eig = mmw.herm_eig
@@ -119,7 +128,7 @@ class TestMetaAlgorithm:
         _, seen = replay_losses([zeros], factor_dims, MMWConfig(delta=0.2, rounds=1))
         assert len(seen) == 1
         assert all(np.array_equal(r, np.eye(d) / d) for r, d in zip(seen[0], factor_dims))
-        assert len(calls) == 3 * len(factor_dims)
+        assert len(calls) == 2 * len(factor_dims)
 
     def test_rank_one_oracle_matches_scalar_recursion(self):
         # Constant loss diag(1, 0, ..., 0): the weight on coordinate 1 decays
@@ -265,6 +274,29 @@ class TestSolveEquilibrium:
         assert res.value <= 0.2 + 0.02
         assert res.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_distinguishable_pairs_close_on_the_value_floor(self, orthogonal_instance):
+        # lambda = 0 on perfectly distinguishable pairs, and the zero effect
+        # certifies lambda >= 0 before any round: orthogonal constants and
+        # Weyl (Pauli) channels on disjoint supports, in a seeded basis V,
+        # close on their first round at the floor with no widening from it.
+        v = random_unitary(np.random.default_rng(2), 2)
+        pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
+
+        def weyl(probs, ops):
+            kraus = tuple(math.sqrt(p) * v @ w @ v.conj().T for p, w in zip(probs, ops))
+            return normalize(ChannelSpec("kraus", 2, 2, kraus))
+
+        disjoint = build_instance(weyl((0.3, 0.7), (I2, PAULI_X)),
+                                  weyl((0.6, 0.4), (pauli_y, PAULI_Z)))
+        for inst in (orthogonal_instance, disjoint):
+            res = solve_equilibrium(inst, FAST)
+            assert res.trace.value_floor == 0.0
+            assert res.lower_cert == 0.0
+            assert res.iterations == first_closed_round(res.trace) == 1
+            assert res.trace.stop_reason == "bracket"
+            assert 0.0 <= res.upper_cert <= 1e-9
+            assert res.widening <= 1e-12
+
     def test_phase_pair_window(self, phase_instance):
         res = solve_equilibrium(phase_instance, FAST)
         assert 1.0 - math.sqrt(2) / 2 - 0.2 <= res.value <= math.sqrt(0.5) + 0.2
@@ -393,6 +425,44 @@ class TestAnytimeGuarantee:
         assert regret_check(trace, delta1=0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def _hermitian(rng, n, scale):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * 0.5 * (g + g.conj().T)
+
+
+# The two inequalities the anytime regret proof in the ``mmw`` docstring
+# rests on, checked on random instances.
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 0.5, 2.0, 8.0]))
+def test_golden_thompson(seed, n, scale):
+    # tr exp(A + B) <= tr(exp(A) exp(B)) for Hermitian A, B.
+    rng = np.random.default_rng(seed)
+    a, b = _hermitian(rng, n, scale), _hermitian(rng, n, scale)
+    joint = float(np.trace(mat_exp_hermitian(a + b)).real)
+    product = float(np.trace(mat_exp_hermitian(a) @ mat_exp_hermitian(b)).real)
+    assert joint <= product * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       eta=st.floats(1e-6, 4.0))
+def test_hoeffding_lemma_for_densities(data, seed, n, eta):
+    # tr(rho exp(-eta M)) <= exp(-eta <rho, M> + eta^2/8) for 0 <= M <= I;
+    # the spectrum of M may sit at the ends 0 and 1 of the interval.
+    rng = np.random.default_rng(seed)
+    spectrum = data.draw(st.lists(st.sampled_from(["0", "1", "random"]), min_size=n,
+                                  max_size=n), label="spectrum")
+    eigs = np.array([{"0": 0.0, "1": 1.0}.get(e, rng.uniform()) for e in spectrum])
+    u = random_unitary(rng, n)
+    m = (u * eigs) @ u.conj().T
+    rho = random_density(rng, n)
+    lhs = float(np.vdot(rho, mat_exp_hermitian(-eta * m)).real)
+    rhs = math.exp(-eta * float(np.vdot(rho, m).real) + eta * eta / 8.0)
+    assert lhs <= rhs * (1.0 + 1e-12)
+
+
 def _seeded_pair(kind, n):
     rng = np.random.default_rng(100 * n + len(kind))
     if kind == "unitary":
@@ -442,6 +512,75 @@ def test_product_solver_matches_dense_reference(kind, n):
         # responses make the dense run itself move by more than 1e-9 when its
         # density is perturbed by one part in 1e15.
         assert _gap(_dense_reference(inst, 1.0 + 1e-15), dense) > 1e-9
+
+
+def _averaged_image_min(factors):
+    """lambda_min of a Kronecker sum of Hermitian factors, lowered by the
+    factors' measured eigendecomposition errors: the lower certificate of
+    the averaged witness, taken from its adjoint image."""
+    decs = [herm_eig(f) for f in factors]
+    return sum(float(d.eigenvalues[-1]) - d.error_bound for d in decs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "padded"])
+def test_averaged_certificate_matches_the_adjoint_image(kind, n):
+    # The loop reads the averaged witness's certificate off its loss sum;
+    # the reference eigendecomposes the adjoint image of the averaged
+    # witness itself.
+    inst = build_instance(*(normalize(spec) for spec in _seeded_pair(kind, n)))
+    witnesses, adjoint_calls = [], []
+
+    def argmax_op(value_op):
+        witness, err = best_effect(value_op)
+        witnesses.append(witness)
+        return witness, err
+
+    def adjoint_op(eff):
+        adjoint_calls.append(eff)
+        return difference_adjoint_factors(inst, eff)
+
+    res = solve_generic(
+        (n, n),
+        lambda first, second: marginal_difference_output(inst, first, second),
+        adjoint_op,
+        argmax_op,
+        1.0,
+        FAST,
+        loss_range=(0.0, 1.0),
+    )
+    assert trace_to_records(res) == trace_to_records(solve_equilibrium(inst, FAST))
+    # One adjoint image per round, none after the loop.
+    assert len(adjoint_calls) == res.iterations
+    lower, upper, averaged = certified_bracket(res.trace)
+    reference = _averaged_image_min(difference_adjoint_factors(inst, np.mean(witnesses, axis=0)))
+    assert abs(averaged[-1] - reference) <= 1e-12
+    # The result's bracket is the one the loop stopped on.
+    assert res.lower_cert == lower[-1] and res.upper_cert == upper[-1]
+    assert res.lower_cert >= max(averaged[-1], 0.0)
+
+
+@pytest.mark.parametrize("losses", [
+    # Spectrum [0.5, 1 + 5e-10]: the clip scales each loss down.
+    [np.diag([1.0 + 5e-10, 0.5])] * 5,
+    # Spectrum [-5e-10, 1]: the clip shifts each loss up, which would lift
+    # the loss sum above the averaged image without the clip charge.
+    [np.diag([-5e-10, 1.0]), np.diag([1.0, -5e-10])] * 2,
+], ids=["above-one", "below-zero"])
+def test_clipped_averaged_certificate_stays_below_the_image(losses):
+    # Every round is clipped. The certificate taken from the clipped loss
+    # sum, lowered by the clip charge, stays at or below the averaged
+    # image's own minimum. Every witness is the 1 x 1 identity, and round
+    # t's image is 2 M(t) - I, so the averaged image is 2 mean(M) - I.
+    rounds = len(losses)
+    res, _ = replay_losses([(m,) for m in losses], (2,), MMWConfig(delta=0.2, rounds=rounds))
+    assert res.trace.executed == rounds and res.trace.value_floor is None
+    assert np.all((res.trace.m_max_eig > 1.0) | (res.trace.m_min_eig < 0.0))
+    lower, _, averaged = certified_bracket(res.trace)
+    reference = _averaged_image_min((2.0 * np.mean(losses, axis=0) - np.eye(2),))
+    assert averaged[-1] <= reference
+    assert reference - averaged[-1] <= 1e-8
+    assert res.lower_cert == lower[-1] <= reference
 
 
 # Zero-sum game embedded as diagonal operators; the classical value of
@@ -517,6 +656,26 @@ class TestSolveGeneric:
         assert res.lower_cert <= 5.0 / 3.0 + 1e-9
         assert res.upper_cert >= 5.0 / 3.0 - 1e-9
         assert res.iterations == first_closed_round(res.trace, bound) <= res.trace.rounds
+
+    @pytest.mark.parametrize("delta, rounds, lower, upper", [
+        (0.05, 22, 1.5454545454545454, 1.6784872624683649),
+        (0.1, 10, 1.4, 1.6784872624683649),
+        (0.2, 6, 1.1666666666666667, 1.6784872624683658),
+        (0.5, 1, 1.0, 2.0),
+    ])
+    def test_matrix_game_has_no_value_floor(self, delta, rounds, lower, upper):
+        # The table holds the brackets these games had when the averaged
+        # certificate came from eigendecomposing the averaged witness's
+        # adjoint image. A game without a loss range gets no floor, so the
+        # round counts, upper certificates and widenings match to the bit;
+        # the lower certificate, read off the loss sum, rounds differently
+        # in its last digits.
+        res = _matrix_game(0.0, MMWConfig(delta=delta))
+        assert res.trace.value_floor is None
+        assert res.iterations == rounds
+        assert res.upper_cert == upper
+        assert res.widening == 0.0
+        assert res.lower_cert == pytest.approx(lower, rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("err", [-0.5, math.inf, math.nan])
     def test_best_response_error_must_be_finite_and_nonnegative(self, err):
