@@ -5,7 +5,6 @@ matrix multiplicative weights method."""
 from .channels import (
     ChannelSpec,
     StinespringChannel,
-    apply,
     check_isometry,
     normalize,
 )
@@ -25,10 +24,8 @@ from .estimator import (
 from .linalg import (
     EigDecomp,
     best_effect,
-    fidelity,
     herm_eig,
     hs_inner,
-    kron_sum,
     partial_trace,
     trace_norm,
 )
@@ -36,7 +33,6 @@ from .mmw import (
     EquilibriumResult,
     MMWConfig,
     SolverTrace,
-    regret_check,
     solve_equilibrium,
     solve_generic,
 )
@@ -54,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSpec",
     "StinespringChannel",
-    "apply",
     "check_isometry",
     "normalize",
     "CertificateViolation",
@@ -68,16 +63,13 @@ __all__ = [
     "solve_and_report",
     "EigDecomp",
     "best_effect",
-    "fidelity",
     "herm_eig",
     "hs_inner",
-    "kron_sum",
     "partial_trace",
     "trace_norm",
     "EquilibriumResult",
     "MMWConfig",
     "SolverTrace",
-    "regret_check",
     "solve_equilibrium",
     "solve_generic",
     "ReducedInstance",

@@ -1,5 +1,5 @@
 """Channel data model for the channel-file kinds ``KINDS`` (gate circuits
-are not one): validation, normalization to Stinespring form, application.
+are not one): validation and normalization to Stinespring form.
 
 A channel on input space X (dim n) with output space Y (dim m) is stored as
 an isometry A from X into Y tensor Z (environment dim z), acting as
@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import ValidationError
-from .linalg import (as_cmatrix, choi_factor, herm_eig, partial_trace, require_units,
-                     unit_residuals)
+from .linalg import as_cmatrix, choi_factor, herm_eig, require_units, unit_residuals
 
 KINDS = ("stinespring", "kraus", "unitary", "constant")
 
@@ -177,17 +176,6 @@ class StinespringChannel:
             )
         object.__setattr__(self, "isometry", a)
         _require_isometry(a, "channel isometry", tolerances.ISO_TOL)
-
-
-def apply(ch: StinespringChannel, rho) -> np.ndarray:
-    """Apply the channel to a density operator.
-
-    The output is again a density operator up to roundoff (the isometry
-    guarantees trace preservation).
-    """
-    r = require_density(rho, ch.input_dim)
-    a = ch.isometry
-    return partial_trace(a @ r @ a.conj().T, (ch.output_dim, ch.env_dim), (0,))
 
 
 def normalize(spec: ChannelSpec) -> StinespringChannel:

@@ -19,8 +19,9 @@ most significant. Reports are JSON objects: ``lambda`` is the upper
 certificate, ``interval`` is the Fuchs-van de Graaf image of the certified
 bracket [``lower_cert``, ``upper_cert``] that stopped the solver (see
 ``estimator``), ``widening`` is the measured eigendecomposition error and
-clip charge added to it, ``iterations`` the rounds run and ``stop_reason`` why they stopped: 'bracket' when the bracket
-closed to delta, 'rounds' when the round limit T ran out first. T is
+loss-rounding bound added to it, ``iterations`` the rounds run and
+``stop_reason`` why they stopped: 'bracket' when the bracket closed to
+delta, 'rounds' when the round limit T ran out first. T is
 ``--rounds`` when given, else ceil(16 ln n^2 / delta^2) clamped to
 ``mmw.MAX_ROUNDS``; below the formula the interval stays sound but may be
 wider, and ``qcd`` may refuse. The solver's learning rate is

@@ -14,7 +14,7 @@ class EigendecompositionError(RuntimeError):
 
 class OracleBoundError(RuntimeError):
     """A solver oracle returned a matrix or value outside its promised bounds
-    by more than the clip tolerance."""
+    by more than the roundoff tolerance ``mmw.LOSS_TOL``."""
 
 
 class GapTooSmallError(RuntimeError):

@@ -142,27 +142,6 @@ def trace_norm(a) -> float:
     return float(np.sum(s))
 
 
-def _psd_sqrt(p) -> np.ndarray:
-    dec = herm_eig(p)
-    low = float(dec.eigenvalues[-1])
-    limit = tolerances.PSD_TOL
-    if not low >= -limit:
-        raise ValidationError(
-            f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{limit:.3e}"
-        )
-    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    return (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
-
-
-def fidelity(p, q) -> float:
-    """Fidelity ||sqrt(P) sqrt(Q)||_1 of two positive semidefinite operators.
-
-    Inputs may dip below zero by at most ``PSD_TOL`` (clipped); anything
-    lower is rejected. Satisfies F(cP, cQ) = c F(P, Q) for scalar c >= 0.
-    """
-    return trace_norm(_psd_sqrt(p) @ _psd_sqrt(q))
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out tensor factors of a square matrix.
 
@@ -229,21 +208,3 @@ def hs_inner(a, b) -> complex:
     if ma.shape != mb.shape:
         raise ValidationError(f"shape mismatch in inner product: {ma.shape} vs {mb.shape}")
     return complex(np.vdot(ma, mb))
-
-
-def kron_sum(factors) -> np.ndarray:
-    """Kronecker sum F1 (x) I (x) ... (x) I + ... + I (x) ... (x) I (x) Fk of
-    square matrices, leftmost factor most significant.
-
-    Its spectrum is the set of sums of one eigenvalue from each factor, and
-    exp(sum) = (x)_k exp(F_k).
-    """
-    mats = [as_cmatrix(f) for f in factors]
-    dims = [m.shape[0] for m in mats]
-    total = int(np.prod(dims))
-    out = np.zeros((total, total), dtype=np.complex128)
-    for k, m in enumerate(mats):
-        left = np.eye(int(np.prod(dims[:k])), dtype=np.complex128)
-        right = np.eye(int(np.prod(dims[k + 1:])), dtype=np.complex128)
-        out += np.kron(np.kron(left, m), right)
-    return out

@@ -7,25 +7,26 @@ anytime learning rate
     eta_t = min(1/2, sqrt(8 ln N / t))        (``learning_rate``)
 
 (Cesa-Bianchi and Lugosi, Prediction, Learning, and Games, Thm 2.3). For
-losses 0 <= M(t) <= I it enjoys, after any number T of rounds, the regret
-bound
+losses whose spectra lie in [-c_t, 1 + c_t] it enjoys, after any number T of
+rounds, the regret bound
 
-    sum_t <rho(t), M(t)>  <=  lambda_min(S(T)) + ln(N)/eta_T + sum_t eta_t/8.
+    sum_t <rho(t), M(t)>  <=  lambda_min(S(T)) + ln(N)/eta_T + sum_t eta_t (1 + 2 c_t)^2/8.
 
 Proof. Let F(eta, S) = -(1/eta) ln(tr exp(-eta S) / N). Golden-Thompson,
 tr exp(A + B) <= tr(exp(A) exp(B)), gives tr exp(-eta_t S(t)) /
 tr exp(-eta_t S(t-1)) <= <rho(t), exp(-eta_t M(t))>, and Hoeffding's lemma,
 applied to the distribution that rho(t) puts on the spectrum of M(t) in
-[0, 1], bounds its logarithm by -eta_t <rho(t), M(t)> + eta_t^2/8. So
-<rho(t), M(t)> <= F(eta_t, S(t)) - F(eta_t, S(t-1)) + eta_t/8. F depends
-only on the spectrum of S and is nonincreasing in eta (-eta F is convex in
-eta and vanishes at 0, so F is minus a secant slope), and eta_t is
-nonincreasing in t, so F(eta_t, S(t)) <= F(eta_{t+1}, S(t)) and the sum
-telescopes to F(eta_T, S(T)) - F(eta_1, 0) = F(eta_T, S(T)) <=
-lambda_min(S(T)) + ln(N)/eta_T. The bound implies Cesa-Bianchi and
-Lugosi's (2/eta_{T+1} - 1/eta_1) ln N form, since 1/eta_T + 1/eta_1 <=
-2/eta_{T+1}; ``regret_check`` checks the tighter one, plus the slack budget
-(1/2) T delta1 charged to floating-point kernels (delta1 = delta/10).
+[-c_t, 1 + c_t], an interval of width 1 + 2 c_t, bounds its logarithm by
+-eta_t <rho(t), M(t)> + eta_t^2 (1 + 2 c_t)^2/8. So <rho(t), M(t)> <=
+F(eta_t, S(t)) - F(eta_t, S(t-1)) + eta_t (1 + 2 c_t)^2/8. F depends only on
+the spectrum of S and is nonincreasing in eta (-eta F is convex in eta and
+vanishes at 0, so F is minus a secant slope), and eta_t is nonincreasing in
+t, so F(eta_t, S(t)) <= F(eta_{t+1}, S(t)) and the sum telescopes to
+F(eta_T, S(T)) - F(eta_1, 0) = F(eta_T, S(T)) <= lambda_min(S(T)) +
+ln(N)/eta_T. The bound implies Cesa-Bianchi and Lugosi's
+(2/eta_{T+1} - 1/eta_1) ln N form, since 1/eta_T + 1/eta_1 <= 2/eta_{T+1}.
+The loop feeds every loss back as computed; its spectrum may leave [0, 1]
+by roundoff, so c_t <= LOSS_TOL, and a larger excursion is an error.
 
 Closure. Each round plays an exact best response W(t) to rho(t), of value
 v(t) = <rho(t), A(W(t))> for the adjoint A, and feeds back the loss
@@ -36,15 +37,17 @@ end is at least lambda_min(A(mean_t W(t))) = bound (2 lambda_min(S(T))/T - 1)
 2 bound/T times the regret, so by the bound above, with sum_t eta_t/8 <=
 sqrt(T ln N / 2) and ln(N)/eta_T = sqrt(T ln N / 8) once T >= 32 ln N,
 
-    width(T) <= (3/sqrt 2) bound sqrt(ln N / T) <= 2 bound sqrt(2 ln N / T).
+    width(T) <= (3/sqrt 2) bound sqrt(ln N / T) <= 2 bound sqrt(2 ln N / T),
 
+up to the factor (1 + 2 c_t)^2 <= (1 + 2e-9)^2 on the sum_t eta_t/8 term.
 At T = ceil(16 ln N / delta^2), where sqrt(ln N / T) <= delta/4, that is
 at most 0.54 delta bound for delta^2 <= 1/2. For larger delta the cap
 eta = 1/2 can bind; then ln(N)/eta_T <= 2 ln N <= T delta^2/8, and the
 width is at most (delta/4 + 0.36) delta bound <= 0.86 delta bound. Both lie
-below the stop threshold delta bound, up to the measured eigendecomposition
-widening. So a run to the formula's T closes its bracket as the paper's
-fixed rate eps = delta/4 does, and the larger early steps close it sooner.
+below the stop threshold delta bound, up to the measured widening, and the
+factor (1 + 2e-9)^2 leaves both constants as stated. So a run to the
+formula's T closes its bracket as the paper's fixed rate eps = delta/4
+does, and the larger early steps close it sooner.
 ``solve_generic`` is the one loop, for any game given by its value
 operator, adjoint and best response; ``solve_equilibrium`` is the
 channel-pair instance.
@@ -55,15 +58,15 @@ weak-duality certificates bound the equilibrium value after every round
 (Arora-Kale, primal-dual MMW): the smallest best-response value seen so far
 from above, and the smallest eigenvalue of the adjoint image of the averaged
 (or of the best single) witness from below. The averaged witness's image is
-read off the loss sum S(t): bound (2 lambda_min(S(t))/t - 1), lowered by the
-clip charge C, the sum over clipped rounds of 2c for
-c = max(high, 1) - min(low, 0) - 1. A clip maps the loss spectrum, inside
-[-c, 1 + c], affinely onto [0, 1], which moves the loss by at most
-c + c/(1 + c) <= 2c in norm. Both certificates are widened by the measured
-residuals of the eigendecompositions they come from. A caller that proves every round value lies in ``loss_range`` also
-proves the value is at least its lower end, a third lower certificate that
-needs no round (the channel-pair game's 0: the zero effect is feasible and
-has value 0). ``solve_generic`` stops on the first round at which this
+read off the loss sum S(t): it is bound (2 S(t)/t - I), so its smallest
+eigenvalue is bound (2 lambda_min(S(t))/t - 1). Both certificates are
+widened by the measured residuals of the eigendecompositions they come
+from and by a bound on the rounding that separates the computed loss, or
+the computed S(t), from the exact one (``solve_generic``). A caller that
+proves every round value lies in ``loss_range`` also proves the value is
+at least its lower end, a third lower certificate that needs no round (the
+channel-pair game's 0: the zero effect is feasible and has value 0).
+``solve_generic`` stops on the first round at which this
 certified bracket is at most delta (times the value bound) wide, runs all T
 rounds when it never is, and records which of the two happened
 (``SolverTrace.stop_reason``: 'bracket' or 'rounds').
@@ -95,12 +98,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, OracleBoundError, ValidationError
-from .linalg import EigDecomp, as_cmatrix, best_effect, herm_eig, hs_inner, kron_sum
+from .linalg import EigDecomp, as_cmatrix, best_effect, herm_eig, hs_inner
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
-#: clipped back into it; anything larger is a hard error.
-CLIP_TOL = 1e-9
+#: roundoff and fed back as they are; anything larger is a hard error.
+LOSS_TOL = 1e-9
+
+#: Unit roundoff u of float64 arithmetic: a rounded operation's result is
+#: within u of the exact one, relative to the result.
+UNIT_ROUNDOFF = 2.0 ** -53
 
 #: Largest round count T of one run: ``rounds`` may not exceed it, and the
 #: formula's T is clamped to it.
@@ -185,9 +192,11 @@ class SolverTrace:
     exponent, the largest eta_t (t - 1) over t <= T. ``m_min_eig`` and
     ``m_max_eig`` are the extremes of the round's loss spectrum and
     ``sum_min_eig`` the smallest eigenvalue of the loss sum after the
-    round; the ``*_err`` series bound the error of each from the measured
-    eigendecomposition residuals. ``loss_sums`` holds the per-factor sums
-    S_k of all losses, whose Kronecker sum is the N x N loss sum S.
+    round; the ``*_err`` series bound the error of each against the exact
+    loss, or sum of losses, from the measured eigendecomposition residuals
+    and the rounding of forming the loss and accumulating the sum.
+    ``loss_sums`` holds the per-factor sums S_k of all losses, whose
+    Kronecker sum is the N x N loss sum S.
     ``value_floor`` is the lower end of the caller's proven value range, a
     lower certificate from round 1 on (None without a range). ``rounds``
     is the round limit T and ``stop_reason`` says why the loop ended:
@@ -240,50 +249,6 @@ def _gibbs_density(dec: EigDecomp, eta: float):
     return rho, -eta * float(w[0]), -eta * float(w[-1]), float(gains[-1] / total)
 
 
-def _clip_loss(ms: list, low: float, high: float) -> list:
-    """Bring a loss spectrum [low, high] that leaves [0, 1] by at most
-    CLIP_TOL back inside, keeping the Kronecker-sum factor form."""
-    # The spectrum of a Kronecker sum is all sums of factor eigenvalues, so
-    # no per-factor clip caps it; the affine map of [min(low, 0), max(high, 1)]
-    # onto [0, 1] does, and moves every factor by O(CLIP_TOL) at most.
-    lo, hi = min(low, 0.0), max(high, 1.0)
-    scale = 1.0 / (hi - lo)
-    out = [m * scale for m in ms]
-    out[0] = out[0] - (lo * scale) * np.eye(out[0].shape[0])
-    return out
-
-
-def regret_check(trace: SolverTrace, rho_star=None, delta1: float | None = None) -> float:
-    """Slack of the anytime regret inequality for a completed trace.
-
-    Returns ``<rho*, sum M> + ln(N)/eta_T + sum_t eta_t/8 + (1/2) T delta1
-    - sum_t <rho(t), M(t)>`` over the T rounds run, which must be
-    nonnegative (within roundoff) whenever the inequality of the module
-    docstring holds. ``rho_star`` defaults to the adversarial choice, a
-    minimum eigenvector of the accumulated loss sum S, for which <rho*, S> is
-    lambda_min(S), the last round's ``sum_min_eig``. An explicit N x N
-    ``rho_star`` is paired with S, built for it as the Kronecker sum of
-    ``loss_sums``. Pass ``delta1=0`` to check the exact-arithmetic form of
-    the bound.
-    """
-    if rho_star is None:
-        comparator = float(trace.sum_min_eig[-1])
-    else:
-        star, loss_sum = as_cmatrix(rho_star), kron_sum(trace.loss_sums)
-        if star.shape != loss_sum.shape:
-            raise ValidationError(
-                f"rho_star shape {star.shape} does not match dimension {trace.dim}"
-            )
-        comparator = float(hs_inner(star, loss_sum).real)
-    slack_budget = trace.delta1 if delta1 is None else delta1
-    t = trace.executed
-    # At N = 1 every eta_t is 0 and the single density has no regret.
-    entropy = math.log(trace.dim) / learning_rate(t, trace.dim) if trace.dim > 1 else 0.0
-    steps = sum(learning_rate(s, trace.dim) for s in range(1, t + 1)) / 8.0
-    rhs = comparator + entropy + steps + 0.5 * t * slack_budget
-    return rhs - float(np.sum(trace.step_inners))
-
-
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """Certified bracket [lower_cert, upper_cert] on an equilibrium value.
@@ -295,9 +260,10 @@ class EquilibriumResult:
     ``upper_cert`` is the smallest per-round value, an upper bound since
     every round plays an exact best response. Both are the bracket that
     stopped the loop, widened by the measured eigendecomposition error and
-    the clip charge, whose total is ``widening`` (nothing for a lower end
-    set by the floor). The certificates are checked against each other at
-    construction.
+    the rounding bound of the losses and their sum; the total is
+    ``widening`` (nothing for a lower end set by the floor). The
+    certificates are checked against each other at construction: they may
+    cross by roundoff only, 1e-9 max(1, bound).
     """
 
     lower_cert: float
@@ -307,7 +273,7 @@ class EquilibriumResult:
     bound: float = 1.0
 
     def __post_init__(self):
-        slack = 2.0 * self.trace.delta1 * self.bound + 1e-9 * max(1.0, self.bound)
+        slack = 1e-9 * max(1.0, self.bound)
         if not self.lower_cert <= self.upper_cert + slack:
             raise CertificateViolation(
                 f"certificates crossed: lower {self.lower_cert} > upper "
@@ -349,11 +315,15 @@ def solve_generic(
     caller proves every round value lies in (checked every round); its
     lower end is then a lower certificate from the start.
 
-    The round's loss M = (I + image / bound) / 2 has its spectrum checked:
-    excursions beyond [0, 1] within CLIP_TOL are clipped, larger ones raise
-    OracleBoundError. The run stops ('bracket') on the first round at which
-    the certified bracket is at most ``delta * bound`` wide, else after T
-    rounds ('rounds').
+    The round's loss M = (I + image / bound) / 2 is fed back as computed. Its
+    spectrum may leave [0, 1] by roundoff, at most LOSS_TOL; a larger
+    excursion raises OracleBoundError. The rounding of forming each loss and
+    adding it to the sums is bounded and counted in ``m_eig_err`` and
+    ``sum_eig_err``; the bound assumes exactly Hermitian adjoint factors, as
+    ``difference_adjoint_factors`` returns, for which the symmetrization
+    after each add is exact. The run stops ('bracket') on the first round at
+    which the certified bracket is at most ``delta * bound`` wide, else
+    after T rounds ('rounds').
     """
     cfg = MMWConfig() if cfg is None else cfg
     if not bound > 0:
@@ -372,11 +342,13 @@ def solve_generic(
     # round's Gibbs densities. The zero sums' exact decomposition makes
     # rho(1) = I/d per factor.
     decs = [EigDecomp(np.zeros(d), np.eye(d, dtype=np.complex128), 0.0, 0.0) for d in dims]
+    # Per factor, a bound on the distance of the accumulated sum from the
+    # exact sum of the losses.
+    rounding = [0.0] * len(dims)
     floor = -math.inf if loss_range is None else float(loss_range[0])
     # The bracket so far: the smallest round value, the largest lambda_min of
-    # one round's adjoint image, and the error of each; ``clipped`` bounds
-    # how far the clips moved the loss sum.
-    upper, upper_err, single, single_err, clipped = math.inf, 0.0, -math.inf, 0.0, 0.0
+    # one round's adjoint image, and the error of each.
+    upper, upper_err, single, single_err = math.inf, 0.0, -math.inf, 0.0
     reason = "rounds"
 
     for t in range(1, planned + 1):
@@ -396,10 +368,10 @@ def solve_generic(
         if not 0.0 <= err < math.inf:
             raise OracleBoundError(f"best-response error {err} must be finite and >= 0")
         value = float(hs_inner(witness, value_op).real)
-        if not abs(value) <= bound * (1.0 + CLIP_TOL) + CLIP_TOL:
+        if not abs(value) <= bound * (1.0 + LOSS_TOL) + LOSS_TOL:
             raise OracleBoundError(f"round value {value} exceeds the declared bound {bound}")
         if loss_range is not None and not (
-            loss_range[0] - CLIP_TOL <= value <= loss_range[1] + CLIP_TOL
+            loss_range[0] - LOSS_TOL <= value <= loss_range[1] + LOSS_TOL
         ):
             raise OracleBoundError(f"round value {value} outside promised range {loss_range}")
         image = [as_cmatrix(f) for f in adjoint_op(witness)]
@@ -409,21 +381,22 @@ def solve_generic(
                 f"expected {shapes}"
             )
         ms = [0.5 * (image[0] / bound + eye)] + [0.5 * (f / bound) for f in image[1:]]
+        # Dividing by the bound and shifting by I move each entry of M by at
+        # most u (2 |M_ij| + [i = j]); the Frobenius norm bounds the spectral
+        # shift.
+        formed = [UNIT_ROUNDOFF * (2.0 * float(np.linalg.norm(m)) + math.sqrt(m.shape[0]))
+                  for m in ms]
 
         spectra = [herm_eig(m) for m in ms]
         high = sum(float(dec.eigenvalues[0]) for dec in spectra)
         low = sum(float(dec.eigenvalues[-1]) for dec in spectra)
-        if not (low >= -CLIP_TOL and high <= 1.0 + CLIP_TOL):
+        if not (low >= -LOSS_TOL and high <= 1.0 + LOSS_TOL):
             raise OracleBoundError(
                 f"loss matrix eigenvalues [{low:.3e}, {high:.3e}] violate "
-                f"[0, 1] beyond the clip tolerance {CLIP_TOL:.1e}"
+                f"[0, 1] beyond the tolerance {LOSS_TOL:.1e}"
             )
         row["m_min_eig"], row["m_max_eig"] = low, high
-        row["m_eig_err"] = sum(dec.error_bound for dec in spectra)
-        if low < 0.0 or high > 1.0:
-            ms = _clip_loss(ms, low, high)
-            # The clip charge: the clip moves the loss by at most 2c in norm.
-            clipped += 2.0 * (max(high, 1.0) - min(low, 0.0) - 1.0)
+        row["m_eig_err"] = sum(dec.error_bound for dec in spectra) + sum(formed)
         # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
         row["step_inners"] = sum(
             float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
@@ -434,24 +407,25 @@ def solve_generic(
         for k, m in enumerate(ms):
             s = sums[k] + m
             sums[k] = 0.5 * (s + s.conj().T)
+            # The add moves each entry by at most u |S_ij|.
+            rounding[k] += formed[k] + UNIT_ROUNDOFF * float(np.linalg.norm(sums[k]))
         decs = [herm_eig(s) for s in sums]
         # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
         row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
-        row["sum_eig_err"] = sum(dec.error_bound for dec in decs)
+        row["sum_eig_err"] = sum(dec.error_bound for dec in decs) + sum(rounding)
         for name, values in records.items():
             values.append(row[name])
 
         if row["losses"] < upper:
             upper, upper_err = row["losses"], err
-        # The round's image is bound * (2 M - I), M before any clip.
+        # The round's image is bound * (2 M - I).
         mine = bound * (2.0 * (low - row["m_eig_err"]) - 1.0)
         if mine > single:
             single, single_err = mine, 2.0 * bound * row["m_eig_err"]
-        # The averaged witness's image is bound * (2 S / t - I), S the loss sum
-        # before any clip, within ``clipped`` of the one accumulated.
-        averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"] - clipped) / t - 1.0)
+        # The averaged witness's image is bound * (2 S / t - I).
+        averaged = bound * (2.0 * (row["sum_min_eig"] - row["sum_eig_err"]) / t - 1.0)
         if averaged >= single:
-            lower, lower_err = averaged, 2.0 * bound * (row["sum_eig_err"] + clipped) / t
+            lower, lower_err = averaged, 2.0 * bound * row["sum_eig_err"] / t
         else:
             lower, lower_err = single, single_err
         if floor >= lower:

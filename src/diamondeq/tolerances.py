@@ -9,7 +9,8 @@ so that a NaN residual (an overflowed product, say) fails it.
 #: Frobenius residual allowed for a matrix claimed Hermitian.
 HERM_TOL = 1e-9
 
-#: Most negative eigenvalue tolerated (and clipped) for a PSD input.
+#: Most negative eigenvalue tolerated for a PSD input; a measurement effect's
+#: spectrum may leave [0, 1] by this much.
 PSD_TOL = 1e-9
 
 #: Frobenius residual allowed for an isometry (A*A = I check).

@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from diamondeq import (
     ChannelSpec,
+    ValidationError,
     build_instance,
     difference_adjoint_factors,
     herm_eig,
-    kron_sum,
+    hs_inner,
     marginal_arm_outputs,
     marginal_difference_output,
     normalize,
     partial_trace,
     solve_generic,
+    tolerances,
+    trace_norm,
 )
+from diamondeq.linalg import as_cmatrix
+from diamondeq.mmw import learning_rate
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -43,6 +50,45 @@ def random_kraus_pair_spec(rng, n=2, k=2):
     q, _ = np.linalg.qr(g)
     ops = tuple(q[i * n:(i + 1) * n, :] for i in range(k))
     return ChannelSpec("kraus", n, n, ops)
+
+
+def kron_sum(factors):
+    """Kronecker sum F1 (x) I (x) ... (x) I + ... + I (x) ... (x) I (x) Fk of
+    square matrices, leftmost factor most significant.
+
+    Its spectrum is the set of sums of one eigenvalue from each factor, and
+    exp(sum) = (x)_k exp(F_k).
+    """
+    mats = [as_cmatrix(f) for f in factors]
+    dims = [m.shape[0] for m in mats]
+    total = int(np.prod(dims))
+    out = np.zeros((total, total), dtype=np.complex128)
+    for k, m in enumerate(mats):
+        left = np.eye(int(np.prod(dims[:k])), dtype=np.complex128)
+        right = np.eye(int(np.prod(dims[k + 1:])), dtype=np.complex128)
+        out += np.kron(np.kron(left, m), right)
+    return out
+
+
+def _psd_sqrt(p):
+    dec = herm_eig(p)
+    low = float(dec.eigenvalues[-1])
+    limit = tolerances.PSD_TOL
+    if not low >= -limit:
+        raise ValidationError(
+            f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{limit:.3e}"
+        )
+    w = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    return (dec.eigenvectors * w) @ dec.eigenvectors.conj().T
+
+
+def fidelity(p, q):
+    """Fidelity ||sqrt(P) sqrt(Q)||_1 of two positive semidefinite operators.
+
+    Inputs may dip below zero by at most ``PSD_TOL`` (clipped); anything
+    lower is rejected. Satisfies F(cP, cQ) = c F(P, Q) for scalar c >= 0.
+    """
+    return trace_norm(_psd_sqrt(p) @ _psd_sqrt(q))
 
 
 # Joint n^2 x n^2 forms of the channel-pair game and dense kernels on it. The
@@ -91,18 +137,13 @@ def certified_bracket(trace, bound=1.0):
 
     Upper: the smallest per-round value so far. Lower: the largest of the
     best single-round image minimum, bound (2 m_min_eig - 1), the averaged
-    image minimum, bound (2 (sum_min_eig - C) / t - 1), and the trace's
-    ``value_floor``, each eigenvalue lowered by its recorded eigensolver
-    error. C, the clip charge, is the running sum of 2c with
-    c = max(m_max_eig, 1) - min(m_min_eig, 0) - 1, which is 0 on rounds
-    whose loss spectrum lies in [0, 1].
+    image minimum, bound (2 sum_min_eig / t - 1), and the trace's
+    ``value_floor``, each eigenvalue lowered by its recorded error.
     """
     t = np.arange(1, trace.executed + 1)
     upper = np.minimum.accumulate(trace.losses)
     single = np.maximum.accumulate(bound * (2.0 * (trace.m_min_eig - trace.m_eig_err) - 1.0))
-    charge = np.cumsum(2.0 * (np.maximum(trace.m_max_eig, 1.0)
-                              - np.minimum(trace.m_min_eig, 0.0) - 1.0))
-    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err - charge) / t - 1.0)
+    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err) / t - 1.0)
     floor = -np.inf if trace.value_floor is None else trace.value_floor
     return np.maximum(np.maximum(single, averaged), floor), upper, averaged
 
@@ -113,6 +154,43 @@ def first_closed_round(trace, bound=1.0):
     lower, upper, _ = certified_bracket(trace, bound)
     closed = np.flatnonzero(upper - lower <= trace.delta * bound)
     return int(closed[0]) + 1 if closed.size else None
+
+
+def regret_check(trace, rho_star=None, delta1=None):
+    """Slack of the anytime regret inequality of the ``mmw`` docstring for a
+    completed trace.
+
+    Returns ``<rho*, sum M> + ln(N)/eta_T + sum_t eta_t (1 + 2 c_t)^2/8
+    + (1/2) T delta1 - sum_t <rho(t), M(t)>`` over the T rounds run, which
+    must be nonnegative (within roundoff) whenever the inequality holds.
+    c_t is round t's loss excursion beyond [0, 1], read off ``m_min_eig`` and
+    ``m_max_eig`` widened by ``m_eig_err``. ``rho_star`` defaults to the
+    adversarial choice, a minimum eigenvector of the accumulated loss sum S,
+    for which <rho*, S> is lambda_min(S), the last round's ``sum_min_eig``.
+    An explicit N x N ``rho_star`` is paired with S, built for it as the
+    Kronecker sum of ``loss_sums``. ``delta1`` is the slack budget charged
+    to floating-point kernels, the trace's by default; pass ``delta1=0`` to
+    check the exact-arithmetic form of the bound.
+    """
+    if rho_star is None:
+        comparator = float(trace.sum_min_eig[-1])
+    else:
+        star, loss_sum = as_cmatrix(rho_star), kron_sum(trace.loss_sums)
+        if star.shape != loss_sum.shape:
+            raise ValidationError(
+                f"rho_star shape {star.shape} does not match dimension {trace.dim}"
+            )
+        comparator = float(hs_inner(star, loss_sum).real)
+    slack_budget = trace.delta1 if delta1 is None else delta1
+    t = trace.executed
+    # At N = 1 every eta_t is 0 and the single density has no regret.
+    entropy = math.log(trace.dim) / learning_rate(t, trace.dim) if trace.dim > 1 else 0.0
+    excursions = np.maximum(0.0, np.maximum(trace.m_eig_err - trace.m_min_eig,
+                                            trace.m_max_eig + trace.m_eig_err - 1.0))
+    steps = sum(learning_rate(s, trace.dim) * (1.0 + 2.0 * float(c)) ** 2
+                for s, c in enumerate(excursions, start=1)) / 8.0
+    rhs = comparator + entropy + steps + 0.5 * t * slack_budget
+    return rhs - float(np.sum(trace.step_inners))
 
 
 def replay_losses(losses, dims, cfg, bound=1.0):

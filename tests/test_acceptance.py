@@ -13,12 +13,9 @@ from diamondeq import (
     MMWConfig,
     build_instance,
     build_report,
-    fidelity,
     hs_inner,
-    kron_sum,
     normalize,
     partial_trace,
-    regret_check,
     solve_and_report,
     solve_equilibrium,
     trace_norm,
@@ -38,10 +35,13 @@ from tests.conftest import (
     constant_spec,
     difference_adjoint,
     difference_output,
+    fidelity,
     first_closed_round,
+    kron_sum,
     mat_exp_hermitian,
     min_eig_projector,
     random_kraus_pair_spec,
+    regret_check,
     unitary_instance,
     unitary_spec,
 )

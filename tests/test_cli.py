@@ -13,7 +13,6 @@ from diamondeq import (
     MMWConfig,
     ValidationError,
     build_instance,
-    kron_sum,
     normalize,
     solve_equilibrium,
 )
@@ -37,6 +36,7 @@ from tests.conftest import (
     PAULI_Z,
     PHASE_S,
     first_closed_round,
+    kron_sum,
     random_kraus_pair_spec,
 )
 

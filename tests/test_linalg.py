@@ -8,17 +8,15 @@ from diamondeq import (
     EigendecompositionError,
     ValidationError,
     best_effect,
-    fidelity,
     herm_eig,
     hs_inner,
-    kron_sum,
     partial_trace,
     trace_norm,
 )
 from diamondeq import linalg
 from diamondeq.linalg import require_hermitian
 from diamondeq.oracles import random_density, random_unitary
-from tests.conftest import KET0, PAULI_X, PAULI_Z, mat_exp_hermitian
+from tests.conftest import KET0, PAULI_X, PAULI_Z, fidelity, kron_sum, mat_exp_hermitian
 
 
 def random_hermitian(rng, dim, scale=1.0):

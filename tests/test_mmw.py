@@ -15,9 +15,7 @@ from diamondeq import (
     best_effect,
     difference_adjoint_factors,
     herm_eig,
-    kron_sum,
     marginal_difference_output,
-    regret_check,
     solve_equilibrium,
     solve_generic,
 )
@@ -33,9 +31,11 @@ from tests.conftest import (
     difference_adjoint,
     difference_output,
     first_closed_round,
+    kron_sum,
     mat_exp_hermitian,
     min_eig_projector,
     random_kraus_pair_spec,
+    regret_check,
     replay_losses,
     unitary_spec,
 )
@@ -167,15 +167,42 @@ class TestMetaAlgorithm:
         with pytest.raises(OracleBoundError, match="violate"):
             replay_losses([(1.5 * np.eye(2),)] * 5, (2,), MMWConfig(delta=0.2, rounds=5))
 
-    def test_tiny_violations_are_clipped(self):
+    def test_tiny_excursions_are_fed_back_unchanged(self):
         # The second eigenvalue 0.5 keeps the bracket open for all 5 rounds.
-        res, _ = replay_losses([(np.diag([1.0 + 5e-10, 0.5]),)] * 5, (2,),
-                               MMWConfig(delta=0.2, rounds=5))
+        loss = np.diag([1.0 + 5e-10, 0.5])
+        res, _ = replay_losses([(loss,)] * 5, (2,), MMWConfig(delta=0.2, rounds=5))
         trace = res.trace
         assert trace.executed == 5
+        assert np.all(trace.m_max_eig > 1.0)
         assert trace.m_max_eig.max() <= 1.0 + 1e-9
-        # Clipped losses keep the accumulated sum inside the cone.
-        assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
+        # The loss sum is the plain sum of the losses, to the bit.
+        assert np.array_equal(trace.loss_sums[0], loss + loss + loss + loss + loss)
+
+    @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
+    def test_loss_tolerance_is_the_gate(self, scale, fails):
+        # A loss spectrum may leave [0, 1] by LOSS_TOL and no more.
+        loss = np.diag([1.0 + scale * mmw.LOSS_TOL, 0.5])
+        cfg = MMWConfig(delta=0.2, rounds=2)
+        if fails:
+            with pytest.raises(OracleBoundError, match="beyond the tolerance"):
+                replay_losses([(loss,)] * 2, (2,), cfg)
+        else:
+            assert replay_losses([(loss,)] * 2, (2,), cfg)[0].trace.executed == 2
+
+    def test_error_records_count_the_rounding_bound(self):
+        # Diagonal losses decompose exactly, so the error records are the
+        # rounding bounds alone: u (2 ||M_k|| + sqrt(d_k)) per factor for
+        # forming the loss, plus u ||S_k(t)|| for each add to the sums.
+        u = mmw.UNIT_ROUNDOFF
+        losses = [(np.diag([0.3, 0.1 * t]), np.diag([0.2, 0.0, 0.05 * t])) for t in range(1, 5)]
+        trace = replay_losses(losses, (2, 3), MMWConfig(delta=0.2, rounds=4))[0].trace
+        sums, total = [np.zeros((2, 2)), np.zeros((3, 3))], 0.0
+        for t, pair in enumerate(losses):
+            formed = sum(u * (2.0 * np.linalg.norm(m) + math.sqrt(m.shape[0])) for m in pair)
+            assert trace.m_eig_err[t] == pytest.approx(formed, rel=1e-12)
+            sums = [s + m for s, m in zip(sums, pair)]
+            total += formed + sum(u * np.linalg.norm(s) for s in sums)
+            assert trace.sum_eig_err[t] == pytest.approx(total, rel=1e-12)
 
     def test_product_run_matches_dense_kronecker_sum(self):
         # A two-factor run is the one-factor run on the Kronecker-sum loss:
@@ -204,15 +231,16 @@ class TestMetaAlgorithm:
         assert np.linalg.norm(kron_sum(product.loss_sums) - kron_sum(dense.loss_sums)) <= 1e-12
         assert regret_check(product, delta1=0.0) >= -1e-9
 
-    def test_tiny_violations_are_clipped_in_factor_form(self):
+    def test_tiny_excursions_are_fed_back_unchanged_in_factor_form(self):
         # Spectrum [0.5, 1 + 1e-9]: the bracket stays open for all 5 rounds.
         half = np.diag([0.5 + 5e-10, 0.25])
         res, _ = replay_losses([(half, half)] * 5, (2, 2), MMWConfig(delta=0.2, rounds=5))
         trace = res.trace
         assert trace.executed == 5
         assert trace.m_max_eig.max() == pytest.approx(1.0 + 1e-9)
-        # The rescaled losses keep the accumulated sum inside the cone.
-        assert np.linalg.eigvalsh(kron_sum(trace.loss_sums))[-1] <= 5.0 + 1e-12
+        # Each factor sum is the plain sum of that factor's losses, to the bit.
+        want = half + half + half + half + half
+        assert all(np.array_equal(s, want) for s in trace.loss_sums)
 
     def test_iteration_cap_carries_partial_trace(self, monkeypatch):
         # The formula asks for 278 rounds at N = 2; the clamp cuts T to 10,
@@ -314,11 +342,12 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(phase_instance, FAST)
         assert res.lower_cert <= res.value + res.trace.delta + 1e-9
         assert res.upper_cert >= res.value - res.trace.delta - 1e-9
-        assert res.lower_cert <= res.upper_cert + 2 * res.trace.delta1 + 1e-9
+        assert res.lower_cert <= res.upper_cert + 1e-9
 
     def test_crossed_certificates_raise_beyond_the_slack(self, phase_instance):
+        # The certificates may cross by roundoff only: 1e-9 at bound 1.
         res = solve_equilibrium(phase_instance, FAST)
-        slack = 2.0 * res.trace.delta1 + 1e-9
+        slack = 1e-9
         inside = dataclasses.replace(res, lower_cert=res.upper_cert + slack - 1e-12)
         assert inside.lower_cert > inside.upper_cert
         with pytest.raises(CertificateViolation, match="certificates crossed"):
@@ -447,19 +476,21 @@ def test_golden_thompson(seed, n, scale):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
-       eta=st.floats(1e-6, 4.0))
-def test_hoeffding_lemma_for_densities(data, seed, n, eta):
-    # tr(rho exp(-eta M)) <= exp(-eta <rho, M> + eta^2/8) for 0 <= M <= I;
-    # the spectrum of M may sit at the ends 0 and 1 of the interval.
+       eta=st.floats(1e-6, 4.0), c=st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+def test_hoeffding_lemma_for_densities(data, seed, n, eta, c):
+    # tr(rho exp(-eta M)) <= exp(-eta <rho, M> + eta^2 (1 + 2c)^2/8) for
+    # -cI <= M <= (1 + c)I, the interval of a loss fed back with an
+    # excursion c; the spectrum of M may sit at the ends -c and 1 + c.
     rng = np.random.default_rng(seed)
-    spectrum = data.draw(st.lists(st.sampled_from(["0", "1", "random"]), min_size=n,
+    spectrum = data.draw(st.lists(st.sampled_from(["low", "high", "random"]), min_size=n,
                                   max_size=n), label="spectrum")
-    eigs = np.array([{"0": 0.0, "1": 1.0}.get(e, rng.uniform()) for e in spectrum])
+    ends = {"low": -c, "high": 1.0 + c}
+    eigs = np.array([ends.get(e, rng.uniform(-c, 1.0 + c)) for e in spectrum])
     u = random_unitary(rng, n)
     m = (u * eigs) @ u.conj().T
     rho = random_density(rng, n)
     lhs = float(np.vdot(rho, mat_exp_hermitian(-eta * m)).real)
-    rhs = math.exp(-eta * float(np.vdot(rho, m).real) + eta * eta / 8.0)
+    rhs = math.exp(-eta * float(np.vdot(rho, m).real) + (eta * (1.0 + 2.0 * c)) ** 2 / 8.0)
     assert lhs <= rhs * (1.0 + 1e-12)
 
 
@@ -555,21 +586,22 @@ def test_averaged_certificate_matches_the_adjoint_image(kind, n):
     lower, upper, averaged = certified_bracket(res.trace)
     reference = _averaged_image_min(difference_adjoint_factors(inst, np.mean(witnesses, axis=0)))
     assert abs(averaged[-1] - reference) <= 1e-12
+    # The loss-sum rounding bound keeps the certificate at or below it.
+    assert averaged[-1] <= reference
     # The result's bracket is the one the loop stopped on.
     assert res.lower_cert == lower[-1] and res.upper_cert == upper[-1]
     assert res.lower_cert >= max(averaged[-1], 0.0)
 
 
 @pytest.mark.parametrize("losses", [
-    # Spectrum [0.5, 1 + 5e-10]: the clip scales each loss down.
+    # Spectrum [0.5, 1 + 5e-10].
     [np.diag([1.0 + 5e-10, 0.5])] * 5,
-    # Spectrum [-5e-10, 1]: the clip shifts each loss up, which would lift
-    # the loss sum above the averaged image without the clip charge.
+    # Spectrum [-5e-10, 1].
     [np.diag([-5e-10, 1.0]), np.diag([1.0, -5e-10])] * 2,
 ], ids=["above-one", "below-zero"])
-def test_clipped_averaged_certificate_stays_below_the_image(losses):
-    # Every round is clipped. The certificate taken from the clipped loss
-    # sum, lowered by the clip charge, stays at or below the averaged
+def test_averaged_certificate_with_tiny_excursions_stays_below_the_image(losses):
+    # Every round's loss leaves [0, 1] by roundoff and is fed back as it is.
+    # The certificate taken from the loss sum stays at or below the averaged
     # image's own minimum. Every witness is the 1 x 1 identity, and round
     # t's image is 2 M(t) - I, so the averaged image is 2 mean(M) - I.
     rounds = len(losses)
@@ -667,15 +699,17 @@ class TestSolveGeneric:
         # The table holds the brackets these games had when the averaged
         # certificate came from eigendecomposing the averaged witness's
         # adjoint image. A game without a loss range gets no floor, so the
-        # round counts, upper certificates and widenings match to the bit;
-        # the lower certificate, read off the loss sum, rounds differently
-        # in its last digits.
+        # round counts and upper certificates match to the bit. The diagonal
+        # eigendecompositions are exact, so the widening is the rounding
+        # bound of the losses and their sum alone; the lower certificate
+        # before it, read off the loss sum, rounds differently in its last
+        # digits.
         res = _matrix_game(0.0, MMWConfig(delta=delta))
         assert res.trace.value_floor is None
         assert res.iterations == rounds
         assert res.upper_cert == upper
-        assert res.widening == 0.0
-        assert res.lower_cert == pytest.approx(lower, rel=0.0, abs=1e-14)
+        assert 0.0 < res.widening <= 2e-14
+        assert res.lower_cert + res.widening == pytest.approx(lower, rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("err", [-0.5, math.inf, math.nan])
     def test_best_response_error_must_be_finite_and_nonnegative(self, err):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondeq import ValidationError, build_instance, fidelity, normalize, trace_norm
+from diamondeq import ValidationError, build_instance, normalize, trace_norm
 from diamondeq.oracles import (
     constant_diamond,
     diamond_lower_search,
@@ -26,6 +26,7 @@ from tests.conftest import (
     PHASE_S,
     arm_outputs,
     constant_spec,
+    fidelity,
     random_kraus_pair_spec,
     unitary_instance,
     unitary_spec,
