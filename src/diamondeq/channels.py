@@ -27,25 +27,24 @@ def check_isometry(a) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
 
 
-def _require_isometry(a, what: str, iso_tol: float) -> np.ndarray:
+def _require_isometry(a, what: str) -> np.ndarray:
     m = as_cmatrix(a)
     residual = check_isometry(m)
-    if not residual <= iso_tol:
+    limit = tolerances.ISO_TOL
+    if not residual <= limit:
         raise ValidationError(
-            f"{what} is not an isometry: ||A*A - I||_F = {residual:.3e} > {iso_tol:.3e}"
+            f"{what} is not an isometry: ||A*A - I||_F = {residual:.3e} > {limit:.3e}"
         )
     return m
 
 
-def require_density(rho, dim: int | None = None) -> np.ndarray:
+def require_density(rho) -> np.ndarray:
     """Validate a density operator (Hermitian, PSD and unit trace within
     DENSITY_TOL)."""
     limit = tolerances.DENSITY_TOL
     m = as_cmatrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"density operator must be square, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise ValidationError(f"density operator has dim {m.shape[0]}, expected {dim}")
     herm = float(np.linalg.norm(m - m.conj().T))
     if not herm <= limit:
         raise ValidationError(f"density operator not Hermitian: residual {herm:.3e}")
@@ -115,7 +114,7 @@ class ChannelSpec:
                 f"declared env_dim={self.env_dim} but matrix implies z={z}"
             )
         object.__setattr__(self, "env_dim", z)
-        _require_isometry(a, "stinespring matrix", tolerances.ISO_TOL)
+        _require_isometry(a, "stinespring matrix")
 
     def _check_kraus(self):
         if not self.matrices:
@@ -127,9 +126,7 @@ class ChannelSpec:
                     f"kraus operator {i} has shape {k.shape}, expected ({m}, {n})"
                 )
         # sum_i K_i* K_i is the Gram matrix of the operators stacked by rows.
-        stack = np.concatenate(self.matrices, axis=0)
-        total = stack.conj().T @ stack
-        residual = float(np.linalg.norm(total - np.eye(n)))
+        residual = check_isometry(np.concatenate(self.matrices, axis=0))
         if not residual <= tolerances.ISO_TOL:
             raise ValidationError(
                 f"kraus set is not trace preserving: ||sum K*K - I||_F = {residual:.3e}"
@@ -144,7 +141,7 @@ class ChannelSpec:
                 f"unitary matrix shape {u.shape} must be square and match "
                 f"input_dim={self.input_dim}, output_dim={self.output_dim}"
             )
-        _require_isometry(u, "unitary matrix", tolerances.ISO_TOL)
+        _require_isometry(u, "unitary matrix")
 
     def _check_constant(self):
         if len(self.matrices) != 1:
@@ -175,7 +172,7 @@ class StinespringChannel:
                 f"(m*z, n) = ({self.output_dim * self.env_dim}, {self.input_dim})"
             )
         object.__setattr__(self, "isometry", a)
-        _require_isometry(a, "channel isometry", tolerances.ISO_TOL)
+        _require_isometry(a, "channel isometry")
 
 
 def normalize(spec: ChannelSpec) -> StinespringChannel:
@@ -222,20 +219,3 @@ def _spec_residuals(spec: ChannelSpec, a: np.ndarray) -> np.ndarray:
     b = choi_factor(a, m)
     return unit_residuals(np.hstack([b, left]), np.hstack([b, -right]), n)
 
-
-def pad_env(ch: StinespringChannel, env_dim: int) -> StinespringChannel:
-    """Extend the environment to ``env_dim`` by appending zero rows inside
-    each output block. The channel action is unchanged."""
-    if env_dim < ch.env_dim:
-        raise ValidationError(f"cannot shrink env dim {ch.env_dim} to {env_dim}")
-    if env_dim == ch.env_dim:
-        return ch
-    a = ch.isometry.reshape(ch.output_dim, ch.env_dim, ch.input_dim)
-    padded = np.zeros((ch.output_dim, env_dim, ch.input_dim), dtype=np.complex128)
-    padded[:, : ch.env_dim, :] = a
-    return StinespringChannel(
-        padded.reshape(ch.output_dim * env_dim, ch.input_dim),
-        ch.input_dim,
-        ch.output_dim,
-        env_dim,
-    )

@@ -56,7 +56,7 @@ from itertools import chain
 import numpy as np
 
 from . import oracles
-from .channels import ChannelSpec, normalize
+from .channels import KINDS, ChannelSpec, normalize
 from .errors import (
     CertificateViolation,
     EigendecompositionError,
@@ -185,7 +185,7 @@ def _parse_spec(obj, pointer: str) -> ChannelSpec:
         if key not in obj:
             _fail(f"{pointer}/{key}", "missing required field")
     kind = obj["kind"]
-    if kind not in ("stinespring", "kraus", "unitary", "constant"):
+    if kind not in KINDS:
         _fail(f"{pointer}/kind", f"unknown kind {kind!r}")
     for key in ("input_dim", "output_dim"):
         if not isinstance(obj[key], int) or isinstance(obj[key], bool) or obj[key] <= 0:

@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, OracleBoundError, ValidationError
-from .linalg import EigDecomp, as_cmatrix, best_effect, herm_eig, hs_inner
+from .linalg import EigDecomp, best_effect, herm_eig, hs_inner, require_hermitian
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
@@ -309,7 +309,8 @@ def solve_generic(
     witness and a finite ``err >= 0`` bounding how far its value may fall
     short of the maximum; the round's value is rounded up by it.
     ``adjoint_op`` returns a witness's adjoint image as a tuple of
-    Kronecker-sum factors, one per density factor. ``bound`` bounds
+    Kronecker-sum factors, one per density factor, each Hermitian within
+    ``HERM_TOL``; the loop symmetrizes them once, on entry. ``bound`` bounds
     ``|<witness, apply_op(rho)>|`` (spot-checked every round; the accuracy
     guarantee scales with it). ``loss_range``, when given, is a range the
     caller proves every round value lies in (checked every round); its
@@ -319,9 +320,8 @@ def solve_generic(
     spectrum may leave [0, 1] by roundoff, at most LOSS_TOL; a larger
     excursion raises OracleBoundError. The rounding of forming each loss and
     adding it to the sums is bounded and counted in ``m_eig_err`` and
-    ``sum_eig_err``; the bound assumes exactly Hermitian adjoint factors, as
-    ``difference_adjoint_factors`` returns, for which the symmetrization
-    after each add is exact. The run stops ('bracket') on the first round at
+    ``sum_eig_err``; every loss, and so every sum of losses, is exactly
+    Hermitian. The run stops ('bracket') on the first round at
     which the certified bracket is at most ``delta * bound`` wide, else
     after T rounds ('rounds').
     """
@@ -374,7 +374,7 @@ def solve_generic(
             loss_range[0] - LOSS_TOL <= value <= loss_range[1] + LOSS_TOL
         ):
             raise OracleBoundError(f"round value {value} outside promised range {loss_range}")
-        image = [as_cmatrix(f) for f in adjoint_op(witness)]
+        image = [require_hermitian(f) for f in adjoint_op(witness)]
         if [f.shape for f in image] != shapes:
             raise OracleBoundError(
                 f"adjoint_op returned factor shapes {[f.shape for f in image]}, "
@@ -405,8 +405,7 @@ def solve_generic(
         row["losses"] = float(value + err)
 
         for k, m in enumerate(ms):
-            s = sums[k] + m
-            sums[k] = 0.5 * (s + s.conj().T)
+            sums[k] = sums[k] + m
             # The add moves each entry by at most u |S_ij|.
             rounding[k] += formed[k] + UNIT_ROUNDOFF * float(np.linalg.norm(sums[k]))
         decs = [herm_eig(s) for s in sums]

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tolerances
-from .channels import ChannelSpec, normalize, require_density
+from .channels import ChannelSpec, check_isometry, normalize, require_density
 from .errors import ValidationError
 from .linalg import as_cmatrix, best_effect, herm_eig, hs_inner, partial_trace, trace_norm
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
@@ -113,7 +113,7 @@ def unitary_diamond(u, v) -> float:
     for name, m in (("U", mu), ("V", mv)):
         if m.shape[0] != m.shape[1]:
             raise ValidationError(f"{name} must be square, got {m.shape}")
-        residual = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+        residual = check_isometry(m)
         if not residual <= tolerances.ISO_TOL:
             raise ValidationError(f"{name} is not unitary: residual {residual:.3e}")
     if mu.shape != mv.shape:
@@ -221,25 +221,18 @@ def naive_equilibrium(inst: ReducedInstance, iters: int = 10,
 # ---------------------------------------------------------------------------
 # Max output fidelity by alternating ascent (seesaw) over purifications.
 
-def _apply_stack(stack: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    """(stack tensor I_n) applied to a vector on the doubled input space."""
-    return (stack @ vec.reshape(n, n)).reshape(-1)
+def _purify(blocks: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """S (x) I applied to a vector on the doubled input space (X, ref), as
+    the matrix of kept (flag, Z) rows and environment (Y, ref) columns."""
+    d, m, n = blocks.shape
+    return (blocks.reshape(d * m, n) @ vec.reshape(n, n)).reshape(d, m * n)
 
 
-def _apply_stack_adjoint(stack: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    return (stack.conj().T @ vec.reshape(-1, n)).reshape(-1)
-
-
-def _env_matrix(vec: np.ndarray, m: int, z: int, n: int) -> np.ndarray:
-    """Reshape a vector on (flag, Y, Z, ref) into kept (flag, Z) rows and
-    environment (Y, ref) columns."""
-    return vec.reshape(2, m, z, n).transpose(0, 2, 1, 3).reshape(2 * z, m * n)
-
-
-def _apply_env(w: np.ndarray, vec: np.ndarray, m: int, z: int, n: int) -> np.ndarray:
-    mat = _env_matrix(vec, m, z, n)
-    out = mat @ w.T
-    return out.reshape(2, z, m, n).transpose(0, 2, 1, 3).reshape(-1)
+def _purify_adjoint(blocks: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The adjoint of ``_purify``: a (flag, Z) x (Y, ref) matrix back to a
+    vector on the doubled input space."""
+    d, m, n = blocks.shape
+    return (blocks.reshape(d * m, n).conj().T @ mat.reshape(d * m, n)).reshape(-1)
 
 
 def fmax_estimate(inst: ReducedInstance, restarts: int = 50, seed: int = 0) -> float:
@@ -258,24 +251,24 @@ def fmax_estimate(inst: ReducedInstance, restarts: int = 50, seed: int = 0) -> f
             f"got {inst.input_dim}"
         )
     rng = np.random.default_rng(seed)
-    n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
+    n = inst.input_dim
+    plus, minus = inst.blocks_plus, inst.blocks_minus
     best = 0.0
     for _ in range(max(1, int(restarts))):
         x = random_state_vector(rng, n * n)
         y = random_state_vector(rng, n * n)
         value = 0.0
         for _ in range(_SWEEPS):
-            u = _apply_stack(inst.stack_plus, x, n)
-            v = _apply_stack(inst.stack_minus, y, n)
-            overlap = _env_matrix(u, m, z, n).conj().T @ _env_matrix(v, m, z, n)
-            us, sing, vs = np.linalg.svd(overlap.T)
+            u = _purify(plus, x)
+            v = _purify(minus, y)
+            us, sing, vs = np.linalg.svd((u.conj().T @ v).T)
             w = (vs.conj().T @ us.conj().T)
             new_value = float(np.sum(sing))
             # x-step, then y-step, each against the refreshed alignment.
-            x = _apply_stack_adjoint(inst.stack_plus, _apply_env(w, v, m, z, n), n)
+            x = _purify_adjoint(plus, v @ w.T)
             x = x / np.linalg.norm(x)
-            u = _apply_stack(inst.stack_plus, x, n)
-            y = _apply_stack_adjoint(inst.stack_minus, _apply_env(w.conj().T, u, m, z, n), n)
+            u = _purify(plus, x)
+            y = _purify_adjoint(minus, u @ w.conj())
             y = y / np.linalg.norm(y)
             if new_value - value < 1e-12:
                 value = max(value, new_value)

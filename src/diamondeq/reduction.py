@@ -18,8 +18,9 @@ difference map and its adjoint drive the equilibrium solver; the
 distinguishability promises translate into thresholds on the equilibrium
 value via the Fuchs-van de Graaf inequalities.
 
-Splitting each stack by its Y row index gives the blocks W+-_y (2z x n),
-stored as arrays W+- of shape (2z, m, n). In block form each arm is
+Splitting each stack by its Y row index gives the blocks W+-_y (2z x n).
+The instance stores the pair in this form only, as arrays W+- of shape
+(2z, m, n); the stacks themselves are never formed. In block form each arm is
 
     arm+-(sigma) = sum_y W+-_y sigma W+-_y*        (sigma: n x n marginal)
 
@@ -38,40 +39,30 @@ both play pairs of marginals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances
-from .channels import StinespringChannel, pad_env
+from .channels import StinespringChannel, check_isometry
 from .errors import ValidationError
 from .linalg import as_cmatrix, choi_factor, require_units, unit_residuals
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedInstance:
-    """The stacked pair (S+, S-) with dimension bookkeeping.
+    """The stacked pair (S+, S-), stored as its blocks W+- of shape
+    (2z, m, n), indexed ((flag, Z), Y, X), with dimension bookkeeping.
 
     ``pair_dim`` (= n^2) is the solver-side density dimension and
     ``witness_dim`` (= 2z) the measurement-effect dimension.
-    ``blocks_plus``/``blocks_minus`` hold the stacks as W+- blocks of shape
-    (2z, m, n), indexed ((flag, Z), Y, X).
     """
 
-    stack_plus: np.ndarray
-    stack_minus: np.ndarray
+    blocks_plus: np.ndarray
+    blocks_minus: np.ndarray
     input_dim: int
     output_dim: int
     env_dim: int
-    blocks_plus: np.ndarray = field(init=False, repr=False)
-    blocks_minus: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        shape = (2, self.output_dim, self.env_dim, self.input_dim)
-        for name, stack in (("blocks_plus", self.stack_plus), ("blocks_minus", self.stack_minus)):
-            blocks = stack.reshape(shape).transpose(0, 2, 1, 3).reshape(
-                2 * self.env_dim, self.output_dim, self.input_dim)
-            object.__setattr__(self, name, np.ascontiguousarray(blocks))
 
     @property
     def pair_dim(self) -> int:
@@ -85,41 +76,44 @@ class ReducedInstance:
 def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedInstance:
     """Stack two channels into a ReducedInstance.
 
-    Environments are zero-padded to a common dimension first. Both stacks are
-    isometries by construction; the decomposition identity linking the stacks
-    back to Q0 - Q1 is verified on every matrix unit before returning.
+    Environments are zero-padded to a common dimension: each isometry fills
+    its flag half of one zero block array. Both stacks are isometries by
+    construction; the decomposition identity linking the stacks back to
+    Q0 - Q1 is verified on every matrix unit before returning.
     """
     if ch0.input_dim != ch1.input_dim or ch0.output_dim != ch1.output_dim:
         raise ValidationError(
             "channel pair dimension mismatch: "
             f"({ch0.input_dim}->{ch0.output_dim}) vs ({ch1.input_dim}->{ch1.output_dim})"
         )
-    z = max(ch0.env_dim, ch1.env_dim)
-    a0 = pad_env(ch0, z).isometry
-    a1 = pad_env(ch1, z).isometry
     n, m = ch0.input_dim, ch0.output_dim
+    z = max(ch0.env_dim, ch1.env_dim)
+    halves = np.zeros((2, z, m, n), dtype=np.complex128)
+    for half, ch in zip(halves, (ch0, ch1)):
+        half[: ch.env_dim] = ch.isometry.reshape(m, ch.env_dim, n).transpose(1, 0, 2)
+    blocks = halves.reshape(2 * z, m, n)
 
     s = 1.0 / math.sqrt(2.0)
-    plus = np.vstack([a0, a1]) * s
-    minus = np.vstack([a0, -a1]) * s
+    inst = ReducedInstance(blocks * s, np.concatenate([blocks[:z], -blocks[z:]]) * s, n, m, z)
 
     # S-* S- = S+* S+ to the last bit: both factors of every product in the
     # A1 half flip sign, which is exact, so one residual checks both stacks.
-    residual = float(np.linalg.norm(plus.conj().T @ plus - np.eye(n)))
+    residual = check_isometry(inst.blocks_plus.reshape(-1, n))
     if not residual <= tolerances.ISO_TOL:
         raise ValidationError(
             f"stacked matrices are not isometries: residual {residual:.3e}"
         )
-
-    inst = ReducedInstance(plus, minus, n, m, z)
-    require_units(_stack_residuals(inst, a0, a1), "stack decomposition identity fails on")
+    require_units(_stack_residuals(inst, ch0.isometry, ch1.isometry),
+                  "stack decomposition identity fails on")
     return inst
 
 
 def _stack_residuals(inst: ReducedInstance, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Frobenius norms of tr_{flag,Z}(2 S+ E_ij S-*) - (Q0 - Q1)(E_ij) from one
     product: 2 B+ B-* is the Choi matrix of the first term (B+- read off the
-    blocks ((flag, Z), Y, X)), B0 B0* - B1 B1* that of Q0 - Q1."""
+    blocks ((flag, Z), Y, X)), B0 B0* - B1 B1* that of Q0 - Q1. The
+    isometries A0, A1 are the unpadded ones: zero environment columns add
+    nothing to B B*."""
     n, m, d = inst.input_dim, inst.output_dim, inst.witness_dim
     bp, bm = (b.transpose(2, 1, 0).reshape(n * m, d)
               for b in (inst.blocks_plus, inst.blocks_minus))

@@ -43,6 +43,14 @@ def unitary_instance(u, v):
     return build_instance(normalize(unitary_spec(u)), normalize(unitary_spec(v)))
 
 
+def stacks(inst):
+    """The stacked isometries (S+, S-) = (A0; +-A1) / sqrt(2), rows ordered
+    (flag, Y, Z), rebuilt from the instance's blocks ((flag, Z), Y, X)."""
+    n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
+    return tuple(b.reshape(2, z, m, n).transpose(0, 2, 1, 3).reshape(2 * m * z, n)
+                 for b in (inst.blocks_plus, inst.blocks_minus))
+
+
 def random_kraus_pair_spec(rng, n=2, k=2):
     """Admissible channel from a Haar-random (n*k) x n isometry split into
     k Kraus blocks."""

@@ -42,6 +42,7 @@ from tests.conftest import (
     min_eig_projector,
     random_kraus_pair_spec,
     regret_check,
+    stacks,
     unitary_instance,
     unitary_spec,
 )
@@ -272,20 +273,21 @@ def test_criterion_08_reduction_identity(identical_run, orthogonal_run,
     worst_iso, worst_basis = 0.0, 0.0
     for inst in ALL_INSTANCES:
         n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
-        for stack in (inst.stack_plus, inst.stack_minus):
+        plus, minus = stacks(inst)
+        for stack in (plus, minus):
             worst_iso = max(
                 worst_iso,
                 float(np.linalg.norm(stack.conj().T @ stack - np.eye(n))),
             )
         half = m * z
-        a0 = math.sqrt(2.0) * inst.stack_plus[:half]
-        a1 = math.sqrt(2.0) * inst.stack_plus[half:]
+        a0 = math.sqrt(2.0) * plus[:half]
+        a1 = math.sqrt(2.0) * plus[half:]
         for i in range(n):
             for j in range(n):
                 x = np.zeros((n, n), dtype=complex)
                 x[i, j] = 1.0
                 lhs = partial_trace(
-                    2.0 * inst.stack_plus @ x @ inst.stack_minus.conj().T,
+                    2.0 * plus @ x @ minus.conj().T,
                     (2, m, z), (1,),
                 )
                 rhs = partial_trace(a0 @ x @ a0.conj().T, (m, z), (0,)) \

@@ -13,7 +13,6 @@ from diamondeq import (
     normalize,
 )
 from diamondeq import channels, partial_trace, tolerances
-from diamondeq.channels import pad_env
 from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import I2, KET0, PAULI_X, PAULI_Z, constant_spec, unitary_spec
 
@@ -227,23 +226,6 @@ class TestIsometry:
         assert check_isometry(stacked) <= 1e-10
 
 
-def test_pad_env_preserves_action():
-    rng = np.random.default_rng(11)
-    ch = normalize(ChannelSpec("kraus", 2, 2, RESET_KRAUS))
-    padded = pad_env(ch, 5)
-    assert padded.env_dim == 5
-    assert check_isometry(padded.isometry) <= 1e-12
-    for _ in range(5):
-        rho = random_density(rng, 2)
-        assert np.allclose(dilated_output(ch, rho), dilated_output(padded, rho), atol=1e-12)
-
-
-def test_pad_env_rejects_shrinking():
-    ch = normalize(ChannelSpec("kraus", 2, 2, RESET_KRAUS))
-    with pytest.raises(ValidationError, match="shrink"):
-        pad_env(ch, 1)
-
-
 def test_stinespring_channel_rejects_bad_shape():
     with pytest.raises(ValidationError, match="shape"):
         StinespringChannel(np.eye(2), 2, 2, 2)
@@ -281,8 +263,10 @@ def test_dilation_residuals_match_unit_loop(seed, kind, n, m, z, pad, eps):
         mats = (a,) if kind == "stinespring" else tuple(a.reshape(m, z, n)[:, k] for k in range(z))
         spec = ChannelSpec(kind, n, m, mats)
     ch = normalize(spec)
-    ch = pad_env(ch, ch.env_dim + pad)
-    iso = ch.isometry.copy()
+    env = ch.env_dim + pad
+    iso = np.zeros((m, env, n), dtype=np.complex128)
+    iso[:, : ch.env_dim] = ch.isometry.reshape(m, ch.env_dim, n)
+    iso = iso.reshape(m * env, n)
     col = rng.integers(n)
     kick = rng.standard_normal(iso.shape[0]) + 1j * rng.standard_normal(iso.shape[0])
     iso[:, col] += eps * kick / np.linalg.norm(kick)
@@ -293,7 +277,7 @@ def test_dilation_residuals_match_unit_loop(seed, kind, n, m, z, pad, eps):
         for j in range(n):
             x = np.zeros((n, n), dtype=complex)
             x[i, j] = 1.0
-            got = partial_trace(iso @ x @ iso.conj().T, (m, ch.env_dim), (0,))
+            got = partial_trace(iso @ x @ iso.conj().T, (m, env), (0,))
             loop[i, j] = np.linalg.norm(got - _native_output(spec, x))
     np.testing.assert_allclose(batched, loop, rtol=1e-9, atol=1e-13)
     flagged = loop > tolerances.BASIS_TOL

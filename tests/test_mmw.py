@@ -19,7 +19,7 @@ from diamondeq import (
     solve_equilibrium,
     solve_generic,
 )
-from diamondeq import mmw
+from diamondeq import mmw, tolerances
 from diamondeq.cli import trace_to_records
 from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
 from tests.conftest import (
@@ -177,6 +177,44 @@ class TestMetaAlgorithm:
         assert trace.m_max_eig.max() <= 1.0 + 1e-9
         # The loss sum is the plain sum of the losses, to the bit.
         assert np.array_equal(trace.loss_sums[0], loss + loss + loss + loss + loss)
+
+    def test_loss_sums_stay_exactly_hermitian(self):
+        # Losses of the form (u * w) @ u* are Hermitian only up to roundoff.
+        # The loop symmetrizes each adjoint factor on entry, so every loss
+        # sum it accumulates equals its conjugate transpose to the bit.
+        rng = np.random.default_rng(43)
+        for dims in ((3,), (2, 4)):
+            losses = []
+            for _ in range(12):
+                round_losses = []
+                for d in dims:
+                    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    _, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+                    w = rng.uniform(0.0, 1.0 / len(dims), d)
+                    round_losses.append((u * w) @ u.conj().T)
+                losses.append(tuple(round_losses))
+            assert not all(np.array_equal(m, m.conj().T) for ms in losses for m in ms)
+            trace = replay_losses(losses, dims, MMWConfig(delta=0.2, rounds=12))[0].trace
+            assert trace.executed == 12
+            for total in trace.loss_sums:
+                assert np.array_equal(total, total.conj().T)
+
+    @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
+    def test_adjoint_factors_are_checked_hermitian(self, scale, fails):
+        # An adjoint factor may be off Hermitian by HERM_TOL in Frobenius
+        # norm and no more. At bound b the loss M + e K, K = [[0, 1], [-1, 0]],
+        # gives the image b (2 (M + e K) - I), off by 2 b e ||K - K*||_F =
+        # 4 sqrt(2) b e. With b = 4 the loss itself is off by only an eighth
+        # of that, so the factor's entry check is what refuses it.
+        bound = 4.0
+        e = scale * tolerances.HERM_TOL / (4.0 * math.sqrt(2.0) * bound)
+        loss = np.diag([0.3, 0.6]) + e * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        cfg = MMWConfig(delta=0.2, rounds=2)
+        if fails:
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                replay_losses([(loss,)] * 2, (2,), cfg, bound)
+        else:
+            assert replay_losses([(loss,)] * 2, (2,), cfg, bound)[0].iterations == 2
 
     @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
     def test_loss_tolerance_is_the_gate(self, scale, fails):

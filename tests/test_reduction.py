@@ -11,6 +11,7 @@ from diamondeq import (
     ValidationError,
     best_effect,
     build_instance,
+    check_isometry,
     difference_adjoint_factors,
     hs_inner,
     normalize,
@@ -19,8 +20,7 @@ from diamondeq import (
     trace_norm,
 )
 from diamondeq import reduction, tolerances
-from diamondeq.channels import pad_env
-from diamondeq.oracles import random_density
+from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import (
     I2,
     KET0,
@@ -31,9 +31,41 @@ from tests.conftest import (
     difference_adjoint,
     difference_output,
     random_kraus_pair_spec,
+    stacks,
     unitary_instance,
     unitary_spec,
 )
+
+
+def corrupt_blocks(monkeypatch, corrupt):
+    """Make build_instance apply ``corrupt`` to both block arrays before its
+    checks run."""
+    def make(plus, minus, *dims):
+        return ReducedInstance(corrupt(plus), corrupt(minus), *dims)
+
+    monkeypatch.setattr(reduction, "ReducedInstance", make)
+
+
+def rotate_q1_half(phases):
+    """Corruption multiplying the Q1 half's Y rows by ``phases`` (z = 1)."""
+    def corrupt(blocks):
+        return np.concatenate([blocks[:1], phases[None, :, None] * blocks[1:]])
+
+    return corrupt
+
+
+def _pair_channels(kind):
+    """A channel pair of the given kind; "mixed" has environments z = 1 and 4."""
+    rng = np.random.default_rng([3, len(kind)])
+    if kind == "unitary":
+        specs = [unitary_spec(random_unitary(rng, 3)) for _ in range(2)]
+    elif kind == "kraus":
+        specs = [random_kraus_pair_spec(rng, 3, k) for k in (2, 3)]
+    elif kind == "constant":
+        specs = [constant_spec(random_density(rng, 2), 3) for _ in range(2)]
+    else:
+        specs = [unitary_spec(random_unitary(rng, 2)), random_kraus_pair_spec(rng, 2, 4)]
+    return [normalize(spec) for spec in specs]
 
 
 def random_effect(rng, dim):
@@ -47,25 +79,27 @@ def random_effect(rng, dim):
 class TestBuildInstance:
     def test_identity_pair_stacks(self, identity_instance):
         s = 1.0 / math.sqrt(2)
-        assert np.allclose(identity_instance.stack_plus, np.vstack([I2, I2]) * s)
-        assert np.allclose(identity_instance.stack_minus, np.vstack([I2, -I2]) * s)
+        plus, minus = stacks(identity_instance)
+        assert np.allclose(plus, np.vstack([I2, I2]) * s)
+        assert np.allclose(minus, np.vstack([I2, -I2]) * s)
         assert identity_instance.pair_dim == 4
         assert identity_instance.witness_dim == 2
 
     def test_explicit_z_pair(self):
         inst = unitary_instance(I2, PAULI_Z)
         s = 1.0 / math.sqrt(2)
-        assert np.allclose(inst.stack_plus, np.vstack([I2, PAULI_Z]) * s)
-        assert np.allclose(inst.stack_minus, np.vstack([I2, -PAULI_Z]) * s)
-        for stack in (inst.stack_plus, inst.stack_minus):
+        plus, minus = stacks(inst)
+        assert np.allclose(plus, np.vstack([I2, PAULI_Z]) * s)
+        assert np.allclose(minus, np.vstack([I2, -PAULI_Z]) * s)
+        for stack in (plus, minus):
             residual = np.linalg.norm(stack.conj().T @ stack - np.eye(2))
             assert residual <= 1e-12
 
     @pytest.mark.parametrize("kind", ["unitary", "kraus", "padded", "constant"])
     def test_minus_gram_is_the_plus_gram_bit_for_bit(self, kind):
-        # build_instance checks the plus stack's isometry residual only: the
-        # minus stack flips the sign of both factors in the A1 half of every
-        # product, which is exact, so its Gram matrix is the same array.
+        # build_instance checks the plus blocks' isometry residual only: the
+        # minus blocks flip the sign of both factors in the A1 half of every
+        # product, which is exact, so their Gram matrix is the same array.
         rng = np.random.default_rng([3, len(kind)])
         # Environments z = 2 and z = 3 for "padded": the first is zero-padded.
         shapes = {"unitary": (1, 1), "kraus": (2, 2), "padded": (2, 3)}
@@ -74,15 +108,55 @@ class TestBuildInstance:
         else:
             specs = [random_kraus_pair_spec(rng, 3, k) for k in shapes[kind]]
         inst = build_instance(*map(normalize, specs))
-        plus, minus = inst.stack_plus, inst.stack_minus
+        n = inst.input_dim
+        plus, minus = (b.reshape(-1, n) for b in (inst.blocks_plus, inst.blocks_minus))
         assert np.array_equal(minus.conj().T @ minus, plus.conj().T @ plus)
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "mixed"])
+    def test_blocks_match_the_stacked_construction(self, kind):
+        # The blocks are, byte for byte, those read off the stacks
+        # (A0; +-A1) / sqrt(2) of the environment-padded isometries.
+        ch0, ch1 = _pair_channels(kind)
+        inst = build_instance(ch0, ch1)
+        n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
+        padded = []
+        for ch in (ch0, ch1):
+            a = np.zeros((m, z, n), dtype=np.complex128)
+            a[:, : ch.env_dim] = ch.isometry.reshape(m, ch.env_dim, n)
+            padded.append(a.reshape(m * z, n))
+        s = 1.0 / math.sqrt(2.0)
+        a0, a1 = padded
+        for stack, blocks in ((np.vstack([a0, a1]) * s, inst.blocks_plus),
+                              (np.vstack([a0, -a1]) * s, inst.blocks_minus)):
+            want = np.ascontiguousarray(
+                stack.reshape(2, m, z, n).transpose(0, 2, 1, 3).reshape(2 * z, m, n))
+            assert blocks.shape == want.shape
+            assert blocks.tobytes() == want.tobytes()
+
+    def test_padding_preserves_each_channel_action(self):
+        # A mixed pair (z = 1 and 4) pads the unitary's environment with
+        # zero rows; each half of the plus stack, times sqrt(2), is still an
+        # isometry dilating its own channel.
+        rng = np.random.default_rng(11)
+        ch0, ch1 = _pair_channels("mixed")
+        inst = build_instance(ch0, ch1)
+        m, z = inst.output_dim, inst.env_dim
+        assert (ch0.env_dim, ch1.env_dim, z) == (1, 4, 4)
+        halves = math.sqrt(2.0) * stacks(inst)[0].reshape(2, m * z, -1)
+        for ch, a in zip((ch0, ch1), halves):
+            assert check_isometry(a) <= 1e-12
+            for _ in range(5):
+                rho = random_density(rng, 2)
+                got = partial_trace(a @ rho @ a.conj().T, (m, z), (0,))
+                want = partial_trace(ch.isometry @ rho @ ch.isometry.conj().T,
+                                     (m, ch.env_dim), (0,))
+                assert np.allclose(got, want, atol=1e-12)
 
     def test_non_isometric_stack_is_refused(self, monkeypatch):
         # Scaling both halves by 1 + 1e-6 leaves a residual of about 3e-6,
         # far above ISO_TOL, in both stacks.
         ch = normalize(unitary_spec(I2))
-        vstack = np.vstack
-        monkeypatch.setattr(np, "vstack", lambda blocks: (1.0 + 1e-6) * vstack(blocks))
+        corrupt_blocks(monkeypatch, lambda blocks: (1.0 + 1e-6) * blocks)
         with pytest.raises(ValidationError, match="stacked matrices are not isometries"):
             build_instance(ch, ch)
 
@@ -100,14 +174,12 @@ class TestBuildInstance:
         # tr over (flag, Z) of 2 S+ X S-* equals Q0(X) - Q1(X) on every unit.
         inst = unitary_instance(I2, PHASE_S)
         n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
+        plus, minus = stacks(inst)
         for i in range(n):
             for j in range(n):
                 x = np.zeros((n, n), dtype=complex)
                 x[i, j] = 1.0
-                lhs = partial_trace(
-                    2.0 * inst.stack_plus @ x @ inst.stack_minus.conj().T,
-                    (2, m, z), (1,),
-                )
+                lhs = partial_trace(2.0 * plus @ x @ minus.conj().T, (2, m, z), (1,))
                 rhs = x - PHASE_S @ x @ PHASE_S.conj().T
                 assert np.linalg.norm(lhs - rhs) <= 1e-9
 
@@ -127,13 +199,7 @@ class TestBuildInstance:
         a, b = 1e-3, 0.5
         phases = np.exp(1j * np.array([0.0, a, b]))
         ch = normalize(unitary_spec(np.eye(3)))
-        vstack = np.vstack
-
-        def rotated_vstack(blocks):
-            top, bottom = blocks
-            return vstack([top, phases[:, None] * bottom])
-
-        monkeypatch.setattr(np, "vstack", rotated_vstack)
+        corrupt_blocks(monkeypatch, rotate_q1_half(phases))
         with pytest.raises(ValidationError) as info:
             build_instance(ch, ch)
         message = str(info.value)
@@ -148,9 +214,7 @@ class TestBuildInstance:
         # exceeds BASIS_TOL.
         phases = np.exp(1j * np.array([0.0, scale * tolerances.BASIS_TOL]))
         ch = normalize(unitary_spec(I2))
-        vstack = np.vstack
-        monkeypatch.setattr(
-            np, "vstack", lambda blocks: vstack([blocks[0], phases[:, None] * blocks[1]]))
+        corrupt_blocks(monkeypatch, rotate_q1_half(phases))
         if fails:
             with pytest.raises(ValidationError, match=r"basis unit \(0,1\)"):
                 build_instance(ch, ch)
@@ -265,9 +329,10 @@ class TestDifferenceAdjoint:
         ).reshape(2 * m * z, 2 * m * z)
         out_plus, out_minus = arm_outputs(inst, rho)
         g_plus, neg_g_minus = difference_adjoint_factors(inst, effect)
+        plus, minus = stacks(inst)
         for stack, sigma, out, g in (
-            (inst.stack_plus, first, out_plus, g_plus),
-            (inst.stack_minus, second, out_minus, -neg_g_minus),
+            (plus, first, out_plus, g_plus),
+            (minus, second, out_minus, -neg_g_minus),
         ):
             want_out = partial_trace(stack @ sigma @ stack.conj().T, (2, m, z), (0, 2))
             assert np.linalg.norm(out - want_out) <= 1e-12
@@ -323,29 +388,30 @@ def _random_isometry(rng, rows, cols):
 def test_stack_residuals_match_unit_loop(seed, n, m, z0, z1, which, eps):
     # The batched per-unit residuals of build_instance's check equal a loop
     # of partial traces over the matrix units, on padded environments and
-    # perturbed stacks, and both flag the same units.
+    # perturbed blocks, and both flag the same units.
     assume(m * min(z0, z1) >= n)
     rng = np.random.default_rng(seed)
     ch0 = StinespringChannel(_random_isometry(rng, m * z0, n), n, m, z0)
     ch1 = StinespringChannel(_random_isometry(rng, m * z1, n), n, m, z1)
-    inst = build_instance(ch0, ch1)
-    z = inst.env_dim
-    a0, a1 = pad_env(ch0, z).isometry, pad_env(ch1, z).isometry
-    stacks = [inst.stack_plus.copy(), inst.stack_minus.copy()]
+    built = build_instance(ch0, ch1)
+    z = built.env_dim
+    a0, a1 = ch0.isometry, ch1.isometry
+    blocks = [built.blocks_plus.copy(), built.blocks_minus.copy()]
     col = rng.integers(n)
-    kick = rng.standard_normal(2 * m * z) + 1j * rng.standard_normal(2 * m * z)
-    stacks[which][:, col] += eps * kick / np.linalg.norm(kick)
-    plus, minus = stacks
+    kick = rng.standard_normal((2 * z, m)) + 1j * rng.standard_normal((2 * z, m))
+    blocks[which][:, :, col] += eps * kick / np.linalg.norm(kick)
+    inst = ReducedInstance(*blocks, n, m, z)
+    plus, minus = stacks(inst)
 
-    batched = reduction._stack_residuals(ReducedInstance(plus, minus, n, m, z), a0, a1)
+    batched = reduction._stack_residuals(inst, a0, a1)
     loop = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             x = np.zeros((n, n), dtype=complex)
             x[i, j] = 1.0
             lhs = partial_trace(2.0 * plus @ x @ minus.conj().T, (2, m, z), (1,))
-            rhs = (partial_trace(a0 @ x @ a0.conj().T, (m, z), (0,))
-                   - partial_trace(a1 @ x @ a1.conj().T, (m, z), (0,)))
+            rhs = (partial_trace(a0 @ x @ a0.conj().T, (m, z0), (0,))
+                   - partial_trace(a1 @ x @ a1.conj().T, (m, z1), (0,)))
             loop[i, j] = np.linalg.norm(lhs - rhs)
     np.testing.assert_allclose(batched, loop, rtol=1e-9, atol=1e-13)
     flagged = loop > tolerances.BASIS_TOL
