@@ -4,7 +4,6 @@ matrix multiplicative weights method."""
 
 from .channels import (
     ChannelSpec,
-    StinespringChannel,
     check_isometry,
     normalize,
 )
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSpec",
-    "StinespringChannel",
     "check_isometry",
     "normalize",
     "CertificateViolation",

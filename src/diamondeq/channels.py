@@ -1,10 +1,11 @@
 """Channel data model for the channel-file kinds ``KINDS`` (gate circuits
-are not one): validation and normalization to Stinespring form.
+are not one): validation, and normalization to a Stinespring isometry.
 
-A channel on input space X (dim n) with output space Y (dim m) is stored as
-an isometry A from X into Y tensor Z (environment dim z), acting as
-rho -> tr_Z(A rho A*). Flattened indices put Y before Z (leftmost factor
-most significant, as everywhere in this package).
+``ChannelSpec`` is the one channel type. A channel on input space X (dim n)
+with output space Y (dim m) acts as rho -> tr_Z(A rho A*) for an isometry A
+from X into Y tensor Z (environment dim z); ``normalize`` returns A as an
+(m z) x n array. Flattened indices put Y before Z (leftmost factor most
+significant, as everywhere in this package).
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ def check_isometry(a) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
 
 
-def _require_isometry(a, what: str) -> np.ndarray:
-    m = as_cmatrix(a)
-    residual = check_isometry(m)
+def _require_isometry(a, what: str) -> None:
+    residual = check_isometry(a)
     limit = tolerances.ISO_TOL
     if not residual <= limit:
         raise ValidationError(
             f"{what} is not an isometry: ||A*A - I||_F = {residual:.3e} > {limit:.3e}"
         )
-    return m
 
 
 def require_density(rho) -> np.ndarray:
@@ -155,67 +154,54 @@ class ChannelSpec:
         require_density(sigma)
 
 
-@dataclass(frozen=True, eq=False)
-class StinespringChannel:
-    """A validated channel rho -> tr_Z(A rho A*) with A an isometry."""
-
-    isometry: np.ndarray
-    input_dim: int
-    output_dim: int
-    env_dim: int
-
-    def __post_init__(self):
-        a = _freeze(as_cmatrix(self.isometry))
-        if a.shape != (self.output_dim * self.env_dim, self.input_dim):
-            raise ValidationError(
-                f"isometry shape {a.shape} does not match dims "
-                f"(m*z, n) = ({self.output_dim * self.env_dim}, {self.input_dim})"
-            )
-        object.__setattr__(self, "isometry", a)
-        _require_isometry(a, "channel isometry")
-
-
-def normalize(spec: ChannelSpec) -> StinespringChannel:
-    """Normalize a validated ChannelSpec into Stinespring form.
+def normalize(spec: ChannelSpec) -> np.ndarray:
+    """The spec's Stinespring isometry A, of shape (m z, n).
 
     Dilation choices, fixed once for reproducibility:
 
+    * stinespring: A is the spec's own matrix;
+    * unitary: A = U with a trivial environment (z = 1);
     * kraus: A = sum_i K_i (x) |i>_Z, so z equals the number of operators
       and Z is the trailing tensor factor;
-    * unitary: A = U with a trivial environment (z = 1);
     * constant target sigma = sum_j lam_j |v_j><v_j|: A maps
       |x> -> sum_j sqrt(lam_j) |v_j>_Y |j>_Z1 |x>_Z2 with Z = Z1 (x) Z2,
       so z = m * n.
 
-    Before returning, the dilation's output is compared with the spec's own
-    action on every matrix unit E_ij, each within ``tolerances.BASIS_TOL``;
-    all n^2 residuals are the blocks of one product of Choi factors.
+    The first two are returned as validated by the spec. A built dilation
+    is compared with the spec's own action on every matrix unit E_ij, each
+    within ``tolerances.BASIS_TOL``; all n^2 residuals are the blocks of one
+    product of Choi factors. The Kraus spec has already checked the Gram
+    matrix of its operators, so only the constant dilation's isometry
+    residual is checked here.
     """
+    if spec.kind in ("stinespring", "unitary"):
+        return spec.matrices[0]
+    a = _dilation(spec)
+    if spec.kind == "constant":
+        _require_isometry(a, "channel isometry")
+    require_units(_spec_residuals(spec, a),
+                  f"normalized channel deviates from the {spec.kind} action on")
+    return a
+
+
+def _dilation(spec: ChannelSpec) -> np.ndarray:
+    """The isometry normalize builds for a kraus or constant spec."""
     n, m = spec.input_dim, spec.output_dim
     if spec.kind == "kraus":
-        a = np.stack(spec.matrices, axis=1).reshape(-1, n)
-    elif spec.kind == "constant":
-        dec = herm_eig(spec.matrices[0])
-        weighted = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-        a = np.einsum("yj,xw->yjxw", weighted, np.eye(n)).reshape(m * m * n, n)
-    else:
-        a = spec.matrices[0]
-    ch = StinespringChannel(a, n, m, a.shape[0] // m)
-    require_units(_spec_residuals(spec, ch.isometry),
-                  f"normalized channel deviates from the {spec.kind} action on")
-    return ch
+        return np.stack(spec.matrices, axis=1).reshape(-1, n)
+    dec = herm_eig(spec.matrices[0])
+    weighted = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    return np.einsum("yj,xw->yjxw", weighted, np.eye(n)).reshape(m * m * n, n)
 
 
 def _spec_residuals(spec: ChannelSpec, a: np.ndarray) -> np.ndarray:
-    """Per-unit Frobenius residuals of the dilation A against the spec's action."""
+    """Per-unit Frobenius residuals of the dilation A against the action of a
+    kraus or constant spec."""
     n, m = spec.input_dim, spec.output_dim
     if spec.kind == "constant":  # x -> sigma tr(x) has Choi matrix I (x) sigma
         left = np.einsum("ij,ab->iajb", np.eye(n), spec.matrices[0]).reshape(n * m, n * m)
         right = np.eye(n * m)
-    elif spec.kind == "kraus":  # column k is K_k^T flattened: entry (i, y) is K_k[y, i]
+    else:  # column k is K_k^T flattened: entry (i, y) is K_k[y, i]
         left = right = np.stack(spec.matrices, axis=-1).transpose(1, 0, 2).reshape(n * m, -1)
-    else:
-        left = right = choi_factor(spec.matrices[0], m)
     b = choi_factor(a, m)
     return unit_residuals(np.hstack([b, left]), np.hstack([b, -right]), n)
-

@@ -56,7 +56,7 @@ from itertools import chain
 import numpy as np
 
 from . import oracles
-from .channels import KINDS, ChannelSpec, normalize
+from .channels import KINDS, ChannelSpec
 from .errors import (
     CertificateViolation,
     EigendecompositionError,
@@ -326,7 +326,7 @@ def _oracle_report(config: RunConfig) -> dict:
         spec0, spec1, trials=config.trials, seed=config.seed
     )
     if spec0.input_dim <= 3:
-        inst = build_instance(normalize(spec0), normalize(spec1))
+        inst = build_instance(spec0, spec1)
         lb, ub = oracles.naive_equilibrium(inst, iters=10, seed=config.seed)
         doc["naive_lb"] = lb
         doc["naive_ub"] = ub
@@ -341,8 +341,7 @@ def run(config: RunConfig, stream=None) -> int:
         if config.command == "oracle":
             _emit(_oracle_report(config), config, stream)
             return 0
-        spec0, spec1 = parse_channel_file(config.channel_path)
-        inst = build_instance(normalize(spec0), normalize(spec1))
+        inst = build_instance(*parse_channel_file(config.channel_path))
         cfg = config.mmw_config()
         promise = (config.a, config.b) if config.command == "qcd" else None
         require_gap(promise, cfg)

@@ -140,18 +140,17 @@ def diamond_lower_search(spec0: ChannelSpec, spec1: ChannelSpec,
     space and returns the largest output trace norm seen; always a valid
     lower bound.
     """
-    ch0 = normalize(spec0)
-    ch1 = normalize(spec1)
-    if ch0.input_dim != ch1.input_dim or ch0.output_dim != ch1.output_dim:
+    dilations = normalize(spec0), normalize(spec1)
+    if spec0.input_dim != spec1.input_dim or spec0.output_dim != spec1.output_dim:
         raise ValidationError("channel pair dimension mismatch")
-    n, m = ch0.input_dim, ch0.output_dim
+    n, m = spec0.input_dim, spec0.output_dim
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(max(1, int(trials))):
         psi = random_state_vector(rng, n * n).reshape(n, n)
         outs = []
-        for ch in (ch0, ch1):
-            t = (ch.isometry @ psi).reshape(m, ch.env_dim, n)
+        for a in dilations:
+            t = (a @ psi).reshape(m, -1, n)
             outs.append(np.einsum("azx,bzy->axby", t, t.conj()).reshape(m * n, m * n))
         best = max(best, trace_norm(outs[0] - outs[1]))
     return best

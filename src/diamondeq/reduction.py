@@ -1,7 +1,8 @@
 """Reduction of a channel pair to an equilibrium-value instance.
 
-Two channels Q0, Q1 with Stinespring isometries A0, A1 (shared environment
-dim z after padding) are combined into the stacked isometries
+Two channels Q0, Q1, given as ``ChannelSpec``s, are normalized to their
+Stinespring isometries A0, A1 (shared environment dim z after padding) and
+combined into the stacked isometries
 
     S+ = (A0; A1) / sqrt(2)      S- = (A0; -A1) / sqrt(2)
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .channels import StinespringChannel, check_isometry
+from .channels import ChannelSpec, check_isometry, normalize
 from .errors import ValidationError
 from .linalg import as_cmatrix, choi_factor, require_units, unit_residuals
 
@@ -73,24 +74,26 @@ class ReducedInstance:
         return 2 * self.env_dim
 
 
-def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedInstance:
+def build_instance(spec0: ChannelSpec, spec1: ChannelSpec) -> ReducedInstance:
     """Stack two channels into a ReducedInstance.
 
+    Each spec is normalized to its isometry A_k, of shape (m z_k, n).
     Environments are zero-padded to a common dimension: each isometry fills
     its flag half of one zero block array. Both stacks are isometries by
     construction; the decomposition identity linking the stacks back to
     Q0 - Q1 is verified on every matrix unit before returning.
     """
-    if ch0.input_dim != ch1.input_dim or ch0.output_dim != ch1.output_dim:
+    a0, a1 = normalize(spec0), normalize(spec1)
+    if spec0.input_dim != spec1.input_dim or spec0.output_dim != spec1.output_dim:
         raise ValidationError(
             "channel pair dimension mismatch: "
-            f"({ch0.input_dim}->{ch0.output_dim}) vs ({ch1.input_dim}->{ch1.output_dim})"
+            f"({spec0.input_dim}->{spec0.output_dim}) vs ({spec1.input_dim}->{spec1.output_dim})"
         )
-    n, m = ch0.input_dim, ch0.output_dim
-    z = max(ch0.env_dim, ch1.env_dim)
+    n, m = spec0.input_dim, spec0.output_dim
+    z = max(a0.shape[0], a1.shape[0]) // m
     halves = np.zeros((2, z, m, n), dtype=np.complex128)
-    for half, ch in zip(halves, (ch0, ch1)):
-        half[: ch.env_dim] = ch.isometry.reshape(m, ch.env_dim, n).transpose(1, 0, 2)
+    for half, a in zip(halves, (a0, a1)):
+        half[: a.shape[0] // m] = a.reshape(m, -1, n).transpose(1, 0, 2)
     blocks = halves.reshape(2 * z, m, n)
 
     s = 1.0 / math.sqrt(2.0)
@@ -103,8 +106,7 @@ def build_instance(ch0: StinespringChannel, ch1: StinespringChannel) -> ReducedI
         raise ValidationError(
             f"stacked matrices are not isometries: residual {residual:.3e}"
         )
-    require_units(_stack_residuals(inst, ch0.isometry, ch1.isometry),
-                  "stack decomposition identity fails on")
+    require_units(_stack_residuals(inst, a0, a1), "stack decomposition identity fails on")
     return inst
 
 

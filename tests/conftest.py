@@ -12,7 +12,6 @@ from diamondeq import (
     hs_inner,
     marginal_arm_outputs,
     marginal_difference_output,
-    normalize,
     partial_trace,
     solve_generic,
     tolerances,
@@ -40,7 +39,7 @@ def constant_spec(sigma, input_dim=2):
 
 
 def unitary_instance(u, v):
-    return build_instance(normalize(unitary_spec(u)), normalize(unitary_spec(v)))
+    return build_instance(unitary_spec(u), unitary_spec(v))
 
 
 def stacks(inst):
@@ -239,4 +238,4 @@ def phase_instance():
 
 @pytest.fixture
 def orthogonal_instance():
-    return build_instance(normalize(constant_spec(KET0)), normalize(constant_spec(KET1)))
+    return build_instance(constant_spec(KET0), constant_spec(KET1))

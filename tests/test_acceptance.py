@@ -14,7 +14,6 @@ from diamondeq import (
     build_instance,
     build_report,
     hs_inner,
-    normalize,
     partial_trace,
     solve_and_report,
     solve_equilibrium,
@@ -64,8 +63,8 @@ def report_line(num, ok, detail):
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def tracked_instance(ch0, ch1):
-    inst = build_instance(ch0, ch1)
+def tracked_instance(spec0, spec1):
+    inst = build_instance(spec0, spec1)
     ALL_INSTANCES.append(inst)
     return inst
 
@@ -83,7 +82,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def identical_run(cfg):
-    inst = tracked_instance(normalize(unitary_spec(I2)), normalize(unitary_spec(I2)))
+    inst = tracked_instance(unitary_spec(I2), unitary_spec(I2))
     start = time.perf_counter()
     result = tracked_solve("identical", inst, cfg)
     return inst, result, time.perf_counter() - start
@@ -91,9 +90,7 @@ def identical_run(cfg):
 
 @pytest.fixture(scope="module")
 def orthogonal_run(cfg):
-    inst = tracked_instance(
-        normalize(constant_spec(KET0)), normalize(constant_spec(KET1))
-    )
+    inst = tracked_instance(constant_spec(KET0), constant_spec(KET1))
     start = time.perf_counter()
     result = tracked_solve("orthogonal", inst, cfg)
     return inst, result, time.perf_counter() - start
@@ -106,7 +103,7 @@ def unitary_runs(cfg):
     pairs += [(random_unitary(rng, 2), random_unitary(rng, 2)) for _ in range(49)]
     runs = []
     for k, (u, v) in enumerate(pairs):
-        inst = tracked_instance(normalize(unitary_spec(u)), normalize(unitary_spec(v)))
+        inst = tracked_instance(unitary_spec(u), unitary_spec(v))
         runs.append((u, v, tracked_solve(f"unitary-{k}", inst, cfg)))
     return runs
 
@@ -120,13 +117,13 @@ def random_channel_runs(cfg):
     instances = []
     for _ in range(6):
         instances.append(tracked_instance(
-            normalize(random_kraus_pair_spec(rng)),
-            normalize(random_kraus_pair_spec(rng)),
+            random_kraus_pair_spec(rng),
+            random_kraus_pair_spec(rng),
         ))
     for _ in range(6):
         instances.append(tracked_instance(
-            normalize(unitary_spec(random_unitary(rng, 2))),
-            normalize(unitary_spec(random_unitary(rng, 2))),
+            unitary_spec(random_unitary(rng, 2)),
+            unitary_spec(random_unitary(rng, 2)),
         ))
     runs = []
     for k, inst in enumerate(instances):
@@ -255,7 +252,7 @@ def test_criterion_07_max_fidelity_crosscheck():
     worst = 0.0
     for k in range(10):
         u, v = random_unitary(rng, 2), random_unitary(rng, 2)
-        inst = tracked_instance(normalize(unitary_spec(u)), normalize(unitary_spec(v)))
+        inst = tracked_instance(unitary_spec(u), unitary_spec(v))
         doubled = fmax_estimate(inst, restarts=30, seed=k)
         truth = unitary_diamond(u, v)
         ok &= doubled <= truth + 1e-9          # one-sided from below
@@ -326,8 +323,7 @@ def test_criterion_09_duality_residual(identical_run, orthogonal_run):
 def test_criterion_10_refusal_contract(cfg):
     quad = 1.0 ** 2 - (4 * 0.3 - 0.3 ** 2)
     with pytest.raises(GapTooSmallError, match="out of scope"):
-        solve_and_report(build_instance(normalize(unitary_spec(I2)),
-                                        normalize(unitary_spec(I2))), cfg, (1.0, 0.3))
+        solve_and_report(build_instance(unitary_spec(I2), unitary_spec(I2)), cfg, (1.0, 0.3))
     report_line(
         10, quad <= 0,
         f"pdn promise (a, b) = (1.0, 0.3) has condition value {quad:.2f} <= 0 "

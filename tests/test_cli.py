@@ -13,7 +13,6 @@ from diamondeq import (
     MMWConfig,
     ValidationError,
     build_instance,
-    normalize,
     solve_equilibrium,
 )
 from diamondeq import cli, mmw
@@ -78,7 +77,7 @@ def read_records(path):
 
 def file_instance(path):
     """The reduced instance the CLI builds from a channel file."""
-    return build_instance(*map(normalize, parse_channel_file(path)))
+    return build_instance(*parse_channel_file(path))
 
 
 def solved_trace(path, records, **cfg):

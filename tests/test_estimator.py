@@ -11,7 +11,6 @@ from diamondeq import (
     GapTooSmallError,
     MMWConfig,
     build_instance,
-    normalize,
     require_gap,
     solve_and_report,
 )
@@ -36,7 +35,7 @@ FAST = MMWConfig(delta=0.2)
 
 def _decide_specs(spec0, spec1, promise, cfg):
     """The report of a promise (a, b) on two channel descriptions."""
-    return solve_and_report(build_instance(normalize(spec0), normalize(spec1)), cfg,
+    return solve_and_report(build_instance(spec0, spec1), cfg,
                             promise)
 
 
@@ -152,7 +151,7 @@ class TestBracketReport:
     def test_run_to_t_is_inside_the_a_priori_interval(self):
         # T = 2 rounds end before this pair's bracket closes (round 10).
         rng = np.random.default_rng(5)
-        inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
+        inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
         cfg = MMWConfig(delta=0.2, rounds=2)
         report = solve_and_report(inst, cfg)
         result = report.result
@@ -251,7 +250,7 @@ def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, 
               for support in (range(r0), range(start, start + r1))]
     truth = constant_diamond(*sigmas)
     cfg = MMWConfig(delta=delta)
-    inst = build_instance(*(normalize(constant_spec(x, n)) for x in sigmas))
+    inst = build_instance(*(constant_spec(x, n) for x in sigmas))
     report = solve_and_report(inst, cfg)
     result = report.result
     lo, hi = report.interval
@@ -298,7 +297,7 @@ def test_near_singular_pauli_kraus_sets_keep_the_distance(data, seed, delta, for
     p, q = (_pauli_probabilities(lambda: data.draw(slot), rng) for _ in range(2))
     truth = float(np.abs(p - q).sum())
     specs = [_pauli_spec(x, form) for x, form in zip((p, q), forms)]
-    report = solve_and_report(build_instance(*map(normalize, specs)),
+    report = solve_and_report(build_instance(*specs),
                               MMWConfig(delta=delta))
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9

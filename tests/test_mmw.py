@@ -39,7 +39,7 @@ from tests.conftest import (
     replay_losses,
     unitary_spec,
 )
-from diamondeq import build_instance, normalize
+from diamondeq import build_instance
 
 FAST = MMWConfig(delta=0.2)
 
@@ -323,7 +323,7 @@ class TestSolveEquilibrium:
     def test_stops_when_the_bracket_closes(self):
         # Seeded Kraus pair whose bracket stays wider than delta for 9 rounds.
         rng = np.random.default_rng(5)
-        inst = build_instance(*(normalize(random_kraus_pair_spec(rng)) for _ in range(2)))
+        inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
         res = solve_equilibrium(inst, FAST)
         assert res.trace.stop_reason == "bracket"
         assert res.iterations == first_closed_round(res.trace) == 10
@@ -350,7 +350,7 @@ class TestSolveEquilibrium:
 
         def weyl(probs, ops):
             kraus = tuple(math.sqrt(p) * v @ w @ v.conj().T for p, w in zip(probs, ops))
-            return normalize(ChannelSpec("kraus", 2, 2, kraus))
+            return ChannelSpec("kraus", 2, 2, kraus)
 
         disjoint = build_instance(weyl((0.3, 0.7), (I2, PAULI_X)),
                                   weyl((0.6, 0.4), (pauli_y, PAULI_Z)))
@@ -423,10 +423,7 @@ class TestSolveEquilibrium:
     def test_certificate_sandwich_vs_naive(self):
         rng = np.random.default_rng(5)
         for seed in range(3):
-            inst = build_instance(
-                normalize(random_kraus_pair_spec(rng)),
-                normalize(random_kraus_pair_spec(rng)),
-            )
+            inst = build_instance(random_kraus_pair_spec(rng), random_kraus_pair_spec(rng))
             res = solve_equilibrium(inst, FAST)
             lb, ub = naive_equilibrium(inst, iters=8, seed=seed)
             # Both brackets are rigorous, so they cross-bracket up to roundoff.
@@ -464,7 +461,7 @@ class TestAnytimeGuarantee:
         else:
             specs = random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2)
         cfg = MMWConfig(delta=delta)
-        res = solve_equilibrium(build_instance(*map(normalize, specs)), cfg)
+        res = solve_equilibrium(build_instance(*specs), cfg)
         assert res.trace.rounds == cfg.resolved_rounds(n * n)
         assert res.trace.stop_reason == "bracket"
         assert res.iterations == first_closed_round(res.trace) <= res.trace.rounds
@@ -566,7 +563,7 @@ def _gap(a, b) -> float:
 def test_product_solver_matches_dense_reference(kind, n):
     # The one-factor dense game on the joint n^2 x n^2 density is the
     # reference for the two-factor product solver.
-    inst = build_instance(*(normalize(spec) for spec in _seeded_pair(kind, n)))
+    inst = build_instance(*_seeded_pair(kind, n))
     product = solve_equilibrium(inst, FAST)
     dense = _dense_reference(inst)
     assert product.iterations == dense.iterations
@@ -597,7 +594,7 @@ def test_averaged_certificate_matches_the_adjoint_image(kind, n):
     # The loop reads the averaged witness's certificate off its loss sum;
     # the reference eigendecomposes the adjoint image of the averaged
     # witness itself.
-    inst = build_instance(*(normalize(spec) for spec in _seeded_pair(kind, n)))
+    inst = build_instance(*_seeded_pair(kind, n))
     witnesses, adjoint_calls = [], []
 
     def argmax_op(value_op):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diamondeq import ValidationError, build_instance, normalize, trace_norm
+from diamondeq import ValidationError, build_instance, trace_norm
 from diamondeq.oracles import (
     constant_diamond,
     diamond_lower_search,
@@ -206,7 +206,7 @@ def test_naive_bracket_crosses_solver_certificates(seed, n, kind):
     else:
         # Padded environment: z = 1 against z = 3.
         specs = (unitary_spec(random_unitary(rng, n)), random_kraus_pair_spec(rng, n, 3))
-    inst = build_instance(*(normalize(s) for s in specs))
+    inst = build_instance(*specs)
     lb, ub = naive_equilibrium(inst, iters=2, seed=seed)
     res = solve_equilibrium(inst, MMWConfig(delta=0.2))
     assert lb <= ub + 1e-12

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diamondeq import (
+    ChannelSpec,
     ReducedInstance,
-    StinespringChannel,
     ValidationError,
     best_effect,
     build_instance,
@@ -54,18 +54,20 @@ def rotate_q1_half(phases):
     return corrupt
 
 
-def _pair_channels(kind):
-    """A channel pair of the given kind; "mixed" has environments z = 1 and 4."""
+def _pair_specs(kind):
+    """A channel pair of the given kind; "stinespring" has environments
+    z = 2 and 3 on n = 3, m = 2, "mixed" has z = 1 and 4."""
     rng = np.random.default_rng([3, len(kind)])
     if kind == "unitary":
-        specs = [unitary_spec(random_unitary(rng, 3)) for _ in range(2)]
-    elif kind == "kraus":
-        specs = [random_kraus_pair_spec(rng, 3, k) for k in (2, 3)]
-    elif kind == "constant":
-        specs = [constant_spec(random_density(rng, 2), 3) for _ in range(2)]
-    else:
-        specs = [unitary_spec(random_unitary(rng, 2)), random_kraus_pair_spec(rng, 2, 4)]
-    return [normalize(spec) for spec in specs]
+        return [unitary_spec(random_unitary(rng, 3)) for _ in range(2)]
+    if kind == "kraus":
+        return [random_kraus_pair_spec(rng, 3, k) for k in (2, 3)]
+    if kind == "constant":
+        return [constant_spec(random_density(rng, 2), 3) for _ in range(2)]
+    if kind == "stinespring":
+        return [ChannelSpec("stinespring", 3, 2, (_random_isometry(rng, 2 * z, 3),))
+                for z in (2, 3)]
+    return [unitary_spec(random_unitary(rng, 2)), random_kraus_pair_spec(rng, 2, 4)]
 
 
 def random_effect(rng, dim):
@@ -107,22 +109,23 @@ class TestBuildInstance:
             specs = [constant_spec(random_density(rng, 2), 3) for _ in range(2)]
         else:
             specs = [random_kraus_pair_spec(rng, 3, k) for k in shapes[kind]]
-        inst = build_instance(*map(normalize, specs))
+        inst = build_instance(*specs)
         n = inst.input_dim
         plus, minus = (b.reshape(-1, n) for b in (inst.blocks_plus, inst.blocks_minus))
         assert np.array_equal(minus.conj().T @ minus, plus.conj().T @ plus)
 
-    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "mixed"])
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "constant", "stinespring", "mixed"])
     def test_blocks_match_the_stacked_construction(self, kind):
         # The blocks are, byte for byte, those read off the stacks
         # (A0; +-A1) / sqrt(2) of the environment-padded isometries.
-        ch0, ch1 = _pair_channels(kind)
-        inst = build_instance(ch0, ch1)
+        specs = _pair_specs(kind)
+        inst = build_instance(*specs)
         n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
         padded = []
-        for ch in (ch0, ch1):
+        for spec in specs:
+            iso = normalize(spec)
             a = np.zeros((m, z, n), dtype=np.complex128)
-            a[:, : ch.env_dim] = ch.isometry.reshape(m, ch.env_dim, n)
+            a[:, : iso.shape[0] // m] = iso.reshape(m, -1, n)
             padded.append(a.reshape(m * z, n))
         s = 1.0 / math.sqrt(2.0)
         a0, a1 = padded
@@ -138,36 +141,34 @@ class TestBuildInstance:
         # zero rows; each half of the plus stack, times sqrt(2), is still an
         # isometry dilating its own channel.
         rng = np.random.default_rng(11)
-        ch0, ch1 = _pair_channels("mixed")
-        inst = build_instance(ch0, ch1)
+        specs = _pair_specs("mixed")
+        inst = build_instance(*specs)
         m, z = inst.output_dim, inst.env_dim
-        assert (ch0.env_dim, ch1.env_dim, z) == (1, 4, 4)
+        isos = [normalize(spec) for spec in specs]
+        assert [iso.shape[0] // m for iso in isos] + [z] == [1, 4, 4]
         halves = math.sqrt(2.0) * stacks(inst)[0].reshape(2, m * z, -1)
-        for ch, a in zip((ch0, ch1), halves):
+        for iso, a in zip(isos, halves):
             assert check_isometry(a) <= 1e-12
             for _ in range(5):
                 rho = random_density(rng, 2)
                 got = partial_trace(a @ rho @ a.conj().T, (m, z), (0,))
-                want = partial_trace(ch.isometry @ rho @ ch.isometry.conj().T,
-                                     (m, ch.env_dim), (0,))
+                want = partial_trace(iso @ rho @ iso.conj().T, (m, iso.shape[0] // m), (0,))
                 assert np.allclose(got, want, atol=1e-12)
 
     def test_non_isometric_stack_is_refused(self, monkeypatch):
         # Scaling both halves by 1 + 1e-6 leaves a residual of about 3e-6,
         # far above ISO_TOL, in both stacks.
-        ch = normalize(unitary_spec(I2))
+        spec = unitary_spec(I2)
         corrupt_blocks(monkeypatch, lambda blocks: (1.0 + 1e-6) * blocks)
         with pytest.raises(ValidationError, match="stacked matrices are not isometries"):
-            build_instance(ch, ch)
+            build_instance(spec, spec)
 
     def test_orthogonal_constants_build(self, orthogonal_instance):
         assert orthogonal_instance.env_dim == 4
         assert orthogonal_instance.witness_dim == 8
 
     def test_mixed_kind_pair_pads_environment(self):
-        inst = build_instance(
-            normalize(unitary_spec(I2)), normalize(constant_spec(KET0))
-        )
+        inst = build_instance(unitary_spec(I2), constant_spec(KET0))
         assert inst.env_dim == 4
 
     def test_decomposition_identity(self):
@@ -185,10 +186,7 @@ class TestBuildInstance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
-            build_instance(
-                normalize(unitary_spec(I2)),
-                normalize(unitary_spec(np.eye(3))),
-            )
+            build_instance(unitary_spec(I2), unitary_spec(np.eye(3)))
 
     def test_identity_failure_names_first_unit(self, monkeypatch):
         # Rotating the Q1 half of both stacks by D = diag(1, e^{ia}, e^{ib})
@@ -198,10 +196,10 @@ class TestBuildInstance:
         # order is (0, 1), not the largest.
         a, b = 1e-3, 0.5
         phases = np.exp(1j * np.array([0.0, a, b]))
-        ch = normalize(unitary_spec(np.eye(3)))
+        spec = unitary_spec(np.eye(3))
         corrupt_blocks(monkeypatch, rotate_q1_half(phases))
         with pytest.raises(ValidationError) as info:
-            build_instance(ch, ch)
+            build_instance(spec, spec)
         message = str(info.value)
         prefix = "stack decomposition identity fails on basis unit (0,1): "
         assert message.startswith(prefix + "residual ")
@@ -213,13 +211,13 @@ class TestBuildInstance:
         # the units (0, 1) and (1, 0); the check fails exactly when that
         # exceeds BASIS_TOL.
         phases = np.exp(1j * np.array([0.0, scale * tolerances.BASIS_TOL]))
-        ch = normalize(unitary_spec(I2))
+        spec = unitary_spec(I2)
         corrupt_blocks(monkeypatch, rotate_q1_half(phases))
         if fails:
             with pytest.raises(ValidationError, match=r"basis unit \(0,1\)"):
-                build_instance(ch, ch)
+                build_instance(spec, spec)
         else:
-            build_instance(ch, ch)
+            build_instance(spec, spec)
 
 
 class TestDifferenceOutput:
@@ -315,10 +313,8 @@ class TestDifferenceAdjoint:
         # Reference formulas on the full (flag, Y, Z) space: arm outputs are
         # tr_Y(S sigma S*), adjoint factors S* (E lifted by I_Y) S.
         rng = np.random.default_rng(7)
-        inst = build_instance(
-            normalize(random_kraus_pair_spec(rng, n=3, k=2)),
-            normalize(random_kraus_pair_spec(rng, n=3, k=3)),
-        )
+        inst = build_instance(random_kraus_pair_spec(rng, n=3, k=2),
+                              random_kraus_pair_spec(rng, n=3, k=3))
         n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
         rho = random_density(rng, inst.pair_dim)
         first = partial_trace(rho, (n, n), (0,))
@@ -391,11 +387,9 @@ def test_stack_residuals_match_unit_loop(seed, n, m, z0, z1, which, eps):
     # perturbed blocks, and both flag the same units.
     assume(m * min(z0, z1) >= n)
     rng = np.random.default_rng(seed)
-    ch0 = StinespringChannel(_random_isometry(rng, m * z0, n), n, m, z0)
-    ch1 = StinespringChannel(_random_isometry(rng, m * z1, n), n, m, z1)
-    built = build_instance(ch0, ch1)
+    a0, a1 = _random_isometry(rng, m * z0, n), _random_isometry(rng, m * z1, n)
+    built = build_instance(*(ChannelSpec("stinespring", n, m, (a,)) for a in (a0, a1)))
     z = built.env_dim
-    a0, a1 = ch0.isometry, ch1.isometry
     blocks = [built.blocks_plus.copy(), built.blocks_minus.copy()]
     col = rng.integers(n)
     kick = rng.standard_normal((2 * z, m)) + 1j * rng.standard_normal((2 * z, m))
