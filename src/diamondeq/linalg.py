@@ -176,31 +176,6 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return reduced.reshape(kept_side, kept_side)
 
 
-def choi_factor(a: np.ndarray, out_dim: int) -> np.ndarray:
-    """B with B B* = sum_ij E_ij (x) tr_Z(A E_ij A*) for A of shape (m z, n),
-    rows ordered (Y, Z), m = ``out_dim``: B[(i, y), k] = A[(y, k), i]."""
-    n = a.shape[1]
-    return a.reshape(out_dim, -1, n).transpose(2, 0, 1).reshape(n * out_dim, -1)
-
-
-def unit_residuals(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
-    """Frobenius norms of the n x n grid of blocks of ``left @ right*``. Block
-    (i, j) of a Choi matrix is the channel's output on the matrix unit E_ij,
-    so for a difference of Choi matrices entry (i, j) is the residual on E_ij."""
-    d = left @ right.conj().T
-    d = d.reshape(n, d.shape[0] // n, n, d.shape[1] // n)
-    return np.sqrt(np.einsum("iajb,iajb->ij", d.conj(), d).real)
-
-
-def require_units(residuals: np.ndarray, what: str) -> None:
-    """Raise ValidationError on the first unit (row-major) over ``BASIS_TOL``
-    or NaN."""
-    bad = np.flatnonzero(~(residuals <= tolerances.BASIS_TOL))
-    if bad.size:
-        i, j = divmod(int(bad[0]), residuals.shape[1])
-        raise ValidationError(f"{what} basis unit ({i},{j}): residual {residuals[i, j]:.3e}")
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(A* B)."""
     ma = as_cmatrix(a)

@@ -408,7 +408,9 @@ def solve_generic(
             sums[k] = sums[k] + m
             # The add moves each entry by at most u |S_ij|.
             rounding[k] += formed[k] + UNIT_ROUNDOFF * float(np.linalg.norm(sums[k]))
-        decs = [herm_eig(s) for s in sums]
+        # In round 1 each sum is 0 + M, which is M in every nonzero bit, so
+        # the loss spectra serve as the sums'.
+        decs = spectra if t == 1 else [herm_eig(s) for s in sums]
         # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
         row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
         row["sum_eig_err"] = sum(dec.error_bound for dec in decs) + sum(rounding)

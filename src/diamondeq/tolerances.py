@@ -20,8 +20,6 @@ ISO_TOL = 1e-9
 #: (||H - U diag(w) U*|| and ||U* U - I||, each bounded by EIG_TOL * dim).
 EIG_TOL = 1e-10
 
-#: Trace / eigenvalue slack for density-operator checks.
+#: Trace / eigenvalue slack for density-operator checks, and the Frobenius
+#: residual allowed for a constant channel's reconstructed target state.
 DENSITY_TOL = 1e-9
-
-#: Frobenius residual allowed per matrix unit in the basis-wise channel checks.
-BASIS_TOL = 1e-9

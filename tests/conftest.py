@@ -19,6 +19,7 @@ from diamondeq import (
 )
 from diamondeq.linalg import as_cmatrix
 from diamondeq.mmw import learning_rate
+from diamondeq.oracles import random_unitary
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -57,6 +58,66 @@ def random_kraus_pair_spec(rng, n=2, k=2):
     q, _ = np.linalg.qr(g)
     ops = tuple(q[i * n:(i + 1) * n, :] for i in range(k))
     return ChannelSpec("kraus", n, n, ops)
+
+
+#: Spec kinds for the layout properties; "kraus1" is a one-operator Kraus set.
+SPEC_KINDS = ("unitary", "stinespring", "kraus1", "kraus", "constant")
+
+
+def random_specs(rng, kinds, n, m, envs):
+    """Random valid specs, one per kind, all from n inputs to one output dim.
+
+    The output dim is m, raised to n if a kind needs it (n for "unitary", at
+    least n for "kraus1"). "stinespring" gets the environment dim from
+    ``envs``, raised until m z >= n, and "kraus" as many operators, at least
+    two. A "constant" target has random rank, so some of its eigenvalues are
+    zero up to roundoff.
+    """
+    if "unitary" in kinds:
+        m = n
+    elif "kraus1" in kinds:
+        m = max(m, n)
+    specs = []
+    for kind, z in zip(kinds, envs):
+        if kind == "unitary":
+            specs.append(unitary_spec(random_unitary(rng, n)))
+            continue
+        if kind == "constant":
+            r = int(rng.integers(1, m + 1))
+            g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+            sigma = g @ g.conj().T
+            sigma = 0.5 * (sigma + sigma.conj().T)
+            specs.append(ChannelSpec("constant", n, m, (sigma / np.trace(sigma).real,)))
+            continue
+        z = 1 if kind == "kraus1" else max(z, -(-n // m), 2 if kind == "kraus" else 1)
+        g = rng.standard_normal((m * z, n)) + 1j * rng.standard_normal((m * z, n))
+        iso = np.linalg.qr(g)[0]
+        if kind == "stinespring":
+            specs.append(ChannelSpec("stinespring", n, m, (iso,)))
+        else:
+            specs.append(ChannelSpec("kraus", n, m, tuple(iso.reshape(z, m, n))))
+    return specs
+
+
+def channel_output(spec, x):
+    """The spec's action on an input matrix, read off its own operators:
+    tr_Z(A X A*) for a Stinespring matrix A, sum_k K_k X K_k* for Kraus
+    operators (a unitary is one) and sigma tr(X) for a constant target."""
+    if spec.kind == "constant":
+        return spec.matrices[0] * np.trace(x)
+    if spec.kind == "stinespring":
+        a = spec.matrices[0]
+        return partial_trace(a @ x @ a.conj().T, (spec.output_dim, spec.env_dim), (0,))
+    return sum(k @ x @ k.conj().T for k in spec.matrices)
+
+
+def basis_units(n):
+    """The n^2 matrix units E_ij, row-major."""
+    for i in range(n):
+        for j in range(n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j] = 1.0
+            yield x
 
 
 def kron_sum(factors):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamondeq import (
     ChannelSpec,
+    EigDecomp,
     ValidationError,
     build_instance,
     check_isometry,
@@ -14,7 +15,18 @@ from diamondeq import (
 )
 from diamondeq import channels, partial_trace, tolerances
 from diamondeq.oracles import random_density, random_unitary
-from tests.conftest import I2, KET0, PAULI_X, PAULI_Z, constant_spec, unitary_spec
+from tests.conftest import (
+    I2,
+    KET0,
+    PAULI_X,
+    PAULI_Z,
+    SPEC_KINDS,
+    basis_units,
+    channel_output,
+    constant_spec,
+    random_specs,
+    unitary_spec,
+)
 
 RESET_KRAUS = (
     np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),   # |0><0|
@@ -29,25 +41,19 @@ def dilated_output(spec, rho):
     return partial_trace(a @ rho @ a.conj().T, (m, a.shape[0] // m), (0,))
 
 
-def rotate_dilation(monkeypatch, theta):
-    """Make normalize's built dilation carry the phase e^{i theta[y, x]} on
-    output row y of input column x."""
-    real = channels._dilation
+def rotate_eigenvectors(monkeypatch, theta):
+    """Make normalize's eigendecomposition of a constant target rotate its
+    first two eigenvectors into each other by the angle ``theta``."""
+    real = channels.herm_eig
 
-    def rotated(spec):
-        a = real(spec)
-        m, n = spec.output_dim, spec.input_dim
-        return (np.exp(1j * theta)[:, None, :] * a.reshape(m, -1, n)).reshape(a.shape)
+    def rotated(h):
+        dec = real(h)
+        c, s = math.cos(theta), math.sin(theta)
+        v = dec.eigenvectors.copy()
+        v[:, :2] = v[:, :2] @ np.array([[c, -s], [s, c]])
+        return EigDecomp(dec.eigenvalues, v, dec.recon, dec.unit)
 
-    monkeypatch.setattr(channels, "_dilation", rotated)
-
-
-def basis_units(n):
-    for i in range(n):
-        for j in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j] = 1.0
-            yield x
+    monkeypatch.setattr(channels, "herm_eig", rotated)
 
 
 class TestChannelSpecValidation:
@@ -181,49 +187,33 @@ class TestNormalize:
                 call(spec)
             assert str(info.value) == message
 
-    @pytest.mark.parametrize("spec, theta, unit, residual", [
-        (ChannelSpec("kraus", 3, 3, (np.eye(3) / math.sqrt(2),) * 2),
-         np.outer([0.0, 1e-3, 0.5], np.ones(3)), "(0,1)", 2 * math.sin(1e-3 / 2)),
-        (constant_spec(PLUS, input_dim=3), np.array([[0.0, 0.0, 0.0], [0.0, 1e-3, 0.5]]),
-         "(1,1)", math.sqrt(2) * math.sin(1e-3 / 2)),
-    ], ids=["kraus", "constant"])
-    def test_deviation_names_first_unit(self, spec, theta, unit, residual, monkeypatch):
-        # The phases keep the dilation an isometry but change its channel, and
-        # the first failing unit in row-major order is named, not the largest.
-        # kraus: the identity on n = 3 with phases phi = (0, a, b) on the
-        # output rows acts as X -> D X D*, off by |1 - e^{i(phi_i - phi_j)}|
-        # on unit (i, j). constant: sigma = |+><+| with phase phi_x on output
-        # row 1 of column x sends E_xx to D_x sigma D_x*, off by
-        # sqrt(2) sin(phi_x / 2), and the off-diagonal units to 0.
-        rotate_dilation(monkeypatch, theta)
+    def test_constant_reconstruction_names_residual(self, monkeypatch):
+        # Rotating the eigenvectors of sigma = |+><+| (eigenvalues 1 and 0)
+        # by theta keeps the dilation an isometry but reconstructs
+        # R sigma R*, off by sqrt(2) sin(theta) in the Frobenius norm.
+        theta = 1e-3
+        rotate_eigenvectors(monkeypatch, theta)
         with pytest.raises(ValidationError) as info:
-            normalize(spec)
+            normalize(constant_spec(PLUS, input_dim=3))
         message = str(info.value)
-        prefix = f"normalized channel deviates from the {spec.kind} action on basis unit {unit}: "
-        assert message.startswith(prefix + "residual ")
-        assert float(message.rsplit(" ", 1)[1]) == pytest.approx(residual, rel=1e-3)
+        prefix = "constant dilation does not reproduce the target state: ||sigma^ - sigma||_F = "
+        assert message.startswith(prefix) and message.endswith(" > 1.000e-09")
+        residual = float(message[len(prefix):].split(" ")[0])
+        assert residual == pytest.approx(math.sqrt(2) * math.sin(theta), rel=1e-3)
 
     @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
-    def test_deviation_limit_is_basis_tol(self, scale, fails, monkeypatch):
-        # A phase on output row 1 puts a residual of about t = scale * BASIS_TOL
-        # on the units (0, 1) and (1, 0) of the identity on n = 2 (kraus), and
-        # a phase of sqrt(2) t on row 1 of column 1 puts it on the unit (1, 1)
-        # of |+><+| from n = 2 (constant). The check fails exactly when t
-        # exceeds BASIS_TOL.
-        t = scale * tolerances.BASIS_TOL
-        cases = [
-            (ChannelSpec("kraus", 2, 2, (I2 / math.sqrt(2),) * 2),
-             np.array([[0.0, 0.0], [t, t]]), r"\(0,1\)"),
-            (constant_spec(PLUS), np.array([[0.0, 0.0], [0.0, math.sqrt(2) * t]]), r"\(1,1\)"),
-        ]
-        for spec, theta, unit in cases:
-            with monkeypatch.context() as patch:
-                rotate_dilation(patch, theta)
-                if fails:
-                    with pytest.raises(ValidationError, match=r"basis unit " + unit):
-                        normalize(spec)
-                else:
-                    normalize(spec)
+    def test_constant_reconstruction_limit_is_density_tol(self, scale, fails, monkeypatch):
+        # The rotation by theta with sqrt(2) sin(theta) = scale * DENSITY_TOL
+        # puts that residual on the reconstruction of |+><+|; the check fails
+        # exactly when it exceeds DENSITY_TOL.
+        theta = math.asin(scale * tolerances.DENSITY_TOL / math.sqrt(2))
+        rotate_eigenvectors(monkeypatch, theta)
+        spec = constant_spec(PLUS)
+        if fails:
+            with pytest.raises(ValidationError, match="does not reproduce the target state"):
+                normalize(spec)
+        else:
+            normalize(spec)
 
 
 class TestApply:
@@ -276,49 +266,18 @@ class TestIsometry:
         assert check_isometry(stacked) <= 1e-10
 
 
-def _native_output(spec, x):
-    """The spec's own action on one input matrix, as a reference."""
-    if spec.kind == "constant":
-        return spec.matrices[0] * np.trace(x)
-    return sum(k @ x @ k.conj().T for k in spec.matrices)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["kraus", "constant"]),
-       n=st.integers(1, 4), m=st.integers(1, 4), z=st.integers(1, 3), pad=st.integers(0, 2),
-       eps=st.one_of(st.just(0.0), st.floats(-8.0, -4.0).map(lambda e: 10.0 ** e)))
-def test_dilation_residuals_match_unit_loop(seed, kind, n, m, z, pad, eps):
-    # The batched per-unit residuals of normalize's check on a built
-    # dilation equal a loop of partial traces over the matrix units, on
-    # padded and perturbed dilations, and both flag the same units.
-    rng = np.random.default_rng(seed)
-    if kind == "constant":
-        spec = ChannelSpec("constant", n, m, (random_density(rng, m),))
-    else:
-        assume(m * z >= n)
-        g = rng.standard_normal((m * z, n)) + 1j * rng.standard_normal((m * z, n))
-        a = np.linalg.qr(g)[0]
-        spec = ChannelSpec(kind, n, m, tuple(a.reshape(m, z, n)[:, k] for k in range(z)))
+@pytest.mark.parametrize("kind", SPEC_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 3),
+       z=st.integers(1, 3))
+@example(seed=0, n=1, m=1, z=1)
+def test_dilation_action_on_every_unit(kind, seed, n, m, z):
+    # The isometry normalize returns reproduces the spec's own action,
+    # tr_Z(A E_ij A*) = Q(E_ij), on every matrix unit, for every kind.
+    spec = random_specs(np.random.default_rng(seed), (kind,), n, m, (z,))[0]
     a = normalize(spec)
-    z = a.shape[0] // m
-    env = z + pad
-    iso = np.zeros((m, env, n), dtype=np.complex128)
-    iso[:, :z] = a.reshape(m, z, n)
-    iso = iso.reshape(m * env, n)
-    col = rng.integers(n)
-    kick = rng.standard_normal(iso.shape[0]) + 1j * rng.standard_normal(iso.shape[0])
-    iso[:, col] += eps * kick / np.linalg.norm(kick)
-
-    batched = channels._spec_residuals(spec, iso)
-    loop = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j] = 1.0
-            got = partial_trace(iso @ x @ iso.conj().T, (m, env), (0,))
-            loop[i, j] = np.linalg.norm(got - _native_output(spec, x))
-    np.testing.assert_allclose(batched, loop, rtol=1e-9, atol=1e-13)
-    flagged = loop > tolerances.BASIS_TOL
-    assert np.array_equal(batched > tolerances.BASIS_TOL, flagged)
-    assert flagged.any() == (eps > 0.0)
+    m = spec.output_dim
+    assert a.shape[1] == n and a.shape[0] % m == 0
+    for x in basis_units(n):
+        got = partial_trace(a @ x @ a.conj().T, (m, a.shape[0] // m), (0,))
+        assert np.linalg.norm(got - channel_output(spec, x)) <= 1e-12

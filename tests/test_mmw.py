@@ -117,8 +117,8 @@ class TestMetaAlgorithm:
     def test_first_densities_are_exactly_uniform(self, dims, monkeypatch):
         # The zero loss sums start from their exact decomposition: rho(1) is
         # I/d per factor to the last bit, and the only eigendecompositions of
-        # a one-round run are the loss's and the new sums', one each per
-        # factor: the averaged certificate comes from the sums'.
+        # a one-round run are the loss's, one per factor: the round-1 sums
+        # are the losses, so the averaged certificate reuses their spectra.
         factor_dims = (dims,) if isinstance(dims, int) else dims
         calls = []
         herm_eig = mmw.herm_eig
@@ -128,7 +128,7 @@ class TestMetaAlgorithm:
         _, seen = replay_losses([zeros], factor_dims, MMWConfig(delta=0.2, rounds=1))
         assert len(seen) == 1
         assert all(np.array_equal(r, np.eye(d) / d) for r, d in zip(seen[0], factor_dims))
-        assert len(calls) == 2 * len(factor_dims)
+        assert len(calls) == len(factor_dims)
 
     def test_rank_one_oracle_matches_scalar_recursion(self):
         # Constant loss diag(1, 0, ..., 0): the weight on coordinate 1 decays
