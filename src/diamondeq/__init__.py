@@ -5,7 +5,6 @@ matrix multiplicative weights method."""
 from .channels import (
     ChannelSpec,
     check_isometry,
-    normalize,
 )
 from .errors import (
     CertificateViolation,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSpec",
     "check_isometry",
-    "normalize",
     "CertificateViolation",
     "EigendecompositionError",
     "GapTooSmallError",

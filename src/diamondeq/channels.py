@@ -1,11 +1,12 @@
 """Channel data model for the channel-file kinds ``KINDS`` (gate circuits
-are not one): validation, and normalization to a Stinespring isometry.
+are not one): validation, through the Stinespring isometry each kind stands
+for.
 
 ``ChannelSpec`` is the one channel type. A channel on input space X (dim n)
 with output space Y (dim m) acts as rho -> tr_Z(A rho A*) for an isometry A
-from X into Y tensor Z (environment dim z); ``normalize`` returns A as an
-(m z) x n array. Flattened indices put Y before Z (leftmost factor most
-significant, as everywhere in this package).
+from X into Y tensor Z (environment dim z); ``ChannelSpec.isometry`` holds A
+as an (m z) x n array. Flattened indices put Y before Z (leftmost factor
+most significant, as everywhere in this package).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ def check_isometry(a) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(n)))
 
 
-def _require_isometry(a, what: str) -> None:
+def _require_isometry(a, refusal: str) -> None:
+    """Refuse A unless ||A*A - I||_F <= ISO_TOL; ``refusal`` is the error
+    text, formatted with the ``residual`` and the ``limit``."""
     residual = check_isometry(a)
     limit = tolerances.ISO_TOL
     if not residual <= limit:
-        raise ValidationError(
-            f"{what} is not an isometry: ||A*A - I||_F = {residual:.3e} > {limit:.3e}"
-        )
+        raise ValidationError(refusal.format(residual=residual, limit=limit))
 
 
 def require_density(rho) -> np.ndarray:
@@ -62,19 +63,42 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
+#: The isometry gate's refusal for a matrix that claims to be an isometry,
+#: after its noun.
+_NOT_AN_ISOMETRY = " is not an isometry: ||A*A - I||_F = {residual:.3e} > {limit:.3e}"
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """A channel as provided by the user, in one of four kinds.
+    """A channel as provided by the user, in one of four kinds, with the
+    Stinespring isometry it stands for.
 
     kind        matrices                        constraint
     ----------  ------------------------------  --------------------------------
-    stinespring one (m*z) x n isometry          A*A = I within iso_tol
-    kraus       k operators, each m x n         sum K_i* K_i = I within iso_tol
-    unitary     one n x n matrix                unitary within iso_tol
-    constant    one m x m target state sigma    PSD, trace 1 within tolerance
+    stinespring one (m*z) x n isometry          A*A = I
+    kraus       k operators, each m x n         sum K_i* K_i = I
+    unitary     one n x n matrix                unitary
+    constant    one m x m target state sigma    PSD, trace 1 within DENSITY_TOL
 
-    Validation happens at construction and raises ValidationError naming the
-    failed check and its residual.
+    Construction checks the kind's shapes and counts, builds its isometry A
+    as an (m z) x n array, and refuses A unless ||A*A - I||_F <= ISO_TOL:
+    one gate for every kind, since a Kraus set's A*A is sum K_i* K_i.
+    A is stored read-only as ``isometry``. Dilation choices, fixed once for
+    reproducibility:
+
+    * stinespring: A is the spec's own matrix;
+    * unitary: A = U with a trivial environment (z = 1);
+    * kraus: A = sum_i K_i (x) |i>_Z, so z equals the number of operators
+      and Z is the trailing tensor factor;
+    * constant target sigma = sum_j lam_j |v_j><v_j|: A maps
+      |x> -> sum_j sqrt(lam_j) |v_j>_Y |j>_Z1 |x>_Z2 with Z = Z1 (x) Z2,
+      so z = m * n. sigma must be a density operator, and the clipped
+      eigen-reconstruction sigma^ = V diag(max(w, 0)) V*, which is A's
+      output on every input density, must lie within DENSITY_TOL of sigma
+      (Frobenius).
+
+    Every refusal raises ValidationError naming the failed check and its
+    residual.
     """
 
     kind: str
@@ -82,6 +106,7 @@ class ChannelSpec:
     output_dim: int
     matrices: tuple = field(default_factory=tuple)
     env_dim: int | None = None
+    isometry: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -95,9 +120,12 @@ class ChannelSpec:
         object.__setattr__(self, "output_dim", m)
         if self.kind != "stinespring" and self.env_dim is not None:
             raise ValidationError("env_dim only applies to the stinespring kind")
-        getattr(self, f"_check_{self.kind}")()
+        a, refusal = getattr(self, f"_dilate_{self.kind}")()
+        _require_isometry(a, refusal)
+        a.flags.writeable = False
+        object.__setattr__(self, "isometry", a)
 
-    def _check_stinespring(self):
+    def _dilate_stinespring(self):
         if len(self.matrices) != 1:
             raise ValidationError("stinespring kind takes exactly one matrix")
         a = self.matrices[0]
@@ -113,9 +141,9 @@ class ChannelSpec:
                 f"declared env_dim={self.env_dim} but matrix implies z={z}"
             )
         object.__setattr__(self, "env_dim", z)
-        _require_isometry(a, "stinespring matrix")
+        return a, "stinespring matrix" + _NOT_AN_ISOMETRY
 
-    def _check_kraus(self):
+    def _dilate_kraus(self):
         if not self.matrices:
             raise ValidationError("kraus kind needs at least one operator")
         n, m = self.input_dim, self.output_dim
@@ -124,14 +152,10 @@ class ChannelSpec:
                 raise ValidationError(
                     f"kraus operator {i} has shape {k.shape}, expected ({m}, {n})"
                 )
-        # sum_i K_i* K_i is the Gram matrix of the operators stacked by rows.
-        residual = check_isometry(np.concatenate(self.matrices, axis=0))
-        if not residual <= tolerances.ISO_TOL:
-            raise ValidationError(
-                f"kraus set is not trace preserving: ||sum K*K - I||_F = {residual:.3e}"
-            )
+        a = np.stack(self.matrices, axis=1).reshape(-1, n)
+        return a, "kraus set is not trace preserving: ||sum K*K - I||_F = {residual:.3e}"
 
-    def _check_unitary(self):
+    def _dilate_unitary(self):
         if len(self.matrices) != 1:
             raise ValidationError("unitary kind takes exactly one matrix")
         u = self.matrices[0]
@@ -140,55 +164,26 @@ class ChannelSpec:
                 f"unitary matrix shape {u.shape} must be square and match "
                 f"input_dim={self.input_dim}, output_dim={self.output_dim}"
             )
-        _require_isometry(u, "unitary matrix")
+        return u, "unitary matrix" + _NOT_AN_ISOMETRY
 
-    def _check_constant(self):
+    def _dilate_constant(self):
         if len(self.matrices) != 1:
             raise ValidationError("constant kind takes exactly one target state")
+        n, m = self.input_dim, self.output_dim
         sigma = self.matrices[0]
-        if sigma.shape != (self.output_dim, self.output_dim):
+        if sigma.shape != (m, m):
             raise ValidationError(
-                f"constant target has shape {sigma.shape}, expected "
-                f"({self.output_dim}, {self.output_dim})"
+                f"constant target has shape {sigma.shape}, expected ({m}, {m})"
             )
         require_density(sigma)
-
-
-def normalize(spec: ChannelSpec) -> np.ndarray:
-    """The spec's Stinespring isometry A, of shape (m z, n).
-
-    Dilation choices, fixed once for reproducibility:
-
-    * stinespring: A is the spec's own matrix;
-    * unitary: A = U with a trivial environment (z = 1);
-    * kraus: A = sum_i K_i (x) |i>_Z, so z equals the number of operators
-      and Z is the trailing tensor factor;
-    * constant target sigma = sum_j lam_j |v_j><v_j|: A maps
-      |x> -> sum_j sqrt(lam_j) |v_j>_Y |j>_Z1 |x>_Z2 with Z = Z1 (x) Z2,
-      so z = m * n.
-
-    The first two are returned as validated by the spec, and the Kraus
-    operators are only stacked: the spec has checked their Gram matrix, and
-    A reproduces sum_i K_i X K_i* by layout. The constant dilation is
-    checked twice: A must be an isometry, and the clipped eigen-reconstruction
-    sigma^ = V diag(max(w, 0)) V* must be within ``tolerances.DENSITY_TOL`` of
-    sigma (Frobenius), which is A's output on every input density.
-    """
-    n, m = spec.input_dim, spec.output_dim
-    if spec.kind in ("stinespring", "unitary"):
-        return spec.matrices[0]
-    if spec.kind == "kraus":
-        return np.stack(spec.matrices, axis=1).reshape(-1, n)
-    sigma = spec.matrices[0]
-    dec = herm_eig(sigma)
-    weighted = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    a = np.einsum("yj,xw->yjxw", weighted, np.eye(n)).reshape(m * m * n, n)
-    _require_isometry(a, "channel isometry")
-    residual = float(np.linalg.norm(weighted @ weighted.conj().T - sigma))
-    limit = tolerances.DENSITY_TOL
-    if not residual <= limit:
-        raise ValidationError(
-            "constant dilation does not reproduce the target state: "
-            f"||sigma^ - sigma||_F = {residual:.3e} > {limit:.3e}"
-        )
-    return a
+        dec = herm_eig(sigma)
+        weighted = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+        residual = float(np.linalg.norm(weighted @ weighted.conj().T - sigma))
+        limit = tolerances.DENSITY_TOL
+        if not residual <= limit:
+            raise ValidationError(
+                "constant dilation does not reproduce the target state: "
+                f"||sigma^ - sigma||_F = {residual:.3e} > {limit:.3e}"
+            )
+        a = np.einsum("yj,xw->yjxw", weighted, np.eye(n)).reshape(m * m * n, n)
+        return a, "channel isometry" + _NOT_AN_ISOMETRY

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import tolerances
-from .channels import ChannelSpec, check_isometry, normalize, require_density
+from .channels import ChannelSpec, check_isometry, require_density
 from .errors import ValidationError
 from .linalg import as_cmatrix, best_effect, herm_eig, hs_inner, partial_trace, trace_norm
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
@@ -34,7 +34,7 @@ def random_state_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random full-rank density operator (normalized Wishart)."""
+    """Random full-rank density operator (Wishart, scaled to unit trace)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -140,7 +140,7 @@ def diamond_lower_search(spec0: ChannelSpec, spec1: ChannelSpec,
     space and returns the largest output trace norm seen; always a valid
     lower bound.
     """
-    dilations = normalize(spec0), normalize(spec1)
+    dilations = spec0.isometry, spec1.isometry
     if spec0.input_dim != spec1.input_dim or spec0.output_dim != spec1.output_dim:
         raise ValidationError("channel pair dimension mismatch")
     n, m = spec0.input_dim, spec0.output_dim

@@ -11,7 +11,6 @@ from diamondeq import (
     ValidationError,
     build_instance,
     check_isometry,
-    normalize,
 )
 from diamondeq import channels, partial_trace, tolerances
 from diamondeq.oracles import random_density, random_unitary
@@ -35,15 +34,16 @@ RESET_KRAUS = (
 
 
 def dilated_output(spec, rho):
-    """The channel's output tr_Z(A rho A*) from its dilation A = normalize(spec)."""
-    a = normalize(spec)
+    """The channel's output tr_Z(A rho A*) from its dilation A = spec.isometry."""
+    a = spec.isometry
     m = spec.output_dim
     return partial_trace(a @ rho @ a.conj().T, (m, a.shape[0] // m), (0,))
 
 
 def rotate_eigenvectors(monkeypatch, theta):
-    """Make normalize's eigendecomposition of a constant target rotate its
-    first two eigenvectors into each other by the angle ``theta``."""
+    """Make the eigendecomposition of a constant target, taken when its spec
+    is built, rotate its first two eigenvectors into each other by the angle
+    ``theta``."""
     real = channels.herm_eig
 
     def rotated(h):
@@ -124,6 +124,8 @@ PLUS = np.full((2, 2), 0.5)  # |+><+|
 
 
 class TestNormalize:
+    """Normalization to the Stinespring isometry ``ChannelSpec.isometry``."""
+
     @pytest.mark.parametrize("kind", ["unitary", "stinespring"])
     def test_returns_the_spec_matrix(self, kind):
         rng = np.random.default_rng(12)
@@ -132,11 +134,17 @@ class TestNormalize:
         else:
             g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
             spec = ChannelSpec("stinespring", 3, 2, (np.linalg.qr(g)[0],))
-        assert normalize(spec) is spec.matrices[0]
+        assert spec.isometry is spec.matrices[0]
+
+    @pytest.mark.parametrize("kind", SPEC_KINDS)
+    def test_isometry_is_read_only(self, kind):
+        spec = random_specs(np.random.default_rng(13), (kind,), 2, 2, (2,))[0]
+        with pytest.raises(ValueError, match="read-only"):
+            spec.isometry[0, 0] = 0.0
 
     def test_unitary(self):
         spec = unitary_spec(PAULI_Z)
-        assert normalize(spec).shape == (2, 2)
+        assert spec.isometry.shape == (2, 2)
         rng = np.random.default_rng(0)
         rho = random_density(rng, 2)
         assert np.allclose(dilated_output(spec, rho), PAULI_Z @ rho @ PAULI_Z.conj().T)
@@ -144,7 +152,7 @@ class TestNormalize:
     def test_kraus_reset(self):
         # Qubit reset: applying both Kraus terms to I/2 gives |0><0|.
         spec = ChannelSpec("kraus", 2, 2, RESET_KRAUS)
-        assert normalize(spec).shape == (4, 2)
+        assert spec.isometry.shape == (4, 2)
         assert np.allclose(dilated_output(spec, np.eye(2) / 2), KET0, atol=1e-12)
 
     def test_kraus_matches_direct_application_on_basis(self):
@@ -159,7 +167,7 @@ class TestNormalize:
 
     def test_constant_maximally_mixed(self):
         spec = constant_spec(np.eye(2) / 2)
-        assert normalize(spec).shape == (8, 2)
+        assert spec.isometry.shape == (8, 2)
         for i in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, i] = 1.0
@@ -175,17 +183,16 @@ class TestNormalize:
         # sigma = diag(1 + 0.9e-9, 0) passes the density check, but its
         # dilation has A*A = (1 + 0.9e-9) I_n, a residual of 0.9e-9 sqrt(n):
         # within ISO_TOL at n = 1 only.
-        spec = ChannelSpec("constant", n, 2, (np.diag([1.0 + 0.9e-9, 0.0]),))
+        sigma = np.diag([1.0 + 0.9e-9, 0.0])
         if residual is None:
-            assert normalize(spec).shape == (4, 1)
+            spec = ChannelSpec("constant", n, 2, (sigma,))
+            assert spec.isometry.shape == (4, 1)
             assert build_instance(spec, spec).env_dim == 2
             return
-        message = ("channel isometry is not an isometry: "
-                   f"||A*A - I||_F = {residual} > 1.000e-09")
-        for call in (normalize, lambda s: build_instance(s, s)):
-            with pytest.raises(ValidationError) as info:
-                call(spec)
-            assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            ChannelSpec("constant", n, 2, (sigma,))
+        assert str(info.value) == ("channel isometry is not an isometry: "
+                                   f"||A*A - I||_F = {residual} > 1.000e-09")
 
     def test_constant_reconstruction_names_residual(self, monkeypatch):
         # Rotating the eigenvectors of sigma = |+><+| (eigenvalues 1 and 0)
@@ -194,7 +201,7 @@ class TestNormalize:
         theta = 1e-3
         rotate_eigenvectors(monkeypatch, theta)
         with pytest.raises(ValidationError) as info:
-            normalize(constant_spec(PLUS, input_dim=3))
+            constant_spec(PLUS, input_dim=3)
         message = str(info.value)
         prefix = "constant dilation does not reproduce the target state: ||sigma^ - sigma||_F = "
         assert message.startswith(prefix) and message.endswith(" > 1.000e-09")
@@ -208,12 +215,11 @@ class TestNormalize:
         # exactly when it exceeds DENSITY_TOL.
         theta = math.asin(scale * tolerances.DENSITY_TOL / math.sqrt(2))
         rotate_eigenvectors(monkeypatch, theta)
-        spec = constant_spec(PLUS)
         if fails:
             with pytest.raises(ValidationError, match="does not reproduce the target state"):
-                normalize(spec)
+                constant_spec(PLUS)
         else:
-            normalize(spec)
+            constant_spec(PLUS)
 
 
 class TestApply:
@@ -272,10 +278,10 @@ class TestIsometry:
        z=st.integers(1, 3))
 @example(seed=0, n=1, m=1, z=1)
 def test_dilation_action_on_every_unit(kind, seed, n, m, z):
-    # The isometry normalize returns reproduces the spec's own action,
+    # The spec's isometry reproduces the spec's own action,
     # tr_Z(A E_ij A*) = Q(E_ij), on every matrix unit, for every kind.
     spec = random_specs(np.random.default_rng(seed), (kind,), n, m, (z,))[0]
-    a = normalize(spec)
+    a = spec.isometry
     m = spec.output_dim
     assert a.shape[1] == n and a.shape[0] % m == 0
     for x in basis_units(n):

@@ -362,6 +362,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "/channels/0" in err and "not an isometry" in err
 
+    def test_constant_dilation_refusal_names_its_channel(self, tmp_path, capsys):
+        # sigma = diag(1 + 0.9e-9, 0) passes the density check, but at n = 2
+        # its dilation's isometry residual is 0.9e-9 sqrt(2) > ISO_TOL. The
+        # refusal comes from the spec, so it carries the spec's pointer.
+        sigma = np.diag([1.0 + 0.9e-9, 0.0])
+        doc = spec_doc("constant", 2, 2, [sigma])
+        assert main(["bounds", write_channels(tmp_path, doc, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: /channels/0: ")
+        assert "||A*A - I||_F = 1.273e-09" in err
+
     def test_trace_output(self, identity_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         config = RunConfig(command="bounds", channel_path=identity_pair_file,

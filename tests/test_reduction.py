@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from diamondeq import (
     ChannelSpec,
-    ReducedInstance,
     ValidationError,
     best_effect,
     build_instance,
     check_isometry,
     difference_adjoint_factors,
     hs_inner,
-    normalize,
     partial_trace,
     promise_thresholds,
     trace_norm,
 )
-from diamondeq import reduction
+from diamondeq import tolerances
 from diamondeq.oracles import random_density, random_unitary
 from tests.conftest import (
     I2,
@@ -41,15 +39,6 @@ from tests.conftest import (
     unitary_instance,
     unitary_spec,
 )
-
-
-def corrupt_blocks(monkeypatch, corrupt):
-    """Make build_instance apply ``corrupt`` to both block arrays before its
-    checks run."""
-    def make(plus, minus, *dims):
-        return ReducedInstance(corrupt(plus), corrupt(minus), *dims)
-
-    monkeypatch.setattr(reduction, "ReducedInstance", make)
 
 
 def _pair_specs(kind):
@@ -97,9 +86,10 @@ class TestBuildInstance:
 
     @pytest.mark.parametrize("kind", ["unitary", "kraus", "padded", "constant"])
     def test_minus_gram_is_the_plus_gram_bit_for_bit(self, kind):
-        # build_instance checks the plus blocks' isometry residual only: the
-        # minus blocks flip the sign of both factors in the A1 half of every
-        # product, which is exact, so their Gram matrix is the same array.
+        # test_stack_identity_on_every_unit checks the plus blocks' isometry
+        # residual only: the minus blocks flip the sign of both factors in the
+        # A1 half of every product, which is exact, so their Gram matrix is
+        # the same array.
         rng = np.random.default_rng([3, len(kind)])
         # Environments z = 2 and z = 3 for "padded": the first is zero-padded.
         shapes = {"unitary": (1, 1), "kraus": (2, 2), "padded": (2, 3)}
@@ -121,7 +111,7 @@ class TestBuildInstance:
         n, m, z = inst.input_dim, inst.output_dim, inst.env_dim
         padded = []
         for spec in specs:
-            iso = normalize(spec)
+            iso = spec.isometry
             a = np.zeros((m, z, n), dtype=np.complex128)
             a[:, : iso.shape[0] // m] = iso.reshape(m, -1, n)
             padded.append(a.reshape(m * z, n))
@@ -142,7 +132,7 @@ class TestBuildInstance:
         specs = _pair_specs("mixed")
         inst = build_instance(*specs)
         m, z = inst.output_dim, inst.env_dim
-        isos = [normalize(spec) for spec in specs]
+        isos = [spec.isometry for spec in specs]
         assert [iso.shape[0] // m for iso in isos] + [z] == [1, 4, 4]
         halves = math.sqrt(2.0) * stacks(inst)[0].reshape(2, m * z, -1)
         for iso, a in zip(isos, halves):
@@ -152,14 +142,6 @@ class TestBuildInstance:
                 got = partial_trace(a @ rho @ a.conj().T, (m, z), (0,))
                 want = partial_trace(iso @ rho @ iso.conj().T, (m, iso.shape[0] // m), (0,))
                 assert np.allclose(got, want, atol=1e-12)
-
-    def test_non_isometric_stack_is_refused(self, monkeypatch):
-        # Scaling both halves by 1 + 1e-6 leaves a residual of about 3e-6,
-        # far above ISO_TOL, in both stacks.
-        spec = unitary_spec(I2)
-        corrupt_blocks(monkeypatch, lambda blocks: (1.0 + 1e-6) * blocks)
-        with pytest.raises(ValidationError, match="stacked matrices are not isometries"):
-            build_instance(spec, spec)
 
     def test_orthogonal_constants_build(self, orthogonal_instance):
         assert orthogonal_instance.env_dim == 4
@@ -354,11 +336,14 @@ def test_stack_identity_on_every_unit(kinds, seed, n, m, envs):
     # The block layout makes tr_{flag,Z}(2 S+ E_ij S-*) = Q0(E_ij) - Q1(E_ij)
     # on every matrix unit, with Q_k read off the spec's own operators, for
     # pairs of every two kinds in both orders; the environments differ in
-    # general, so the smaller one is zero-padded.
+    # general, so the smaller one is zero-padded. The stacks are isometries
+    # within ISO_TOL, since each spec's isometry is; the minus stack's Gram
+    # matrix is the plus stack's bit for bit.
     specs = random_specs(np.random.default_rng(seed), kinds, n, m, envs)
     for q0, q1 in (specs, specs[::-1]):
         inst = build_instance(q0, q1)
         m, z = inst.output_dim, inst.env_dim
+        assert check_isometry(inst.blocks_plus.reshape(-1, n)) <= tolerances.ISO_TOL
         plus, minus = stacks(inst)
         for x in basis_units(n):
             lhs = partial_trace(2.0 * plus @ x @ minus.conj().T, (2, m, z), (1,))
@@ -372,20 +357,20 @@ def test_set_up_memory_at_n_64(call):
     # the phases spanning [0, s]. Set-up needs only the n x n operators and
     # the (2, 64, 64) blocks, about 1 MB. The bound rules out any check that
     # forms the n x n grid of per-unit outputs, which is O(n^4): 513 MB
-    # here. ``normalize`` runs on the pair written as one-operator Kraus specs.
+    # here. ``normalize`` builds the pair as one-operator Kraus specs, whose
+    # isometries are formed and checked at construction.
     rng = np.random.default_rng(64)
     n, s = 64, 2.0 * math.asin(0.7)
     phases = np.concatenate([[0.0, s], rng.uniform(0.0, s, n - 2)])
     v, u = random_unitary(rng, n), random_unitary(rng, n)
     pair = [unitary_spec(u), unitary_spec(u @ (v * np.exp(1j * phases)) @ v.conj().T)]
-    kraus = [ChannelSpec("kraus", n, n, spec.matrices) for spec in pair]
     tracemalloc.start()
     try:
         if call == "build_instance":
             build_instance(*pair)
         else:
-            for spec in kraus:
-                normalize(spec)
+            for spec in pair:
+                ChannelSpec("kraus", n, n, spec.matrices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
