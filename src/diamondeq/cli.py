@@ -32,8 +32,12 @@ floor and the numeric environment), one ``iter`` record per round with the
 keys of ``mmw.SERIES``, and a trailing summary record with the value, the
 stop reason and the per-factor loss sums ``loss_sums`` (two n x n matrices
 for a channel pair). Both are write-only, built from the solver's
-``EquilibriumResult``; nothing here parses them back. Identical inputs and
-configuration produce byte-identical output.
+``EquilibriumResult``; nothing here parses them back. Traces are encoded
+with orjson: values read back exactly, and separators and exponent
+spelling are orjson's. Reports keep the stdlib encoder's indented,
+key-sorted layout. Channel files are decoded with orjson, falling back to
+the stdlib decoder for the documents orjson refuses (``parse_channel_file``).
+Identical inputs and configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision or the certified bracket reaches both thresholds, 1 on
@@ -46,6 +50,7 @@ none.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -54,8 +59,8 @@ from functools import cache
 from itertools import chain
 
 import numpy as np
+import orjson
 
-from . import oracles
 from .channels import KINDS, ChannelSpec
 from .errors import (
     CertificateViolation,
@@ -214,12 +219,30 @@ def _parse_spec(obj, pointer: str) -> ChannelSpec:
 
 
 def parse_channel_file(path: str) -> tuple[ChannelSpec, ChannelSpec]:
-    """Load and validate a channel pair from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Load and validate a channel pair from a JSON file.
+
+    orjson decodes the file's bytes. A document it refuses goes to the
+    stdlib decoder, read as text the way ``open`` reads it, universal
+    newlines included: that decoder accepts NaN and Infinity literals, lone
+    surrogates and integers past the double range, and words every refusal.
+    orjson reads an integer outside [-2**63, 2**64) as the nearest double.
+    For a matrix entry that is the value ``complex`` would give; a
+    dimension that large is refused as not a positive integer.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
         try:
-            doc = json.load(handle)
-        except ValueError as exc:  # JSONDecodeError, or an int over Python's digit limit
+            doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or UTF-8, or an int over Python's digit limit
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    return _channel_pair(doc)
+
+
+def _channel_pair(doc) -> tuple[ChannelSpec, ChannelSpec]:
+    """The validated channel pair of a decoded channel file."""
     if not isinstance(doc, dict) or "channels" not in doc:
         _fail("/channels", "missing top-level 'channels' array")
     chans = doc["channels"]
@@ -290,10 +313,22 @@ def trace_to_records(result: EquilibriumResult) -> list:
 
 
 def write_trace(result: EquilibriumResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in trace_to_records(result):
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
+    """Write ``trace_to_records(result)`` as JSON lines, keys sorted, in one
+    write.
+
+    orjson would write NaN or +-inf as ``null``, but a returned result holds
+    neither: its numbers come through gates of the form ``not x <= bound``,
+    which every NaN fails. Each loss and loss sum reaches ``herm_eig``,
+    which refuses non-finite entries and non-finite residuals, so the
+    spectra, their error bounds, the Gibbs densities built from them and the
+    sums themselves are finite. The round value, its best-response error and
+    the loss spectrum's extremes are gated in the loop, and the certificates
+    must not cross (``EquilibriumResult``).
+    """
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+    data = b"".join(orjson.dumps(record, option=option) for record in trace_to_records(result))
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +344,8 @@ def _emit(doc: dict, config: RunConfig, stream) -> None:
 
 
 def _oracle_report(config: RunConfig) -> dict:
+    from . import oracles  # only this command reads it; bounds and qcd skip its import
+
     spec0, spec1 = parse_channel_file(config.channel_path)
     doc = {
         "unitary_diamond": None,

@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamondeq import (
@@ -255,6 +256,126 @@ def test_array_parse_matches_entry_walk(data, rows, cols, kind):
     want = _parse_outcome(cli._walk_complex_matrix, bad)
     assert isinstance(want, str) and want.startswith("/m")
     assert _parse_outcome(cli._as_complex_matrix, bad) == want
+
+
+def stdlib_channel_pair(path):
+    """``parse_channel_file`` on the stdlib decoder alone: the file opened as
+    UTF-8 text and read by ``json.load``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    return cli._channel_pair(doc)
+
+
+def _file_outcome(parse, path):
+    try:
+        specs = parse(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(s.kind, s.input_dim, s.output_dim, s.env_dim, [m.tobytes() for m in s.matrices])
+            for s in specs]
+
+
+def _int_read_as_double(token):
+    """Whether orjson reads the JSON integer ``token`` as a double."""
+    try:
+        return isinstance(orjson.loads(token), float) and isinstance(json.loads(token), int)
+    except ValueError:
+        return False
+
+
+#: Number spellings where the decoders could part: integers past 2**63 and
+#: 2**64, past the double range and past Python's digit limit, signed zeros,
+#: exponents at and past the double range, and the stdlib's NaN and Infinity.
+_NUMBER_TOKENS = (
+    str(2**63), str(2**63 + 1), str(2**64 - 1), str(2**64), str(2**64 + 1), str(-2**63),
+    str(-2**63 - 1), str(-2**64 - 3), str(10**30 + 1), "9" * 400, "-" + "9" * 400, "9" * 5000,
+    "-0.0", "-0", "0e0", "-0E-7", "1e308", "1.7976931348623157e308", "1e309", "-1E+400",
+    "1e-400", "5e-324", "2.4703282292062328e-324", "NaN", "Infinity", "-Infinity",
+)
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(_NUMBER_TOKENS),
+    st.integers(-2**80, 2**80).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+)
+_ZERO_TEXT = st.sampled_from(["0.0", "-0.0", "0", "-0", "0e0", "-0E-7"])
+
+
+#: The cases named outright, as (mutation, token): entries past 2**63 and
+#: 2**64, 400 digits, -0.0, an exponent past the double range, NaN and
+#: Infinity; dimensions at 2**63 and 2**64; a lone surrogate in ``kind`` and
+#: in an extra key; a UTF-8 BOM and an invalid UTF-8 byte.
+_NAMED_CASES = (
+    [("entry", t) for t in (str(2**63 + 1), str(2**64 + 1), "9" * 400, "-0.0", "1e309",
+                            "NaN", "Infinity")]
+    + [("dim", str(2**63)), ("dim", str(2**64)), ("kind", "0"), ("note", "0"), ("bom", "0"),
+       ("bad_utf8", "0")]
+)
+
+
+def _with_named_cases(test):
+    for mutation, token in _NAMED_CASES:
+        test = example(theta=0.5, spelling="{!r}", zeros=["-0.0", "0", "0e0", "0.0"],
+                       crlf=True, mutation=mutation, token=token, at=30)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(-4.0, 4.0),
+       spelling=st.sampled_from(["{!r}", "{:.17e}", "{:.25g}", "{:.4E}"]),
+       zeros=st.lists(_ZERO_TEXT, min_size=4, max_size=4), crlf=st.booleans(),
+       mutation=st.sampled_from(["none", "entry", "dim", "kind", "note", "bom", "bad_utf8",
+                                 "cut"]),
+       token=_NUMBER_TEXT, at=st.integers(0, 10**6))
+@_with_named_cases
+def test_channel_file_decode_matches_stdlib(tmp_path_factory, theta, spelling, zeros, crlf,
+                                            mutation, token, at):
+    # parse_channel_file decodes with orjson, or with the stdlib when orjson
+    # refuses the document; either way it returns the matrices, or the error
+    # text, of the stdlib decoder alone. The file is a rotation in
+    # stinespring form, its numbers spelled several ways, next to I; ``at``
+    # picks the slot or byte a mutation lands on.
+    c, s, minus_s = (spelling.format(x) for x in
+                     (math.cos(theta), math.sin(theta), -math.sin(theta)))
+    e = [c, zeros[0], minus_s, zeros[1], s, zeros[2], c, zeros[3]]
+    dims = {"input_dim": "2", "output_dim": "2", "env_dim": "1"}
+    kind, note = '"stinespring"', ""
+    if mutation == "entry":
+        e[at % 8] = token
+    elif mutation == "dim":
+        dim_key = list(dims)[at % 3]
+        dims[dim_key] = token
+    elif mutation == "kind":
+        kind = '"\\ud800"'
+    elif mutation == "note":
+        note = '"note": "\\ud800", '
+    matrix = f"[[[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]], [[{e[4]}, {e[5]}], [{e[6]}, {e[7]}]]]"
+    spec0 = "".join([f'{{"kind": {kind}, ', *(f'"{k}": {v}, ' for k, v in dims.items()),
+                     f'"matrices": [{matrix}]}}'])
+    text = f'{{{note}"channels": [{spec0}, {json.dumps(spec_doc("unitary", 2, 2, [I2]))}]}}'
+    if crlf:
+        text = text.replace(", ", ",\r\n ")
+    raw = text.encode("utf-8")
+    if mutation == "bom":
+        raw = b"\xef\xbb\xbf" + raw
+    elif mutation == "bad_utf8":
+        bad = (b"\xff", b"\xc3\x28", b"\xed\xa0\x80")[at % 3]
+        raw = raw[:at % (len(raw) + 1)] + bad + raw[at % (len(raw) + 1):]
+    elif mutation == "cut":
+        raw = raw[:at % len(raw)]
+    path = tmp_path_factory.getbasetemp() / "decode_property.json"
+    path.write_bytes(raw)
+    got = _file_outcome(parse_channel_file, str(path))
+    if mutation == "dim" and _int_read_as_double(token):
+        # The one difference: orjson reads an integer outside
+        # [-2**63, 2**64) as a double, which is no dimension.
+        assert got == f"/channels/0/{dim_key}: expected a positive integer"
+        return
+    assert got == _file_outcome(stdlib_channel_pair, str(path))
 
 
 class TestRunConfig:
@@ -535,11 +656,16 @@ class TestCommands:
             spec_doc("constant", 1, 2, [KET0]),
             spec_doc("constant", 1, 2, [KET1]),
         )
-        assert main(["bounds", path]) == 0
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["bounds", path, "--trace-out", str(trace_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations"] == 1
         lo, hi = doc["interval"]
         assert lo <= 2.0 <= hi
+        records = read_records(trace_path)
+        assert [rec["kind"] for rec in records] == ["meta", "iter", "summary"]
+        assert records[0]["dim"] == 1
+        assert [np.array(m).shape for m in records[-1]["loss_sums"]] == [(1, 1, 2)] * 2
 
     def test_oracle_command(self, tmp_path, capsys):
         path = write_channels(
