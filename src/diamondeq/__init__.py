@@ -16,6 +16,7 @@ from .errors import (
 from .estimator import (
     DiamondReport,
     build_report,
+    promise_thresholds,
     require_gap,
     solve_and_report,
 )
@@ -40,7 +41,6 @@ from .reduction import (
     difference_adjoint_factors,
     marginal_arm_outputs,
     marginal_difference_output,
-    promise_thresholds,
 )
 
 __version__ = "0.1.0"

@@ -40,11 +40,11 @@ the stdlib decoder for the documents orjson refuses (``parse_channel_file``).
 Identical inputs and configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
-for a direct decision or the certified bracket reaches both thresholds, 1 on
-any other error, usage errors included. Every run that solves writes its
-trace to ``--trace-out`` as soon as the solver returns, so a ``qcd`` run
-refused after solving leaves its trace too; a refusal before solving writes
-none.
+for a direct decision or the reported interval lies neither above b nor
+below a, 1 on any other error, usage errors included. Every run that solves
+writes its trace to ``--trace-out`` as soon as the solver returns, so a
+``qcd`` run refused after solving leaves its trace too; a refusal before
+solving writes none.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def parse_channel_file(path: str) -> tuple[ChannelSpec, ChannelSpec]:
     except orjson.JSONDecodeError:
         try:
             doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or UTF-8, or an int over Python's digit limit
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge int, deep nesting
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     return _channel_pair(doc)
 

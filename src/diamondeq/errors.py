@@ -20,9 +20,9 @@ class OracleBoundError(RuntimeError):
 class GapTooSmallError(RuntimeError):
     """A promise decision is refused rather than guessed: before solving,
     when the promise gap is too small for a direct decision at the
-    configured precision, or after solving, when the certified bracket
-    reaches both thresholds. The amplification pipeline that would handle
-    such instances is out of scope."""
+    configured precision, or after solving, when the reported interval
+    lies neither above b nor below a. The amplification pipeline that would
+    handle such instances is out of scope."""
 
 
 class CertificateViolation(RuntimeError):

@@ -1,18 +1,17 @@
-"""Turn equilibrium values into answers: promise decisions and rigorous
-diamond-norm intervals.
+"""Turn equilibrium values into answers: rigorous diamond-norm intervals
+and promise decisions.
 
 Both rest on the solver's certified bracket [lower_cert, upper_cert] on the
 equilibrium value and on nothing else: the weak-duality certificates hold
 after any number of rounds, whereas the a-priori guarantee around the mean
-per-round value holds only at the formula's T. Intervals are the
-Fuchs-van de Graaf image of the bracket. A promise decision names the side
-of the threshold gap the bracket certifies: 'far' when upper_cert lies below
-t_close, 'close' when lower_cert lies above t_far. It is only attempted when
-the threshold gap exceeds twice the total solver slack (delta + delta1), so a
-bracket closed to delta certifies a side; a run that uses up its round limit
-T with a bracket that still reaches both thresholds refuses instead.
-Refusals raise GapTooSmallError (the amplification machinery that could
-shrink arbitrary gaps is out of scope).
+per-round value holds only at the formula's T. The Fuchs-van de Graaf
+inequalities map the bracket to the reported interval on the diamond
+distance D (``_fvdg_interval``) and a promise on D to value thresholds
+(``promise_thresholds``). A promise (a, b) is decided on the interval:
+'far' when it lies above b, 'close' when it lies below a. Refusals raise
+GapTooSmallError: before solving, when the threshold gap does not exceed
+twice the solver slack (delta + delta1); after, when the interval reaches
+both sides. (The amplification that could shrink any gap is out of scope.)
 
 Every answer takes three steps: ``require_gap``, ``mmw.solve_equilibrium``
 and ``build_report``. ``solve_and_report`` is the one wrapper; the CLI calls
@@ -25,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GapTooSmallError
+from .errors import GapTooSmallError, ValidationError
 from .mmw import EquilibriumResult, MMWConfig, solve_equilibrium
-from .reduction import ReducedInstance, promise_thresholds
+from .reduction import ReducedInstance
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,9 @@ class DiamondReport:
 
     ``result`` is the solver run the report rests on; its certified bracket,
     round count and trace are read from there. ``interval`` always contains
-    the true diamond distance given the certificates; ``decision`` ('far' or
-    'close') is present only when a promise (a, b) was supplied, together
-    with the promise and its ``thresholds`` (t_far, t_close).
+    the true diamond distance given the certificates. ``decision`` ('far' or
+    'close'), ``promise`` and its ``thresholds`` (t_far, t_close) are set
+    only when a promise (a, b) was supplied.
     """
 
     result: EquilibriumResult
@@ -49,13 +48,23 @@ class DiamondReport:
 
 
 def _fvdg_interval(v_lo: float, v_hi: float) -> tuple[float, float]:
-    """Diamond distances allowed by an equilibrium value in [v_lo, v_hi]:
-    [2 (1 - v_hi), 2 sqrt(1 - v_lo^2)], with both ends clamped to [0, 1]."""
+    """Diamond distances allowed by an equilibrium value in [v_lo, v_hi],
+    both clamped to [0, 1]: [2 (1 - v_hi), 2 sqrt(1 - v_lo^2)] within [0, 2]."""
     v_lo = min(1.0, max(0.0, v_lo))
     v_hi = min(1.0, max(0.0, v_hi))
-    lo = max(0.0, 2.0 * (1.0 - v_hi))
-    hi = min(2.0, 2.0 * math.sqrt(max(0.0, 1.0 - v_lo * v_lo)))
-    return lo, hi
+    return 2.0 * (1.0 - v_hi), 2.0 * math.sqrt(1.0 - v_lo * v_lo)
+
+
+def promise_thresholds(a: float, b: float) -> tuple[float, float]:
+    """Equilibrium-value thresholds implied by a distinguishability promise.
+
+    For diamond distance >= a the equilibrium value is at most
+    sqrt(4 - a^2)/2; for distance <= b it is at least (2 - b)/2. Returns
+    (upper_when_far, lower_when_close).
+    """
+    if not (0.0 <= b < a <= 2.0):
+        raise ValidationError(f"promise must satisfy 0 <= b < a <= 2, got a={a}, b={b}")
+    return math.sqrt(4.0 - a * a) / 2.0, (2.0 - b) / 2.0
 
 
 def require_gap(promise: tuple[float, float] | None, cfg: MMWConfig) -> None:
@@ -79,41 +88,31 @@ def require_gap(promise: tuple[float, float] | None, cfg: MMWConfig) -> None:
         )
 
 
-def _decide(result: EquilibriumResult, t_far: float, t_close: float) -> str:
-    """The side of the threshold gap the certified bracket lies on.
-
-    The value is at most upper_cert, so below t_close it is not 'close';
-    it is at least lower_cert, so above t_far it is not 'far'. A bracket
-    reaching both thresholds certifies neither side.
-    """
-    if result.upper_cert < t_close:
-        return "far"
-    if result.lower_cert > t_far:
-        return "close"
-    raise GapTooSmallError(
-        f"certified bracket [{result.lower_cert:.4f}, {result.upper_cert:.4f}] "
-        f"after {result.iterations} rounds reaches both thresholds "
-        f"{t_far:.4f}/{t_close:.4f}: neither side of the promise is certified; "
-        "more rounds would narrow the bracket"
-    )
-
-
 def build_report(result: EquilibriumResult,
                  promise: tuple[float, float] | None = None) -> DiamondReport:
     """The report of a solver result: the interval of its certified bracket
-    and, with a promise (a, b), the side of the threshold gap the bracket
-    certifies. A bracket that reaches both thresholds is refused."""
+    and, with a promise (a, b), the side that interval certifies: 'far' when
+    its lower end exceeds b, else 'close' when its upper end lies below a.
+    An interval that reaches both sides is refused."""
+    # Certificates that cross (within the slack EquilibriumResult checks)
+    # pin the value at the upper one.
+    interval = _fvdg_interval(min(result.lower_cert, result.upper_cert), result.upper_cert)
     decision = thresholds = None
     if promise is not None:
         thresholds = promise_thresholds(*promise)
-        decision = _decide(result, *thresholds)
-        promise = (float(promise[0]), float(promise[1]))
+        a, b = promise = (float(promise[0]), float(promise[1]))
+        if interval[0] > b:
+            decision = "far"
+        elif interval[1] < a:
+            decision = "close"
+        else:
+            raise GapTooSmallError(
+                f"interval [{interval[0]:.4f}, {interval[1]:.4f}] after {result.iterations} rounds "
+                f"reaches both b = {b:.4f} and a = {a:.4f}: neither side of the promise is certified"
+            )
     return DiamondReport(
         result=result,
-        # Certificates that cross (within the slack EquilibriumResult
-        # checks) pin the value at the upper one.
-        interval=_fvdg_interval(min(result.lower_cert, result.upper_cert),
-                                result.upper_cert),
+        interval=interval,
         decision=decision,
         promise=promise,
         thresholds=thresholds,
@@ -128,9 +127,8 @@ def solve_and_report(
     """Solve an instance and build its report; the solver result, with the
     full trace, is ``report.result``.
 
-    With a promise (a, b), the threshold gap is checked before any solver
-    work and the report carries the decision the certified bracket
-    supports; a bracket that reaches both thresholds is refused.
+    With a promise (a, b), ``require_gap`` checks the threshold gap before
+    any solver work and ``build_report`` decides on the interval.
     """
     cfg = MMWConfig() if cfg is None else cfg
     require_gap(promise, cfg)

@@ -19,9 +19,7 @@ and the stacked isometry are property tests (``tests/test_reduction.py``).
 The two "arm" channels tr_Y(S+ . S+*) and tr_Y(S- . S-*) map densities on
 the doubled input space X0 (x) X1 (dim n^2, first factor most significant)
 to densities on (flag, Z) (dim 2z), each arm reading only one marginal. The
-difference map and its adjoint drive the equilibrium solver; the
-distinguishability promises translate into thresholds on the equilibrium
-value via the Fuchs-van de Graaf inequalities.
+difference map and its adjoint drive the equilibrium solver.
 
 Splitting each stack by its Y row index gives the blocks W+-_y (2z x n).
 The instance stores the pair in this form only, as arrays W+- of shape
@@ -32,7 +30,7 @@ The instance stores the pair in this form only, as arrays W+- of shape
 and the adjoint of the difference map on an effect E (2z x 2z) is the
 Kronecker sum
 
-    G+ (x) I - I (x) G-        with G+- = sum_y W+-_y* E W+-_y   (n x n),
+    G+ (x) I - I (x) G-        with G+- = sum_y W+-_y* E W+-_y   (n x n).
 
 Each is two matrix products over the blocks, and neither forms an
 n^2 x n^2 or 2mz x 2mz matrix. These factor forms
@@ -151,15 +149,3 @@ def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarra
             f"beyond tolerance {limit:.3e}"
         )
     return _arm_adjoint(inst.blocks_plus, e), -_arm_adjoint(inst.blocks_minus, e)
-
-
-def promise_thresholds(a: float, b: float) -> tuple[float, float]:
-    """Equilibrium-value thresholds implied by a distinguishability promise.
-
-    For diamond distance >= a the equilibrium value is at most
-    sqrt(4 - a^2)/2; for distance <= b it is at least (2 - b)/2. Returns
-    (upper_when_far, lower_when_close).
-    """
-    if not (0.0 <= b < a <= 2.0):
-        raise ValidationError(f"promise must satisfy 0 <= b < a <= 2, got a={a}, b={b}")
-    return math.sqrt(4.0 - a * a) / 2.0, (2.0 - b) / 2.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -28,11 +29,12 @@ from diamondeq.cli import (
     write_trace,
 )
 from diamondeq.estimator import solve_and_report
-from diamondeq.oracles import random_unitary
+from diamondeq.oracles import constant_diamond, random_density, random_unitary, unitary_diamond
 from tests.conftest import (
     I2,
     KET0,
     KET1,
+    PAULI_X,
     PAULI_Z,
     PHASE_S,
     first_closed_round,
@@ -177,6 +179,17 @@ class TestParseChannelFile:
         assert err.startswith("error: ") and message in err
         if digits == 400:
             assert "/channels/0/matrices/0/0/0" in err
+
+    def test_nesting_past_the_recursion_limit_is_not_valid_json(self, tmp_path, capsys):
+        # orjson refuses the NaN, and the stdlib decoder it falls back to
+        # runs out of recursion on the array around it.
+        doc = {"channels": [spec_doc("unitary", 2, 2, [I2]), spec_doc("unitary", 2, 2, [PHASE_S])]}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc)[:-1] + ', "note": ' + "[" * 100_000 + "NaN"
+                        + "]" * 100_000 + "}")
+        assert main(["bounds", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid JSON" in err
 
     def test_missing_channels_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -605,8 +618,8 @@ class TestCommands:
             assert doc["stop_reason"] == "rounds" and doc["iterations"] == 2
 
     def test_qcd_refused_after_solving_writes_its_trace(self, tmp_path, capsys):
-        # One round leaves the bracket of U = I, V = diag(1, i, -1) across
-        # both thresholds: the decision is refused, the trace is kept.
+        # After one round the interval of U = I, V = diag(1, i, -1) reaches
+        # both b and a: the decision is refused, the trace is kept.
         path = write_channels(
             tmp_path,
             spec_doc("unitary", 3, 3, [np.eye(3)]),
@@ -742,6 +755,53 @@ class TestProcess:
                 assert code == 0
                 reports.append(out.read_bytes())
             assert reports[0] == reports[1]
+
+    def test_intervals_and_decisions_hold_across_blas_threads(self, tmp_path):
+        # bounds and qcd on four pairs of known distance D, in one fresh
+        # interpreter per BLAS thread count: the README pair, and seeded
+        # unitary, Pauli-channel (kraus) and constant pairs. Each qcd
+        # promise has D on its far side when D > 1.4, else on its close side.
+        with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
+            readme_pair = re.search(r"^```json\n(.*?)^```", handle.read(), re.M | re.S).group(1)
+        (tmp_path / "readme.json").write_text(readme_pair)
+        rng = np.random.default_rng(23)
+        u, v = random_unitary(rng, 3), random_unitary(rng, 3)
+        paulis = (I2, PAULI_X, np.array([[0.0, -1j], [1j, 0.0]]), PAULI_Z)
+        p, q = rng.dirichlet(np.ones(4), size=2)
+        sigmas = [random_density(rng, 3) for _ in range(2)]
+        pairs = {
+            str(tmp_path / "readme.json"): math.sqrt(2.0),
+            write_channels(tmp_path, *(spec_doc("unitary", 3, 3, [w]) for w in (u, v)),
+                           "u.json"): unitary_diamond(u, v),
+            write_channels(tmp_path, *(spec_doc("kraus", 2, 2, [math.sqrt(x) * s
+                                                                for x, s in zip(w, paulis)])
+                                       for w in (p, q)), "k.json"): float(np.abs(p - q).sum()),
+            write_channels(tmp_path, *(spec_doc("constant", 2, 3, [w]) for w in sigmas),
+                           "c.json"): constant_diamond(*sigmas),
+        }
+        runs = []  # (argv without outputs, D, decision)
+        for path, d in pairs.items():
+            (a, b), want = ((d, 0.0), "far") if d > 1.4 else ((2.0, d), "close")
+            runs += [(["bounds", path, "--delta", "0.1"], d, None),
+                     (["qcd", path, "--delta", "0.1", "--a", repr(a), "--b", repr(b)], d, want)]
+        code = ("import json, sys; from diamondeq.cli import main; "
+                "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+        for threads in ("1", "2"):
+            tags = [str(tmp_path / f"{k}-{threads}") for k in range(len(runs))]
+            argvs = [argv + ["--report-out", f"{tag}.json", "--trace-out", f"{tag}.jsonl"]
+                     for (argv, _, _), tag in zip(runs, tags)]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=SRC)
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                                  capture_output=True, text=True, timeout=120, check=False)
+            assert proc.returncode == 0, proc.stderr
+            for (argv, d, want), tag in zip(runs, tags):
+                with open(f"{tag}.json", encoding="utf-8") as handle:
+                    report = json.load(handle)
+                lo, hi = report["interval"]
+                assert lo - 1e-9 <= d <= hi + 1e-9, (argv, threads)
+                assert report["decision"] == want, (argv, threads)
+                assert read_records(f"{tag}.jsonl")[0]["blas_threads_env"] == int(threads)
 
 
 class TestSerialization:

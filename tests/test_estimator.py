@@ -1,9 +1,11 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamondeq import (
@@ -11,11 +13,12 @@ from diamondeq import (
     GapTooSmallError,
     MMWConfig,
     build_instance,
+    build_report,
     require_gap,
     solve_and_report,
+    solve_equilibrium,
 )
-from diamondeq.estimator import _fvdg_interval
-from diamondeq.reduction import promise_thresholds
+from diamondeq.estimator import _fvdg_interval, promise_thresholds
 from diamondeq.oracles import constant_diamond, naive_equilibrium, random_unitary, unitary_diamond
 from tests.conftest import (
     I2,
@@ -134,6 +137,78 @@ class TestPdnDecide:
         )
         assert report.decision == "close"
         assert report.thresholds == (0.0, 1.0)
+
+
+@functools.cache
+def _one_round_result():
+    return solve_equilibrium(unitary_instance(I2, I2), MMWConfig(delta=0.2, rounds=1))
+
+
+def _decision(lower, upper, promise):
+    """The decision ``build_report`` takes on the bracket [lower, upper],
+    None for a refusal, and the interval it reports."""
+    result = dataclasses.replace(_one_round_result(), lower_cert=lower, upper_cert=upper)
+    interval = build_report(result).interval
+    try:
+        return build_report(result, promise).decision, interval
+    except GapTooSmallError as exc:
+        assert "neither side" in str(exc)
+        return None, interval
+
+
+def _threshold_decision(lower, upper, a, b):
+    """The rule on value thresholds that deciding on the interval replaced:
+    'far' when upper lies below t_close, else 'close' when lower lies above
+    t_far, else None."""
+    t_far, t_close = promise_thresholds(a, b)
+    if upper < t_close:
+        return "far"
+    if lower > t_far:
+        return "close"
+    return None
+
+
+@st.composite
+def _brackets_and_promises(draw):
+    """A promise (a, b) and a bracket [lower, upper] in [0, 1] whose ends
+    are random, random above the thresholds t_far and t_close, within a few
+    ulps of them, or 1e-11 to 1e-6 from them."""
+    b, a = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2, unique=True)))
+    ends = []
+    for threshold in promise_thresholds(a, b):
+        mode = draw(st.sampled_from(["random", "above", "ulps", "near"]))
+        if mode in ("random", "above"):
+            end = draw(st.floats(threshold if mode == "above" else 0.0, 1.0))
+        elif mode == "ulps":
+            end = threshold + draw(st.integers(-3, 3)) * math.ulp(threshold)
+        else:
+            end = threshold + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.integers(6, 11))
+        ends.append(min(1.0, max(0.0, end)))
+    lower, upper = sorted(ends)
+    return a, b, lower, upper
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=_brackets_and_promises())
+# upper = t_close = 0.85, a tie: 2 (1 - 0.85) = 0.30000000000000004 lies
+# above b, so the printed interval [0.30000000000000004, 1.9596] decides
+# 'far', where the threshold rule refused.
+@example(case=(1.9, 0.3, 0.2, 0.85))
+# lower = 1e-9 lies above t_far = 0, but 2 sqrt(1 - lower^2) rounds to
+# 2.0 = a: the threshold rule decided 'close', the interval refuses.
+@example(case=(2.0, 1.0, 1e-9, 1.0))
+def test_decision_reads_the_reported_interval(case):
+    # The two rules agree wherever each bracket end is more than 1e-12 from
+    # its threshold and each interval end more than 1e-12 from its bound.
+    # Each margin covers the other rule's rounding: where lambda -> D is
+    # flat (lambda near 0) an interval end rounds onto a, and where it is
+    # steep (a near 0) t_far = sqrt(4 - a^2)/2 rounds to 1.
+    a, b, lower, upper = case
+    got, (lo, hi) = _decision(lower, upper, (a, b))
+    assert got == ("far" if lo > b else "close" if hi < a else None)
+    t_far, t_close = promise_thresholds(a, b)
+    if min(abs(upper - t_close), abs(lower - t_far), abs(lo - b), abs(hi - a)) > 1e-12:
+        assert got == _threshold_decision(lower, upper, a, b)
 
 
 class TestContainment:
