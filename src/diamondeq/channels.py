@@ -175,8 +175,7 @@ class ChannelSpec:
             raise ValidationError(
                 f"constant target has shape {sigma.shape}, expected ({m}, {m})"
             )
-        require_density(sigma)
-        dec = herm_eig(sigma)
+        dec = herm_eig(require_density(sigma))
         weighted = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
         residual = float(np.linalg.norm(weighted @ weighted.conj().T - sigma))
         limit = tolerances.DENSITY_TOL

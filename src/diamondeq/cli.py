@@ -319,7 +319,7 @@ def write_trace(result: EquilibriumResult, path: str) -> None:
     orjson would write NaN or +-inf as ``null``, but a returned result holds
     neither: its numbers come through gates of the form ``not x <= bound``,
     which every NaN fails. Each loss and loss sum reaches ``herm_eig``,
-    which refuses non-finite entries and non-finite residuals, so the
+    whose gate refuses the NaN residuals a non-finite entry gives, so the
     spectra, their error bounds, the Gibbs densities built from them and the
     sums themselves are finite. The round value, its best-response error and
     the loss spectrum's extremes are gated in the loop, and the certificates

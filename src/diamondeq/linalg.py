@@ -71,11 +71,12 @@ class EigDecomp:
 
     @property
     def error_bound(self) -> float:
-        """Bound on |lambda_i(H) - eigenvalues[i]| for every i.
+        """Bound on |lambda_i((H + H*)/2) - eigenvalues[i]| for every i.
 
         With the polar factor P = (U* U)^(1/2), U diag(w) U* has the
         eigenvalues of P diag(w) P, and ||P - I|| <= ||U* U - I||; Weyl's
-        inequality then gives recon + unit (2 + unit) max|w|.
+        inequality then gives recon + unit (2 + unit) max|w|, since
+        ||(H + H*)/2 - X|| <= ||H - X|| = recon for the Hermitian X = U diag(w) U*.
         """
         scale = float(np.max(np.abs(self.eigenvalues)))
         return self.recon + self.unit * (2.0 + self.unit) * scale
@@ -85,12 +86,16 @@ def herm_eig(h) -> EigDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Checks the residuals ||H - U diag(w) U*|| and ||U* U - I|| against
-    ``EIG_TOL * dim`` before returning them on the result.
+    ``EIG_TOL * dim`` before returning them on the result. ``eigh`` reads the
+    lower triangle and ``recon`` is taken against H as given, so the gate is
+    also the Hermitian check (recon >= ||H - H*||_F / 2) and refuses NaNs.
     """
-    hs = require_hermitian(h)
-    n = hs.shape[0]
+    m = np.asarray(h, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected a square 2-D matrix, got shape {m.shape}")
+    n = m.shape[0]
     try:
-        w, u = np.linalg.eigh(hs)
+        w, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionError(
             f"eigendecomposition of a {n}x{n} Hermitian matrix did not converge"
@@ -99,7 +104,7 @@ def herm_eig(h) -> EigDecomp:
     u = u[:, ::-1].copy()
     limit = tolerances.EIG_TOL * n
     uh = u.conj().T
-    recon = _frobenius(hs - (u * w) @ uh)
+    recon = _frobenius(m - (u * w) @ uh)
     gram = uh @ u
     gram.flat[::n + 1] -= 1.0
     unit = _frobenius(gram)
@@ -120,7 +125,7 @@ def best_effect(h) -> tuple[np.ndarray, float]:
     the computed positive eigenvalues' sum, and <P, H> is within the rest of
     that sum, since the computed eigenvectors are orthonormal, and
     diagonalize H, only up to the residuals. Eigenvalues are taken from the
-    symmetrized input; the zero matrix maps to the zero projector.
+    input's lower triangle; the zero matrix maps to the zero projector.
     """
     dec = herm_eig(h)
     cols = dec.eigenvectors[:, dec.eigenvalues > 0.0]

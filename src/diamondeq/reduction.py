@@ -46,10 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
 from .channels import ChannelSpec
 from .errors import ValidationError
-from .linalg import as_cmatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +133,7 @@ def difference_adjoint_factors(inst: ReducedInstance, effect) -> tuple[np.ndarra
     """Kronecker-sum factors (G+, -G-) of the difference adjoint on a
     measurement effect 0 <= E <= I, with G+- = sum_y W+-_y* E W+-_y.
 
-    Each G+- lies between 0 and I because each arm is trace preserving.
+    Each G+- lies between 0 and I because each arm is trace preserving. E is
+    the caller's to check; the solver's are ``best_effect`` projectors.
     """
-    e = as_cmatrix(effect)
-    d = inst.witness_dim
-    if e.shape != (d, d):
-        raise ValidationError(f"effect has shape {e.shape}, expected ({d}, {d})")
-    w = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-    limit = tolerances.PSD_TOL
-    if not (w[0] >= -limit and w[-1] <= 1.0 + limit):
-        raise ValidationError(
-            f"effect eigenvalues [{w[0]:.3e}, {w[-1]:.3e}] outside [0, 1] "
-            f"beyond tolerance {limit:.3e}"
-        )
-    return _arm_adjoint(inst.blocks_plus, e), -_arm_adjoint(inst.blocks_minus, e)
+    return _arm_adjoint(inst.blocks_plus, effect), -_arm_adjoint(inst.blocks_minus, effect)

@@ -3,15 +3,13 @@
 Fixed constants, so that identical inputs give byte-identical reports.
 Library code reads them at call time (``tolerances.EIG_TOL``), never as
 copies bound at import. Every gate is written ``if not residual <= tol``,
-so that a NaN residual (an overflowed product, say) fails it.
+so that a NaN residual (an overflowed product, say) fails it. Inputs are
+checked where they enter (``ChannelSpec``, and ``solve_generic`` on its
+callbacks' adjoint factors); the solver loop's own matrices only by EIG_TOL.
 """
 
 #: Frobenius residual allowed for a matrix claimed Hermitian.
 HERM_TOL = 1e-9
-
-#: Most negative eigenvalue tolerated for a PSD input; a measurement effect's
-#: spectrum may leave [0, 1] by this much.
-PSD_TOL = 1e-9
 
 #: Frobenius residual allowed for an isometry (A*A = I check).
 ISO_TOL = 1e-9

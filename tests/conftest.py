@@ -14,7 +14,6 @@ from diamondeq import (
     marginal_difference_output,
     partial_trace,
     solve_generic,
-    tolerances,
     trace_norm,
 )
 from diamondeq.linalg import as_cmatrix
@@ -27,6 +26,10 @@ PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PHASE_S = np.diag([1.0, 1j])
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+#: Most negative eigenvalue tolerated for a PSD input to ``fidelity``; the
+#: spectrum of a measurement effect may leave [0, 1] by this much.
+PSD_TOL = 1e-9
 
 
 def unitary_spec(u):
@@ -141,7 +144,7 @@ def kron_sum(factors):
 def _psd_sqrt(p):
     dec = herm_eig(p)
     low = float(dec.eigenvalues[-1])
-    limit = tolerances.PSD_TOL
+    limit = PSD_TOL
     if not low >= -limit:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{limit:.3e}"

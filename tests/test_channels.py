@@ -194,6 +194,16 @@ class TestNormalize:
         assert str(info.value) == ("channel isometry is not an isometry: "
                                    f"||A*A - I||_F = {residual} > 1.000e-09")
 
+    def test_constant_target_off_hermitian_within_density_tol(self):
+        # An antisymmetric kick of 3e-10 passes the density check, whose
+        # symmetrized copy is exactly diag(0.6, 0.4). The dilation is built
+        # from that copy, so it equals the exact target's; decomposed as
+        # given, the kicked target would fail the eigendecomposition's
+        # residual gate (about 6e-10 against 2e-10 at m = 2).
+        exact = np.diag([0.6, 0.4])
+        kicked = exact + 3e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(constant_spec(kicked).isometry, constant_spec(exact).isometry)
+
     def test_constant_reconstruction_names_residual(self, monkeypatch):
         # Rotating the eigenvectors of sigma = |+><+| (eigenvalues 1 and 0)
         # by theta keeps the dilation an isometry but reconstructs

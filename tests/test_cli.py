@@ -757,10 +757,13 @@ class TestProcess:
             assert reports[0] == reports[1]
 
     def test_intervals_and_decisions_hold_across_blas_threads(self, tmp_path):
-        # bounds and qcd on four pairs of known distance D, in one fresh
-        # interpreter per BLAS thread count: the README pair, and seeded
-        # unitary, Pauli-channel (kraus) and constant pairs. Each qcd
-        # promise has D on its far side when D > 1.4, else on its close side.
+        # bounds and qcd on five pairs of known distance D, in one fresh
+        # interpreter per BLAS thread count: the README pair, seeded
+        # unitary, Pauli-channel (kraus) and constant pairs, and a far
+        # constant pair at (n, m) = (4, 2) with rank-one targets |0><0| and
+        # |psi><psi|, whose 16 x 16 difference output has exact-zero
+        # eigenvalues. Each qcd promise has D on its far side when D > 1.4,
+        # else on its close side.
         with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as handle:
             readme_pair = re.search(r"^```json\n(.*?)^```", handle.read(), re.M | re.S).group(1)
         (tmp_path / "readme.json").write_text(readme_pair)
@@ -769,6 +772,8 @@ class TestProcess:
         paulis = (I2, PAULI_X, np.array([[0.0, -1j], [1j, 0.0]]), PAULI_Z)
         p, q = rng.dirichlet(np.ones(4), size=2)
         sigmas = [random_density(rng, 3) for _ in range(2)]
+        pure = [np.outer(x, x).astype(complex)
+                for x in (np.array([1.0, 0.0]), np.array([math.cos(1.2), math.sin(1.2)]))]
         pairs = {
             str(tmp_path / "readme.json"): math.sqrt(2.0),
             write_channels(tmp_path, *(spec_doc("unitary", 3, 3, [w]) for w in (u, v)),
@@ -778,6 +783,8 @@ class TestProcess:
                                        for w in (p, q)), "k.json"): float(np.abs(p - q).sum()),
             write_channels(tmp_path, *(spec_doc("constant", 2, 3, [w]) for w in sigmas),
                            "c.json"): constant_diamond(*sigmas),
+            write_channels(tmp_path, *(spec_doc("constant", 4, 2, [w]) for w in pure),
+                           "c4.json"): constant_diamond(*pure),
         }
         runs = []  # (argv without outputs, D, decision)
         for path, d in pairs.items():

@@ -14,9 +14,11 @@ from diamondeq import (
     MMWConfig,
     build_instance,
     build_report,
+    partial_trace,
     require_gap,
     solve_and_report,
     solve_equilibrium,
+    trace_norm,
 )
 from diamondeq.estimator import _fvdg_interval, promise_thresholds
 from diamondeq.oracles import constant_diamond, naive_equilibrium, random_unitary, unitary_diamond
@@ -26,9 +28,11 @@ from tests.conftest import (
     KET1,
     PAULI_X,
     PAULI_Z,
+    SPEC_KINDS,
     constant_spec,
     first_closed_round,
     random_kraus_pair_spec,
+    random_specs,
     unitary_instance,
     unitary_spec,
 )
@@ -332,6 +336,31 @@ def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, 
     assert lo - 1e-9 <= truth <= hi + 1e-9
     assert result.lower_cert <= result.upper_cert + 1e-9
     assert result.iterations <= cfg.resolved_rounds(n * n) == result.trace.rounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.tuples(*[st.sampled_from(SPEC_KINDS)] * 2),
+       m=st.integers(1, 4), envs=st.tuples(*[st.integers(1, 4)] * 2),
+       delta=st.sampled_from([0.05, 0.2]))
+@example(seed=1, kinds=("kraus1", "kraus"), m=2, envs=(1, 3), delta=0.2)
+@example(seed=2, kinds=("kraus", "kraus"), m=3, envs=(2, 2), delta=0.2)
+@example(seed=3, kinds=("kraus", "kraus1"), m=4, envs=(3, 1), delta=0.2)
+def test_single_input_dimension_holds_the_state_distance(seed, kinds, m, envs, delta):
+    # n = 1 is state discrimination: each channel is its output state
+    # rho_k = tr_Z(A_k A_k*), the one density is exact, and one round's
+    # exact best response brackets D = ||rho0 - rho1||_1. A unitary kind
+    # sets m = 1 for both specs (a unitary is a 1 x 1 phase), and every
+    # channel into one dimension outputs the state 1, so D = 0. "kraus1" is
+    # a one-operator set, "kraus" has envs[k] operators (at least two).
+    specs = random_specs(np.random.default_rng(seed), kinds, 1, m, envs)
+    m = specs[0].output_dim
+    rhos = [partial_trace(a @ a.conj().T, (m, a.shape[0] // m), (0,))
+            for a in (s.isometry for s in specs)]
+    truth = 0.0 if "unitary" in kinds else trace_norm(rhos[0] - rhos[1])
+    report = solve_and_report(build_instance(*specs), MMWConfig(delta=delta))
+    lo, hi = report.interval
+    assert report.result.iterations == 1
+    assert lo - 1e-9 <= truth <= hi + 1e-9
 
 
 _PAULIS = (I2, PAULI_X, np.array([[0.0, -1j], [1j, 0.0]]), PAULI_Z)

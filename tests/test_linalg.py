@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamondeq import (
     EigDecomp,
@@ -16,7 +18,15 @@ from diamondeq import (
 from diamondeq import linalg
 from diamondeq.linalg import require_hermitian
 from diamondeq.oracles import random_density, random_unitary
-from tests.conftest import KET0, PAULI_X, PAULI_Z, fidelity, kron_sum, mat_exp_hermitian
+from tests.conftest import (
+    KET0,
+    PAULI_X,
+    PAULI_Z,
+    PSD_TOL,
+    fidelity,
+    kron_sum,
+    mat_exp_hermitian,
+)
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -76,12 +86,16 @@ class TestHermEig:
             herm_eig(h)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError, match="not Hermitian"):
+        # eigh reads the lower triangle, and recon is measured against H as
+        # given, so the residual gate refuses the asymmetry.
+        with pytest.raises(EigendecompositionError, match="residual bounds"):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="finite"):
-            herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # A NaN or infinite entry gives NaN residuals, which fail the gate.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(EigendecompositionError, match="residual bounds"):
+                herm_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestMatExp:
@@ -139,6 +153,35 @@ class TestPosProj:
             assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
 
 
+#: Eigenvalues for the best-response property: exact zeros, +-1e-17 and a
+#: few values that repeat, next to generic ones.
+_EDGE_EIGENVALUES = st.one_of(st.sampled_from([0.0, 1e-17, -1e-17, 1.0, -0.5]),
+                              st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+       rotate=st.booleans())
+def test_best_effect_is_an_exactly_hermitian_effect(data, seed, n, rotate):
+    # The solver plays best_effect(h)[0] as the effect E and passes it to
+    # difference_adjoint_factors unchecked, so it must be exactly Hermitian
+    # with its spectrum in [0, 1] up to PSD_TOL, also where h has zero,
+    # near-zero or repeated eigenvalues or is rank deficient. h is exactly
+    # Hermitian, as every matrix the loop builds is: diag(w) itself, or w in
+    # a random basis. n reaches 2z = 50, the largest effect of the benchmark.
+    w = np.array(data.draw(st.lists(_EDGE_EIGENVALUES, min_size=n, max_size=n), label="w"))
+    w[data.draw(st.integers(0, n), label="rank"):] = 0.0
+    h = np.diag(w).astype(complex)
+    if rotate:
+        u = random_unitary(np.random.default_rng(seed), n)
+        h = (u * w) @ u.conj().T
+        h = 0.5 * (h + h.conj().T)
+    p = best_effect(h)[0]
+    assert np.array_equal(p, p.conj().T)
+    spectrum = np.linalg.eigvalsh(p)
+    assert spectrum[0] >= -PSD_TOL and spectrum[-1] <= 1.0 + PSD_TOL
+
+
 def perturbed_eig(rng, h, size):
     """A decomposition of h with eigenpairs off by about ``size`` and its
     residuals measured, as herm_eig measures them."""
@@ -163,12 +206,12 @@ class TestErrorBounds:
 
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_residuals_are_numpy_norms_bitwise(self, dim, monkeypatch):
-        # require_hermitian's residual and herm_eig's recon and unit feed the
-        # reported widening, so they must equal np.linalg.norm of the same
-        # differences to the last bit.
+        # herm_eig's recon and unit feed the reported widening, so they must
+        # equal np.linalg.norm of the same differences to the last bit; recon
+        # is taken against h as given, not symmetrized.
         rng = np.random.default_rng(300 + dim)
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = random_hermitian(rng, dim) + 1e-13 * g  # Hermitian within HERM_TOL
+        h = random_hermitian(rng, dim) + 1e-13 * g  # off Hermitian, within the gate
         norms = []
         frobenius = linalg._frobenius
 
@@ -178,12 +221,25 @@ class TestErrorBounds:
 
         monkeypatch.setattr(linalg, "_frobenius", recorded)
         dec = herm_eig(h)
-        assert len(norms) == 3
+        assert len(norms) == 2
         assert all(want == got for want, got in norms)
-        assert norms[0][1] == np.linalg.norm(h - h.conj().T) > 0.0
-        hs, u = 0.5 * (h + h.conj().T), dec.eigenvectors
-        assert dec.recon == np.linalg.norm(hs - (u * dec.eigenvalues) @ u.conj().T)
+        assert np.linalg.norm(h - h.conj().T) > 0.0
+        u = dec.eigenvectors
+        assert dec.recon == np.linalg.norm(h - (u * dec.eigenvalues) @ u.conj().T)
         assert dec.unit == np.linalg.norm(u.conj().T @ u - np.eye(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    def test_error_bound_covers_the_symmetrized_input(self, dim):
+        # An h off Hermitian within the residual gate is decomposed from its
+        # lower triangle; error_bound still bounds the eigenvalues of
+        # (h + h*)/2, since recon is taken against h as given.
+        rng = np.random.default_rng(400 + dim)
+        for size in (1e-13, 1e-11, 3e-11):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = random_hermitian(rng, dim) + size * g
+            dec = herm_eig(h)
+            exact = np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]
+            assert np.max(np.abs(exact - dec.eigenvalues)) <= dec.error_bound
 
     @pytest.mark.parametrize("size", [1e-8, 1e-5, 1e-3])
     def test_weyl_bound_covers_perturbed_eigenvalues(self, size):

@@ -286,10 +286,6 @@ class TestDifferenceAdjoint:
         want = np.kron(g_plus, eye) + np.kron(eye, neg_g_minus)
         assert np.linalg.norm(difference_adjoint(inst, effect) - want) <= 1e-12
 
-    def test_rejects_out_of_bounds_effect(self, phase_instance):
-        with pytest.raises(ValidationError, match="outside"):
-            difference_adjoint(phase_instance, 1.5 * np.eye(2))
-
 
 class TestThresholds:
     def test_paper_scale_promise(self):
