@@ -31,7 +31,6 @@ from .linalg import (
 from .mmw import (
     EquilibriumResult,
     MMWConfig,
-    SolverTrace,
     solve_equilibrium,
     solve_generic,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "trace_norm",
     "EquilibriumResult",
     "MMWConfig",
-    "SolverTrace",
     "solve_equilibrium",
     "solve_generic",
     "ReducedInstance",

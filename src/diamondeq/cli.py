@@ -28,13 +28,13 @@ wider, and ``qcd`` may refuse. The solver's learning rate is
 ``mmw.learning_rate``, eta_t = min(1/2, sqrt(8 ln N / t)), whatever the
 flags. Traces are line-delimited JSON: a leading meta record (N, the rule
 ``mmw.LEARNING_RATE_RULE``, T, delta, delta1, the exponent bound, the value
-floor and the numeric environment), one ``iter`` record per round with the
-keys of ``mmw.SERIES``, and a trailing summary record with the value, the
-stop reason and the per-factor loss sums ``loss_sums`` (two n x n matrices
-for a channel pair). Both are write-only, built from the solver's
-``EquilibriumResult``; nothing here parses them back. Traces are encoded
-with orjson: values read back exactly, and separators and exponent
-spelling are orjson's. Reports keep the stdlib encoder's indented,
+floor and the numeric environment), one ``iter`` record per round (the
+solver's ``EquilibriumResult.iters`` row with ``kind`` added), and a
+trailing summary record with the value, the stop reason and the per-factor
+loss sums ``loss_sums`` (two n x n matrices for a channel pair). Both are
+write-only, built from the solver's ``EquilibriumResult``; nothing here
+parses them back. Traces are encoded with orjson: values read back
+exactly, and separators and exponent spelling are orjson's. Reports keep the stdlib encoder's indented,
 key-sorted layout. Channel files are decoded with orjson, falling back to
 the stdlib decoder for the documents orjson refuses (``parse_channel_file``).
 Identical inputs and configuration produce byte-identical output.
@@ -72,7 +72,6 @@ from .errors import (
 from .estimator import DiamondReport, build_report, require_gap
 from .mmw import (
     LEARNING_RATE_RULE,
-    SERIES,
     EquilibriumResult,
     MMWConfig,
     solve_equilibrium,
@@ -267,8 +266,8 @@ def report_to_dict(report: DiamondReport) -> dict:
     result = report.result
     return {
         "lambda": result.value,
-        "delta": result.trace.delta,
-        "delta1": result.trace.delta1,
+        "delta": result.delta,
+        "delta1": result.delta1,
         "interval": list(report.interval),
         "decision": report.decision,
         "promise": None if report.promise is None else list(report.promise),
@@ -277,37 +276,33 @@ def report_to_dict(report: DiamondReport) -> dict:
         "upper_cert": result.upper_cert,
         "iterations": result.iterations,
         "widening": result.widening,
-        "stop_reason": result.trace.stop_reason,
+        "stop_reason": result.stop_reason,
     }
 
 
 def trace_to_records(result: EquilibriumResult) -> list:
-    trace = result.trace
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     records = [{
         "kind": "meta",
-        "dim": trace.dim,
+        "dim": result.dim,
         "learning_rate": LEARNING_RATE_RULE,
-        "rounds": trace.rounds,
-        "delta": trace.delta,
-        "delta1": trace.delta1,
-        "exponent_norm_bound": trace.exponent_norm_bound,
+        "rounds": result.rounds,
+        "delta": result.delta,
+        "delta1": result.delta1,
+        "exponent_norm_bound": result.exponent_norm_bound,
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_threads_env": int(threads) if threads and threads.strip().isdigit() else threads,
-        "value_floor": trace.value_floor,
+        "value_floor": result.value_floor,
     }]
-    keys = ["t"] + [key for _, key in SERIES]
-    columns = [range(1, trace.executed + 1)] + [getattr(trace, name).tolist()
-                                                for name, _ in SERIES]
-    records += [dict(zip(keys, row), kind="iter") for row in zip(*columns)]
+    records += [dict(row, kind="iter") for row in result.iters]
     records.append({
         "kind": "summary",
         "lambda": result.value,
-        "stop_reason": trace.stop_reason,
-        "loss_sums": [matrix_to_json(s) for s in trace.loss_sums],
+        "stop_reason": result.stop_reason,
+        "loss_sums": [matrix_to_json(s) for s in result.loss_sums],
     })
     return records
 

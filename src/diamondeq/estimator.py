@@ -34,7 +34,7 @@ class DiamondReport:
     """Decision and/or interval for the diamond distance of a channel pair.
 
     ``result`` is the solver run the report rests on; its certified bracket,
-    round count and trace are read from there. ``interval`` always contains
+    round count and per-round records are read from there. ``interval`` always contains
     the true diamond distance given the certificates. ``decision`` ('far' or
     'close'), ``promise`` and its ``thresholds`` (t_far, t_close) are set
     only when a promise (a, b) was supplied.
@@ -124,8 +124,8 @@ def solve_and_report(
     cfg: MMWConfig | None = None,
     promise: tuple[float, float] | None = None,
 ) -> DiamondReport:
-    """Solve an instance and build its report; the solver result, with the
-    full trace, is ``report.result``.
+    """Solve an instance and build its report; the solver result, with its
+    per-round records, is ``report.result``.
 
     With a promise (a, b), ``require_gap`` checks the threshold gap before
     any solver work and ``build_report`` decides on the interval.

@@ -69,10 +69,11 @@ channel-pair game's 0: the zero effect is feasible and has value 0).
 ``solve_generic`` stops on the first round at which this
 certified bracket is at most delta (times the value bound) wide, runs all T
 rounds when it never is, and records which of the two happened
-(``SolverTrace.stop_reason``: 'bracket' or 'rounds').
-Its ``EquilibriumResult`` stores the bracket and the trace and derives the
-rest: the value is the upper certificate, which never exceeds the mean of
-the per-round values, and the round count is the trace's. The certificates,
+(``EquilibriumResult.stop_reason``: 'bracket' or 'rounds').
+Its ``EquilibriumResult`` is the one record of the run: the bracket, the
+run's facts and one ``iters`` row per round. The value is the upper
+certificate, which never exceeds the mean of the per-round values, and the
+round count is the number of rows. The certificates,
 not the a-priori guarantee, are what callers report: they hold after any
 number of rounds, so a run that uses up a T below the formula's gives a
 sound, possibly wider bracket.
@@ -98,7 +99,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateViolation, OracleBoundError, ValidationError
-from .linalg import EigDecomp, best_effect, herm_eig, hs_inner, require_hermitian
+from .linalg import EigDecomp, best_effect, herm_eig, require_hermitian
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Eigenvalue excursions of a loss matrix beyond [0, 1] up to this much are
@@ -118,9 +119,11 @@ MAX_ROUNDS = 1_000_000
 class MMWConfig:
     """Solver configuration.
 
-    ``delta`` is the target precision of the returned value; it fixes the
-    slack budget delta1 = delta/10 charged to approximate arithmetic. The
-    learning rate is ``learning_rate``'s, whatever the configuration.
+    ``delta`` is the target precision of the returned value; it fixes
+    delta1 = delta/10, whose one reader is ``estimator.require_gap``'s
+    threshold margin (floating-point error is counted in the bracket's
+    ``widening``, not in delta1). The learning rate is ``learning_rate``'s,
+    whatever the configuration.
     ``rounds``, the round limit T, lies in [1, MAX_ROUNDS] and defaults to
     ceil(16 ln N / delta^2) clamped to MAX_ROUNDS; fewer rounds leave the
     certificates sound but possibly wider than delta.
@@ -164,75 +167,6 @@ def learning_rate(t: int, dim: int) -> float:
     return min(0.5, math.sqrt(8.0 * math.log(dim) / t))
 
 
-#: Per-round series of a trace, as (SolverTrace field, key of the JSONL
-#: ``iter`` record).
-SERIES = (
-    ("losses", "loss"),
-    ("step_inners", "inner"),
-    ("exp_min", "exp_min"),
-    ("exp_max", "exp_max"),
-    ("rho_trace_err", "rho_trace_err"),
-    ("rho_min_eig", "rho_min_eig"),
-    ("m_min_eig", "m_min_eig"),
-    ("m_max_eig", "m_max_eig"),
-    ("m_eig_err", "m_eig_err"),
-    ("sum_min_eig", "sum_min_eig"),
-    ("sum_eig_err", "sum_eig_err"),
-)
-
-
-@dataclass(eq=False)
-class SolverTrace:
-    """Per-round records of one solver run.
-
-    The ``SERIES`` arrays are indexed by round (0-based for round t = 1).
-    ``exp_min`` and ``exp_max`` are the extreme eigenvalues of the
-    accumulated exponent -eta_t * sum of prior losses that produced rho(t);
-    ``exponent_norm_bound`` is the a-priori operator-norm bound on that
-    exponent, the largest eta_t (t - 1) over t <= T. ``m_min_eig`` and
-    ``m_max_eig`` are the extremes of the round's loss spectrum and
-    ``sum_min_eig`` the smallest eigenvalue of the loss sum after the
-    round; the ``*_err`` series bound the error of each against the exact
-    loss, or sum of losses, from the measured eigendecomposition residuals
-    and the rounding of forming the loss and accumulating the sum.
-    ``loss_sums`` holds the per-factor sums S_k of all losses, whose
-    Kronecker sum is the N x N loss sum S.
-    ``value_floor`` is the lower end of the caller's proven value range, a
-    lower certificate from round 1 on (None without a range). ``rounds``
-    is the round limit T and ``stop_reason`` says why the loop ended:
-    'bracket' (the stop rule fired) or 'rounds' (T reached).
-    """
-
-    dim: int
-    rounds: int
-    delta: float
-    delta1: float
-    losses: np.ndarray
-    step_inners: np.ndarray
-    exp_min: np.ndarray
-    exp_max: np.ndarray
-    rho_trace_err: np.ndarray
-    rho_min_eig: np.ndarray
-    m_min_eig: np.ndarray
-    m_max_eig: np.ndarray
-    m_eig_err: np.ndarray
-    sum_min_eig: np.ndarray
-    sum_eig_err: np.ndarray
-    value_floor: float | None
-    loss_sums: tuple
-    stop_reason: str
-
-    @property
-    def executed(self) -> int:
-        return int(self.losses.shape[0])
-
-    @property
-    def exponent_norm_bound(self) -> float:
-        # eta_t (t - 1) is nondecreasing in t: (t - 1)/2 and
-        # sqrt(8 ln N) (t - 1)/sqrt(t) both are.
-        return learning_rate(self.rounds, self.dim) * (self.rounds - 1)
-
-
 def _gibbs_density(dec: EigDecomp, eta: float):
     """Density exp(-eta S) / tr exp(-eta S) from the eigendecomposition of S.
 
@@ -251,25 +185,45 @@ def _gibbs_density(dec: EigDecomp, eta: float):
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Certified bracket [lower_cert, upper_cert] on an equilibrium value.
+    """One solver run: its certified bracket [lower_cert, upper_cert] on an
+    equilibrium value and the facts of the run.
 
     ``lower_cert`` is the largest of three weak-duality lower bounds on the
     equilibrium value: the minimum eigenvalue of the adjoint image of the
-    averaged witness, that of the best single-round witness, and the lower
-    end of the caller's proven value range (``SolverTrace.value_floor``).
-    ``upper_cert`` is the smallest per-round value, an upper bound since
-    every round plays an exact best response. Both are the bracket that
-    stopped the loop, widened by the measured eigendecomposition error and
-    the rounding bound of the losses and their sum; the total is
-    ``widening`` (nothing for a lower end set by the floor). The
-    certificates are checked against each other at construction: they may
-    cross by roundoff only, 1e-9 max(1, bound).
+    averaged witness, that of the best single-round witness, and
+    ``value_floor``, the lower end of the caller's proven value range (None
+    without a range). ``upper_cert`` is the smallest per-round value, an
+    upper bound since every round plays an exact best response. Both are
+    the bracket that stopped the loop, widened by the measured
+    eigendecomposition error and the rounding bound of the losses and their
+    sum; the total is ``widening`` (nothing for a lower end set by the
+    floor). The certificates are checked against each other at
+    construction: they may cross by roundoff only, 1e-9 max(1, bound).
+
+    ``dim`` is N, ``rounds`` the round limit T, ``stop_reason`` 'bracket'
+    (the stop rule fired) or 'rounds' (T reached), and ``loss_sums`` the
+    per-factor loss sums S_k, whose Kronecker sum is the N x N sum S.
+    ``iters`` holds one dict per round, keyed as the trace's ``iter``
+    record: ``t``; ``loss``, the round value plus its best-response error;
+    ``inner``, <rho(t), M(t)>; ``exp_min`` and ``exp_max`` of the exponent
+    -eta_t S(t-1); ``rho_trace_err`` and ``rho_min_eig``; the loss spectrum's
+    ``m_min_eig`` and ``m_max_eig``; the loss sum's ``sum_min_eig``; and
+    ``m_eig_err`` and ``sum_eig_err``, their error bounds from the measured
+    residuals and the rounding of forming and summing the losses. Each value
+    is a Python int or float, since the trace's encoder refuses numpy scalars.
     """
 
     lower_cert: float
     upper_cert: float
-    trace: SolverTrace
     widening: float
+    dim: int
+    rounds: int
+    delta: float
+    delta1: float
+    value_floor: float | None
+    stop_reason: str
+    loss_sums: tuple
+    iters: tuple
     bound: float = 1.0
 
     def __post_init__(self):
@@ -287,8 +241,16 @@ class EquilibriumResult:
 
     @property
     def iterations(self) -> int:
-        """Rounds run, the trace's ``executed``."""
-        return self.trace.executed
+        """Rounds run."""
+        return len(self.iters)
+
+    @property
+    def exponent_norm_bound(self) -> float:
+        """A-priori operator-norm bound on the exponent -eta_t S(t-1): the
+        largest eta_t (t - 1) over t <= T."""
+        # eta_t (t - 1) is nondecreasing in t: (t - 1)/2 and
+        # sqrt(8 ln N) (t - 1)/sqrt(t) both are.
+        return learning_rate(self.rounds, self.dim) * (self.rounds - 1)
 
 
 def solve_generic(
@@ -336,7 +298,7 @@ def solve_generic(
     planned = cfg.resolved_rounds(dim)
     eye = np.eye(dims[0], dtype=np.complex128)
 
-    records = {name: [] for name, _ in SERIES}
+    iters = []
     sums = [np.zeros(shape, dtype=np.complex128) for shape in shapes]
     # Each round's loss-sum decompositions feed the stop rule and the next
     # round's Gibbs densities. The zero sums' exact decomposition makes
@@ -357,6 +319,7 @@ def solve_generic(
         rhos = [g[0] for g in gibbs]
         traces = [float(np.trace(r).real) for r in rhos]
         row = {
+            "t": t,
             "exp_min": sum(g[1] for g in gibbs),
             "exp_max": sum(g[2] for g in gibbs),
             "rho_trace_err": abs(math.prod(traces) - 1.0),
@@ -367,7 +330,13 @@ def solve_generic(
         witness, err = argmax_op(value_op)
         if not 0.0 <= err < math.inf:
             raise OracleBoundError(f"best-response error {err} must be finite and >= 0")
-        value = float(hs_inner(witness, value_op).real)
+        if np.shape(witness) != np.shape(value_op):
+            raise OracleBoundError(
+                f"argmax_op returned a witness of shape {np.shape(witness)} for a value "
+                f"operator of shape {np.shape(value_op)}"
+            )
+        # A non-finite entry gives a non-finite value, which the gate refuses.
+        value = float(np.vdot(witness, value_op).real)
         if not abs(value) <= bound * (1.0 + LOSS_TOL) + LOSS_TOL:
             raise OracleBoundError(f"round value {value} exceeds the declared bound {bound}")
         if loss_range is not None and not (
@@ -398,11 +367,11 @@ def solve_generic(
         row["m_min_eig"], row["m_max_eig"] = low, high
         row["m_eig_err"] = sum(dec.error_bound for dec in spectra) + sum(formed)
         # <(x)_j rho_j, sum_k I (x) M_k (x) I> = sum_k <rho_k, M_k> prod_{j != k} tr rho_j
-        row["step_inners"] = sum(
+        row["inner"] = sum(
             float(np.vdot(r, m).real) * math.prod(traces[:k] + traces[k + 1:])
             for k, (r, m) in enumerate(zip(rhos, ms))
         )
-        row["losses"] = float(value + err)
+        row["loss"] = float(value + err)
 
         for k, m in enumerate(ms):
             sums[k] = sums[k] + m
@@ -414,11 +383,10 @@ def solve_generic(
         # lambda_min of a Kronecker sum is the sum of the factors' lambda_min.
         row["sum_min_eig"] = sum(float(dec.eigenvalues[-1]) for dec in decs)
         row["sum_eig_err"] = sum(dec.error_bound for dec in decs) + sum(rounding)
-        for name, values in records.items():
-            values.append(row[name])
+        iters.append(row)
 
-        if row["losses"] < upper:
-            upper, upper_err = row["losses"], err
+        if row["loss"] < upper:
+            upper, upper_err = row["loss"], err
         # The round's image is bound * (2 M - I).
         mine = bound * (2.0 * (low - row["m_eig_err"]) - 1.0)
         if mine > single:
@@ -435,14 +403,12 @@ def solve_generic(
             reason = "bracket"
             break
 
-    trace = SolverTrace(
+    return EquilibriumResult(
+        lower_cert=lower, upper_cert=upper, widening=lower_err + upper_err, bound=bound,
         dim=dim, rounds=planned, delta=cfg.delta, delta1=cfg.resolved_delta1(),
-        value_floor=None if loss_range is None else floor,
-        loss_sums=tuple(sums), stop_reason=reason,
-        **{name: np.asarray(values, dtype=np.float64) for name, values in records.items()},
+        value_floor=None if loss_range is None else floor, stop_reason=reason,
+        loss_sums=tuple(sums), iters=tuple(iters),
     )
-    return EquilibriumResult(lower_cert=lower, upper_cert=upper, trace=trace, bound=bound,
-                             widening=lower_err + upper_err)
 
 
 def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> EquilibriumResult:

@@ -202,34 +202,42 @@ def mat_exp_hermitian(h):
     return 0.5 * (r + r.conj().T)
 
 
-def certified_bracket(trace, bound=1.0):
-    """The certified bracket after each round, rebuilt from the trace records
-    alone, as arrays (lower, upper, averaged) indexed by round.
+def column(result, key):
+    """The per-round values of ``key`` in a solver result's ``iters``, as an
+    array indexed by round (0-based for round t = 1)."""
+    return np.array([row[key] for row in result.iters])
+
+
+def certified_bracket(result, bound=1.0):
+    """The certified bracket after each round, rebuilt from the per-round
+    records alone, as arrays (lower, upper, averaged) indexed by round.
 
     Upper: the smallest per-round value so far. Lower: the largest of the
     best single-round image minimum, bound (2 m_min_eig - 1), the averaged
-    image minimum, bound (2 sum_min_eig / t - 1), and the trace's
+    image minimum, bound (2 sum_min_eig / t - 1), and the result's
     ``value_floor``, each eigenvalue lowered by its recorded error.
     """
-    t = np.arange(1, trace.executed + 1)
-    upper = np.minimum.accumulate(trace.losses)
-    single = np.maximum.accumulate(bound * (2.0 * (trace.m_min_eig - trace.m_eig_err) - 1.0))
-    averaged = bound * (2.0 * (trace.sum_min_eig - trace.sum_eig_err) / t - 1.0)
-    floor = -np.inf if trace.value_floor is None else trace.value_floor
+    t = column(result, "t")
+    upper = np.minimum.accumulate(column(result, "loss"))
+    single = np.maximum.accumulate(
+        bound * (2.0 * (column(result, "m_min_eig") - column(result, "m_eig_err")) - 1.0))
+    averaged = bound * (2.0 * (column(result, "sum_min_eig") - column(result, "sum_eig_err"))
+                        / t - 1.0)
+    floor = -np.inf if result.value_floor is None else result.value_floor
     return np.maximum(np.maximum(single, averaged), floor), upper, averaged
 
 
-def first_closed_round(trace, bound=1.0):
-    """First round t at which the certified bracket, rebuilt from the trace
-    records, is at most delta * bound wide; None if it never is."""
-    lower, upper, _ = certified_bracket(trace, bound)
-    closed = np.flatnonzero(upper - lower <= trace.delta * bound)
+def first_closed_round(result, bound=1.0):
+    """First round t at which the certified bracket, rebuilt from the
+    per-round records, is at most delta * bound wide; None if it never is."""
+    lower, upper, _ = certified_bracket(result, bound)
+    closed = np.flatnonzero(upper - lower <= result.delta * bound)
     return int(closed[0]) + 1 if closed.size else None
 
 
-def regret_check(trace, rho_star=None, delta1=None):
+def regret_check(result, rho_star=None, delta1=None):
     """Slack of the anytime regret inequality of the ``mmw`` docstring for a
-    completed trace.
+    completed run.
 
     Returns ``<rho*, sum M> + ln(N)/eta_T + sum_t eta_t (1 + 2 c_t)^2/8
     + (1/2) T delta1 - sum_t <rho(t), M(t)>`` over the T rounds run, which
@@ -239,29 +247,30 @@ def regret_check(trace, rho_star=None, delta1=None):
     adversarial choice, a minimum eigenvector of the accumulated loss sum S,
     for which <rho*, S> is lambda_min(S), the last round's ``sum_min_eig``.
     An explicit N x N ``rho_star`` is paired with S, built for it as the
-    Kronecker sum of ``loss_sums``. ``delta1`` is the slack budget charged
-    to floating-point kernels, the trace's by default; pass ``delta1=0`` to
+    Kronecker sum of ``loss_sums``. ``delta1`` is an extra slack of
+    delta1/2 per round, the result's delta1 by default; pass ``delta1=0`` to
     check the exact-arithmetic form of the bound.
     """
     if rho_star is None:
-        comparator = float(trace.sum_min_eig[-1])
+        comparator = float(result.iters[-1]["sum_min_eig"])
     else:
-        star, loss_sum = as_cmatrix(rho_star), kron_sum(trace.loss_sums)
+        star, loss_sum = as_cmatrix(rho_star), kron_sum(result.loss_sums)
         if star.shape != loss_sum.shape:
             raise ValidationError(
-                f"rho_star shape {star.shape} does not match dimension {trace.dim}"
+                f"rho_star shape {star.shape} does not match dimension {result.dim}"
             )
         comparator = float(hs_inner(star, loss_sum).real)
-    slack_budget = trace.delta1 if delta1 is None else delta1
-    t = trace.executed
+    slack_budget = result.delta1 if delta1 is None else delta1
+    t = result.iterations
     # At N = 1 every eta_t is 0 and the single density has no regret.
-    entropy = math.log(trace.dim) / learning_rate(t, trace.dim) if trace.dim > 1 else 0.0
-    excursions = np.maximum(0.0, np.maximum(trace.m_eig_err - trace.m_min_eig,
-                                            trace.m_max_eig + trace.m_eig_err - 1.0))
-    steps = sum(learning_rate(s, trace.dim) * (1.0 + 2.0 * float(c)) ** 2
+    entropy = math.log(result.dim) / learning_rate(t, result.dim) if result.dim > 1 else 0.0
+    m_eig_err = column(result, "m_eig_err")
+    excursions = np.maximum(0.0, np.maximum(m_eig_err - column(result, "m_min_eig"),
+                                            column(result, "m_max_eig") + m_eig_err - 1.0))
+    steps = sum(learning_rate(s, result.dim) * (1.0 + 2.0 * float(c)) ** 2
                 for s, c in enumerate(excursions, start=1)) / 8.0
     rhs = comparator + entropy + steps + 0.5 * t * slack_budget
-    return rhs - float(np.sum(trace.step_inners))
+    return rhs - float(np.sum(column(result, "inner")))
 
 
 def replay_losses(losses, dims, cfg, bound=1.0):

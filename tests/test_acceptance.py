@@ -71,7 +71,7 @@ def tracked_instance(spec0, spec1):
 
 def tracked_solve(name, inst, cfg):
     result = solve_equilibrium(inst, cfg)
-    ALL_RUNS.append((name, result.trace))
+    ALL_RUNS.append((name, result))
     return result
 
 
@@ -139,10 +139,10 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
     checks = [
         res_id.value >= 0.95 - SLACK,
         res_or.value <= 0.3122 + SLACK,
-        res_id.trace.rounds == 555,
-        res_or.trace.rounds == 555,
-        res_id.iterations == first_closed_round(res_id.trace),
-        res_or.iterations == first_closed_round(res_or.trace),
+        res_id.rounds == 555,
+        res_or.rounds == 555,
+        res_id.iterations == first_closed_round(res_id),
+        res_or.iterations == first_closed_round(res_or),
         solve_and_report(inst_id, cfg, (1.9, 0.1)).decision == "close",
         solve_and_report(inst_or, cfg, (1.9, 0.1)).decision == "far",
         dt_id < 10.0,
@@ -198,8 +198,8 @@ def test_criterion_04_regret_bound(identical_run, orthogonal_run, unitary_runs,
                                    random_channel_runs):
     assert len(ALL_RUNS) >= 62
     worst = math.inf
-    for _, trace in ALL_RUNS:
-        slack = regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums)))
+    for _, result in ALL_RUNS:
+        slack = regret_check(result, min_eig_projector(kron_sum(result.loss_sums)))
         worst = min(worst, slack)
     report_line(
         4, worst >= -1e-6,

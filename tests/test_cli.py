@@ -40,9 +40,11 @@ from tests.conftest import (
     first_closed_round,
     kron_sum,
     random_kraus_pair_spec,
+    random_specs,
 )
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def spec_doc(kind, input_dim, output_dim, matrices, env_dim=None):
@@ -83,12 +85,12 @@ def file_instance(path):
     return build_instance(*parse_channel_file(path))
 
 
-def solved_trace(path, records, **cfg):
-    """The trace of an in-process solve of the channel file ``path``, after
+def solved_result(path, records, **cfg):
+    """The result of an in-process solve of the channel file ``path``, after
     checking that it is the run whose trace file holds ``records``."""
     result = solve_equilibrium(file_instance(path), MMWConfig(**cfg))
     assert trace_to_records(result) == records
-    return result.trace
+    return result
 
 
 @pytest.fixture
@@ -518,8 +520,8 @@ class TestCommands:
         assert lines[-1]["kind"] == "summary"
         assert lines[0]["rounds"] == 25
         assert lines[-1]["stop_reason"] == "bracket"
-        trace = solved_trace(identity_pair_file, lines, rounds=25)
-        assert sum(1 for rec in lines if rec["kind"] == "iter") == first_closed_round(trace)
+        result = solved_result(identity_pair_file, lines, rounds=25)
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == first_closed_round(result)
 
     @pytest.mark.parametrize("env, threads", [
         ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "5"}, 3),
@@ -567,9 +569,9 @@ class TestCommands:
         assert lines[0]["rounds"] == 9
         assert lines[-1]["lambda"] == doc["lambda"] == doc["upper_cert"]
         assert lines[-1]["stop_reason"] == "rounds"
-        trace = solved_trace(open_kraus_pair_file, lines, rounds=9)
-        assert trace.executed == 9 and trace.rounds == 9
-        assert first_closed_round(trace) is None
+        result = solved_result(open_kraus_pair_file, lines, rounds=9)
+        assert result.iterations == 9 and result.rounds == 9
+        assert first_closed_round(result) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
         # The same pair's bracket closes before a limit of 200 rounds: the
@@ -580,9 +582,9 @@ class TestCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         lines = read_records(trace_path)
-        trace = solved_trace(open_kraus_pair_file, lines, rounds=200)
+        result = solved_result(open_kraus_pair_file, lines, rounds=200)
         assert doc["stop_reason"] == lines[-1]["stop_reason"] == "bracket"
-        assert doc["iterations"] == first_closed_round(trace) == 10
+        assert doc["iterations"] == first_closed_round(result) == 10
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
         assert doc["lambda"] == doc["upper_cert"] == lines[-1]["lambda"]
         assert 0.0 < doc["widening"] <= 1e-9
@@ -827,19 +829,39 @@ class TestSerialization:
 
     def test_trace_roundtrip_records(self, phase_instance):
         result = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40))
-        trace = result.trace
         records = trace_to_records(result)
         assert json.loads(json.dumps(records)) == records
         iters = [rec for rec in records if rec["kind"] == "iter"]
-        assert [rec["t"] for rec in iters] == list(range(1, trace.executed + 1))
-        for name, key in mmw.SERIES:
-            assert [rec[key] for rec in iters] == getattr(trace, name).tolist()
+        assert [rec["t"] for rec in iters] == list(range(1, result.iterations + 1))
+        for key in result.iters[0]:
+            assert [rec[key] for rec in iters] == [row[key] for row in result.iters]
         summary = records[-1]
         assert summary["lambda"] == result.value
-        assert summary["stop_reason"] == trace.stop_reason
+        assert summary["stop_reason"] == result.stop_reason
         sums = [np.array(m) for m in summary["loss_sums"]]
-        for got, want in zip(sums, trace.loss_sums, strict=True):
+        for got, want in zip(sums, result.loss_sums, strict=True):
             np.testing.assert_array_equal(got[..., 0] + 1j * got[..., 1], want)
+
+    @pytest.mark.parametrize("kinds", [
+        ("unitary", "unitary"), ("kraus", "kraus"), ("stinespring", "stinespring"),
+        ("constant", "constant"), ("unitary", "kraus"),
+    ], ids=["unitary", "kraus", "stinespring", "constant", "padded"])
+    def test_iter_records_hold_plain_numbers_under_the_readme_keys(self, kinds):
+        # orjson refuses numpy scalars, so every iter value must be a Python
+        # int or float. The padded pair is z = 1 against z = 3.
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+            readme = handle.read()
+        head = "one `iter` record per round:"
+        listed = readme[readme.index(head) + len(head):readme.index("The bracket after round")]
+        keys = set(re.findall(r"`([a-z_]+)`", listed))
+        rng = np.random.default_rng(29)
+        inst = build_instance(*random_specs(rng, kinds, 2, 2, (2, 3)))
+        result = solve_equilibrium(inst, MMWConfig(delta=0.05, rounds=6))
+        iters = [rec for rec in trace_to_records(result) if rec["kind"] == "iter"]
+        assert len(iters) == result.iterations
+        for rec in iters:
+            assert set(rec) == keys | {"kind"}
+            assert all(type(v) in (int, float) for k, v in rec.items() if k != "kind"), rec
 
     def test_trace_roundtrip_file(self, phase_instance, tmp_path):
         result = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40))

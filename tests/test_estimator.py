@@ -29,6 +29,7 @@ from tests.conftest import (
     PAULI_X,
     PAULI_Z,
     SPEC_KINDS,
+    column,
     constant_spec,
     first_closed_round,
     random_kraus_pair_spec,
@@ -234,9 +235,9 @@ class TestBracketReport:
         cfg = MMWConfig(delta=0.2, rounds=2)
         report = solve_and_report(inst, cfg)
         result = report.result
-        assert result.trace.stop_reason == "rounds"
-        assert result.iterations == 2 and first_closed_round(result.trace) is None
-        mean = float(np.mean(result.trace.losses))
+        assert result.stop_reason == "rounds"
+        assert result.iterations == 2 and first_closed_round(result) is None
+        mean = float(np.mean(column(result, "loss")))
         slack = cfg.delta + cfg.resolved_delta1()
         old_lo = _fvdg_interval(mean - slack, mean + slack)[0]
         lo, hi = report.interval
@@ -253,7 +254,7 @@ class TestBracketReport:
     def test_bracket_stop_reports_the_bracket(self):
         report = solve_and_report(unitary_instance(I2, PAULI_Z), FAST)
         result = report.result
-        assert result.trace.stop_reason == "bracket"
+        assert result.stop_reason == "bracket"
         assert result.iterations < 555
         assert result.upper_cert - result.lower_cert <= FAST.delta
         assert report.interval == pytest.approx((2.0, 2.0), abs=1e-9)
@@ -290,9 +291,9 @@ def test_bracket_interval_contains_unitary_distance(seed, n, delta, rounds):
     lo, hi = report.interval
     assert 0.0 <= lo <= hi <= 2.0
     assert lo - 1e-9 <= truth <= hi + 1e-9
-    assert result.iterations <= result.trace.rounds
-    assert result.trace.stop_reason in ("bracket", "rounds")
-    if result.trace.stop_reason == "bracket":
+    assert result.iterations <= result.rounds
+    assert result.stop_reason in ("bracket", "rounds")
+    if result.stop_reason == "bracket":
         assert result.upper_cert - result.lower_cert <= delta
     # A promise the true distance satisfies is decided on its side or refused.
     for (a, b), want in _promises_around(truth, delta + cfg.resolved_delta1()):
@@ -335,7 +336,7 @@ def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, 
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9
     assert result.lower_cert <= result.upper_cert + 1e-9
-    assert result.iterations <= cfg.resolved_rounds(n * n) == result.trace.rounds
+    assert result.iterations <= cfg.resolved_rounds(n * n) == result.rounds
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

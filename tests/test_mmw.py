@@ -27,6 +27,7 @@ from tests.conftest import (
     PAULI_X,
     PAULI_Z,
     certified_bracket,
+    column,
     constant_spec,
     difference_adjoint,
     difference_output,
@@ -102,15 +103,14 @@ class TestMetaAlgorithm:
     def test_zero_oracle_keeps_uniform_density(self):
         cfg = MMWConfig(delta=0.2, rounds=25)
         res, seen = replay_losses([(np.zeros((3, 3)),)] * 25, (3,), cfg)
-        trace = res.trace
         for (rho,) in seen:
             assert np.allclose(rho, np.eye(3) / 3, atol=1e-12)
         # Every <rho(t), M(t)> is 0; the round values are the witness's bound.
-        assert np.allclose(trace.step_inners, 0.0)
-        assert np.all(trace.losses == 1.0)
+        assert np.allclose(column(res, "inner"), 0.0)
+        assert np.all(column(res, "loss") == 1.0)
         # With nothing accumulated the regret slack is exactly the bound's
         # ln(N)/eta_T + sum_t eta_t/8; eta_t is capped at 1/2 for t <= 32 ln 3.
-        slack = regret_check(trace, delta1=0.0)
+        slack = regret_check(res, delta1=0.0)
         assert slack == pytest.approx(math.log(3) / 0.5 + 25 * 0.5 / 8.0, abs=1e-12)
 
     @pytest.mark.parametrize("dims", [1, 5, (2, 3), (4, 4), (1, 3, 2)])
@@ -155,13 +155,13 @@ class TestMetaAlgorithm:
                 _, u = np.linalg.eigh(h)
                 losses.append(((u * rng.uniform(0.0, 1.0, n)) @ u.conj().T,))
 
-            trace = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=rounds))[0].trace
+            res = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=rounds))[0]
             # Adversarial comparator.
-            assert regret_check(trace, delta1=0.0) >= -1e-9
+            assert regret_check(res, delta1=0.0) >= -1e-9
             # Arbitrary comparators satisfy it a fortiori.
             for _ in range(3):
                 star = random_density(rng, n)
-                assert regret_check(trace, star, delta1=0.0) >= -1e-9
+                assert regret_check(res, star, delta1=0.0) >= -1e-9
 
     def test_oracle_bound_violation_is_hard_error(self):
         with pytest.raises(OracleBoundError, match="violate"):
@@ -171,12 +171,11 @@ class TestMetaAlgorithm:
         # The second eigenvalue 0.5 keeps the bracket open for all 5 rounds.
         loss = np.diag([1.0 + 5e-10, 0.5])
         res, _ = replay_losses([(loss,)] * 5, (2,), MMWConfig(delta=0.2, rounds=5))
-        trace = res.trace
-        assert trace.executed == 5
-        assert np.all(trace.m_max_eig > 1.0)
-        assert trace.m_max_eig.max() <= 1.0 + 1e-9
+        assert res.iterations == 5
+        assert np.all(column(res, "m_max_eig") > 1.0)
+        assert column(res, "m_max_eig").max() <= 1.0 + 1e-9
         # The loss sum is the plain sum of the losses, to the bit.
-        assert np.array_equal(trace.loss_sums[0], loss + loss + loss + loss + loss)
+        assert np.array_equal(res.loss_sums[0], loss + loss + loss + loss + loss)
 
     def test_loss_sums_stay_exactly_hermitian(self):
         # Losses of the form (u * w) @ u* are Hermitian only up to roundoff.
@@ -194,9 +193,9 @@ class TestMetaAlgorithm:
                     round_losses.append((u * w) @ u.conj().T)
                 losses.append(tuple(round_losses))
             assert not all(np.array_equal(m, m.conj().T) for ms in losses for m in ms)
-            trace = replay_losses(losses, dims, MMWConfig(delta=0.2, rounds=12))[0].trace
-            assert trace.executed == 12
-            for total in trace.loss_sums:
+            res = replay_losses(losses, dims, MMWConfig(delta=0.2, rounds=12))[0]
+            assert res.iterations == 12
+            for total in res.loss_sums:
                 assert np.array_equal(total, total.conj().T)
 
     @pytest.mark.parametrize("scale, fails", [(2.0, True), (0.5, False)])
@@ -225,7 +224,7 @@ class TestMetaAlgorithm:
             with pytest.raises(OracleBoundError, match="beyond the tolerance"):
                 replay_losses([(loss,)] * 2, (2,), cfg)
         else:
-            assert replay_losses([(loss,)] * 2, (2,), cfg)[0].trace.executed == 2
+            assert replay_losses([(loss,)] * 2, (2,), cfg)[0].iterations == 2
 
     def test_error_records_count_the_rounding_bound(self):
         # Diagonal losses decompose exactly, so the error records are the
@@ -233,14 +232,14 @@ class TestMetaAlgorithm:
         # forming the loss, plus u ||S_k(t)|| for each add to the sums.
         u = mmw.UNIT_ROUNDOFF
         losses = [(np.diag([0.3, 0.1 * t]), np.diag([0.2, 0.0, 0.05 * t])) for t in range(1, 5)]
-        trace = replay_losses(losses, (2, 3), MMWConfig(delta=0.2, rounds=4))[0].trace
+        res = replay_losses(losses, (2, 3), MMWConfig(delta=0.2, rounds=4))[0]
         sums, total = [np.zeros((2, 2)), np.zeros((3, 3))], 0.0
         for t, pair in enumerate(losses):
             formed = sum(u * (2.0 * np.linalg.norm(m) + math.sqrt(m.shape[0])) for m in pair)
-            assert trace.m_eig_err[t] == pytest.approx(formed, rel=1e-12)
+            assert column(res, "m_eig_err")[t] == pytest.approx(formed, rel=1e-12)
             sums = [s + m for s, m in zip(sums, pair)]
             total += formed + sum(u * np.linalg.norm(s) for s in sums)
-            assert trace.sum_eig_err[t] == pytest.approx(total, rel=1e-12)
+            assert column(res, "sum_eig_err")[t] == pytest.approx(total, rel=1e-12)
 
     def test_product_run_matches_dense_kronecker_sum(self):
         # A two-factor run is the one-factor run on the Kronecker-sum loss:
@@ -257,15 +256,14 @@ class TestMetaAlgorithm:
         cfg = MMWConfig(delta=0.2, rounds=30)
         product, seen_product = replay_losses(losses, dims, cfg)
         dense, seen_dense = replay_losses([(kron_sum(pair),) for pair in losses], (6,), cfg)
-        product, dense = product.trace, dense.trace
         assert len(seen_product) == len(seen_dense) == 30
         for (rho0, rho1), (rho,) in zip(seen_product, seen_dense):
             assert np.linalg.norm(np.kron(rho0, rho1) - rho) <= 1e-12
         assert product.dim == dense.dim == 6
-        for name in ("losses", "step_inners", "exp_min", "exp_max",
-                     "rho_min_eig", "m_min_eig", "m_max_eig", "sum_min_eig"):
-            assert np.allclose(getattr(product, name), getattr(dense, name),
-                               rtol=0.0, atol=1e-12), name
+        for key in ("loss", "inner", "exp_min", "exp_max",
+                    "rho_min_eig", "m_min_eig", "m_max_eig", "sum_min_eig"):
+            assert np.allclose(column(product, key), column(dense, key),
+                               rtol=0.0, atol=1e-12), key
         assert np.linalg.norm(kron_sum(product.loss_sums) - kron_sum(dense.loss_sums)) <= 1e-12
         assert regret_check(product, delta1=0.0) >= -1e-9
 
@@ -273,43 +271,42 @@ class TestMetaAlgorithm:
         # Spectrum [0.5, 1 + 1e-9]: the bracket stays open for all 5 rounds.
         half = np.diag([0.5 + 5e-10, 0.25])
         res, _ = replay_losses([(half, half)] * 5, (2, 2), MMWConfig(delta=0.2, rounds=5))
-        trace = res.trace
-        assert trace.executed == 5
-        assert trace.m_max_eig.max() == pytest.approx(1.0 + 1e-9)
+        assert res.iterations == 5
+        assert column(res, "m_max_eig").max() == pytest.approx(1.0 + 1e-9)
         # Each factor sum is the plain sum of that factor's losses, to the bit.
         want = half + half + half + half + half
-        assert all(np.array_equal(s, want) for s in trace.loss_sums)
+        assert all(np.array_equal(s, want) for s in res.loss_sums)
 
     def test_iteration_cap_carries_partial_trace(self, monkeypatch):
         # The formula asks for 278 rounds at N = 2; the clamp cuts T to 10,
         # and the run returns the trace of those 10 rounds.
         monkeypatch.setattr(mmw, "MAX_ROUNDS", 10)
-        trace = replay_losses([(np.zeros((2, 2)),)] * 10, (2,), MMWConfig(delta=0.2))[0].trace
-        assert trace.executed == 10 and trace.rounds == 10
-        assert trace.stop_reason == "rounds"
+        res = replay_losses([(np.zeros((2, 2)),)] * 10, (2,), MMWConfig(delta=0.2))[0]
+        assert res.iterations == 10 and res.rounds == 10
+        assert res.stop_reason == "rounds"
 
     def test_stop_reason_without_stop_hook(self, monkeypatch):
         # Zero losses never close the bracket, so the run uses up T.
         zeros = [(np.zeros((2, 2)),)] * 5
-        trace = replay_losses(zeros, (2,), MMWConfig(delta=0.2, rounds=5))[0].trace
-        assert trace.stop_reason == "rounds" and trace.executed == 5
+        res = replay_losses(zeros, (2,), MMWConfig(delta=0.2, rounds=5))[0]
+        assert res.stop_reason == "rounds" and res.iterations == 5
         # A T clamped by MAX_ROUNDS ends the same way as a set one.
         monkeypatch.setattr(mmw, "MAX_ROUNDS", 3)
-        trace = replay_losses(zeros, (2,), MMWConfig(delta=0.2))[0].trace
-        assert trace.stop_reason == "rounds" and trace.executed == 3
+        res = replay_losses(zeros, (2,), MMWConfig(delta=0.2))[0]
+        assert res.stop_reason == "rounds" and res.iterations == 3
 
     def test_exponent_records(self):
         # Loss diag(1, 1/2): lambda_min 1/2 keeps the bracket open for all 30
         # rounds, past the cap eta = 1/2 that holds up to t = 32 ln 2 = 22.2.
-        trace = replay_losses([(np.diag([1.0, 0.5]),)] * 30, (2,),
-                              MMWConfig(delta=0.2, rounds=30))[0].trace
+        res = replay_losses([(np.diag([1.0, 0.5]),)] * 30, (2,),
+                            MMWConfig(delta=0.2, rounds=30))[0]
         t = np.arange(1, 31)
         eta = np.minimum(0.5, np.sqrt(8.0 * math.log(2) / t))
         # After t-1 losses the exponent is -eta_t (t-1) diag(1, 1/2).
-        assert np.allclose(trace.exp_min, -eta * (t - 1), rtol=0.0, atol=1e-12)
-        assert np.allclose(trace.exp_max, -0.5 * eta * (t - 1), rtol=0.0, atol=1e-12)
-        assert trace.exponent_norm_bound == pytest.approx(np.max(eta * (t - 1)))
-        assert trace.exponent_norm_bound == pytest.approx(eta[-1] * 29)
+        assert np.allclose(column(res, "exp_min"), -eta * (t - 1), rtol=0.0, atol=1e-12)
+        assert np.allclose(column(res, "exp_max"), -0.5 * eta * (t - 1), rtol=0.0, atol=1e-12)
+        assert res.exponent_norm_bound == pytest.approx(np.max(eta * (t - 1)))
+        assert res.exponent_norm_bound == pytest.approx(eta[-1] * 29)
 
 
 class TestSolveEquilibrium:
@@ -317,21 +314,21 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(identity_instance, FAST)
         assert res.value >= 1.0 - 0.2 - 0.02
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.trace.rounds == 555
-        assert res.iterations == first_closed_round(res.trace)
+        assert res.rounds == 555
+        assert res.iterations == first_closed_round(res)
 
     def test_stops_when_the_bracket_closes(self):
         # Seeded Kraus pair whose bracket stays wider than delta for 9 rounds.
         rng = np.random.default_rng(5)
         inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
         res = solve_equilibrium(inst, FAST)
-        assert res.trace.stop_reason == "bracket"
-        assert res.iterations == first_closed_round(res.trace) == 10
-        assert res.iterations < res.trace.rounds == 555
+        assert res.stop_reason == "bracket"
+        assert res.iterations == first_closed_round(res) == 10
+        assert res.iterations < res.rounds == 555
         assert res.upper_cert - res.lower_cert <= FAST.delta
-        assert res.value == res.upper_cert == np.min(res.trace.losses)
+        assert res.value == res.upper_cert == np.min(column(res, "loss"))
         assert 0.0 < res.widening <= 1e-9
-        assert regret_check(res.trace) >= 0.0
+        assert regret_check(res) >= 0.0
         lb, ub = naive_equilibrium(inst, iters=10, seed=0)
         assert res.lower_cert <= ub + 1e-9 and lb - 1e-9 <= res.upper_cert
 
@@ -356,10 +353,10 @@ class TestSolveEquilibrium:
                                   weyl((0.6, 0.4), (pauli_y, PAULI_Z)))
         for inst in (orthogonal_instance, disjoint):
             res = solve_equilibrium(inst, FAST)
-            assert res.trace.value_floor == 0.0
+            assert res.value_floor == 0.0
             assert res.lower_cert == 0.0
-            assert res.iterations == first_closed_round(res.trace) == 1
-            assert res.trace.stop_reason == "bracket"
+            assert res.iterations == first_closed_round(res) == 1
+            assert res.stop_reason == "bracket"
             assert 0.0 <= res.upper_cert <= 1e-9
             assert res.widening <= 1e-12
 
@@ -368,18 +365,18 @@ class TestSolveEquilibrium:
         assert 1.0 - math.sqrt(2) / 2 - 0.2 <= res.value <= math.sqrt(0.5) + 0.2
 
     def test_density_and_loss_records(self, phase_instance):
-        trace = solve_equilibrium(phase_instance, FAST).trace
-        assert np.all(trace.rho_trace_err <= 1e-9)
-        assert np.all(trace.rho_min_eig >= -1e-9)
-        assert np.all(trace.m_min_eig >= -1e-9)
-        assert np.all(trace.m_max_eig <= 1.0 + 1e-9)
-        assert np.all(trace.losses >= -1e-9)
-        assert np.all(trace.losses <= 1.0 + 1e-9)
+        res = solve_equilibrium(phase_instance, FAST)
+        assert np.all(column(res, "rho_trace_err") <= 1e-9)
+        assert np.all(column(res, "rho_min_eig") >= -1e-9)
+        assert np.all(column(res, "m_min_eig") >= -1e-9)
+        assert np.all(column(res, "m_max_eig") <= 1.0 + 1e-9)
+        assert np.all(column(res, "loss") >= -1e-9)
+        assert np.all(column(res, "loss") <= 1.0 + 1e-9)
 
     def test_certificates_bracket_value(self, phase_instance):
         res = solve_equilibrium(phase_instance, FAST)
-        assert res.lower_cert <= res.value + res.trace.delta + 1e-9
-        assert res.upper_cert >= res.value - res.trace.delta - 1e-9
+        assert res.lower_cert <= res.value + res.delta + 1e-9
+        assert res.upper_cert >= res.value - res.delta - 1e-9
         assert res.lower_cert <= res.upper_cert + 1e-9
 
     def test_crossed_certificates_raise_beyond_the_slack(self, phase_instance):
@@ -401,24 +398,24 @@ class TestSolveEquilibrium:
 
     def test_regret_slack_on_solver_runs(self, identity_instance, phase_instance):
         for inst in (identity_instance, phase_instance):
-            trace = solve_equilibrium(inst, FAST).trace
-            assert regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums))) >= -1e-6
+            res = solve_equilibrium(inst, FAST)
+            assert regret_check(res, min_eig_projector(kron_sum(res.loss_sums))) >= -1e-6
 
     def test_default_comparator_is_the_adversarial_projector(self, phase_instance):
         # regret_check's default comparator, the sum of the factors'
         # lambda_min, equals <P, S> for the minimum-eigenvector projector P
         # of the N x N loss sum S, on a two-factor and a one-factor run.
-        two = solve_equilibrium(phase_instance, FAST).trace
+        two = solve_equilibrium(phase_instance, FAST)
         rng = np.random.default_rng(3)
         losses = []
         for _ in range(20):
             u = random_unitary(rng, 4)
             losses.append(((u * rng.uniform(0.0, 1.0, 4)) @ u.conj().T,))
 
-        one = replay_losses(losses, (4,), MMWConfig(delta=0.2, rounds=20))[0].trace
-        for trace in (two, one):
-            assert abs(regret_check(trace)
-                       - regret_check(trace, min_eig_projector(kron_sum(trace.loss_sums)))) <= 1e-9
+        one = replay_losses(losses, (4,), MMWConfig(delta=0.2, rounds=20))[0]
+        for res in (two, one):
+            assert abs(regret_check(res)
+                       - regret_check(res, min_eig_projector(kron_sum(res.loss_sums)))) <= 1e-9
 
     def test_certificate_sandwich_vs_naive(self):
         rng = np.random.default_rng(5)
@@ -462,31 +459,31 @@ class TestAnytimeGuarantee:
             specs = random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2)
         cfg = MMWConfig(delta=delta)
         res = solve_equilibrium(build_instance(*specs), cfg)
-        assert res.trace.rounds == cfg.resolved_rounds(n * n)
-        assert res.trace.stop_reason == "bracket"
-        assert res.iterations == first_closed_round(res.trace) <= res.trace.rounds
+        assert res.rounds == cfg.resolved_rounds(n * n)
+        assert res.stop_reason == "bracket"
+        assert res.iterations == first_closed_round(res) <= res.rounds
         assert res.upper_cert - res.lower_cert <= delta
-        assert regret_check(res.trace, delta1=0.0) >= -1e-9
+        assert regret_check(res, delta1=0.0) >= -1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("length", [1, 7, 44, 45, 300])
     def test_regret_bound_on_adversarial_sequences(self, n, length):
         rng = np.random.default_rng([11, n, length])
         losses = _adversarial_losses(rng, n, length)
-        trace = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=length))[0].trace
-        assert trace.executed == length and trace.stop_reason == "rounds"
-        assert regret_check(trace, delta1=0.0) >= -1e-9
+        res = replay_losses(losses, (n,), MMWConfig(delta=0.2, rounds=length))[0]
+        assert res.iterations == length and res.stop_reason == "rounds"
+        assert regret_check(res, delta1=0.0) >= -1e-9
         # The sequence is adversarial: every round charges the learner at
         # least 1/n, and the regret against the best coordinate is positive.
-        assert np.all(trace.step_inners >= 1.0 / n - 1e-12)
-        assert np.sum(trace.step_inners) > trace.sum_min_eig[-1] + 1e-6
+        assert np.all(column(res, "inner") >= 1.0 / n - 1e-12)
+        assert np.sum(column(res, "inner")) > column(res, "sum_min_eig")[-1] + 1e-6
 
     def test_single_density_has_no_regret(self):
         # At N = 1 every eta_t is 0 and the bound collapses to equality.
-        trace = replay_losses([(np.array([[0.3]]),)] * 3, (1,),
-                              MMWConfig(delta=0.2, rounds=3))[0].trace
-        assert trace.exponent_norm_bound == 0.0
-        assert regret_check(trace, delta1=0.0) == pytest.approx(0.0, abs=1e-12)
+        res = replay_losses([(np.array([[0.3]]),)] * 3, (1,),
+                            MMWConfig(delta=0.2, rounds=3))[0]
+        assert res.exponent_norm_bound == 0.0
+        assert regret_check(res, delta1=0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def _hermitian(rng, n, scale):
@@ -568,7 +565,7 @@ def test_product_solver_matches_dense_reference(kind, n):
     dense = _dense_reference(inst)
     assert product.iterations == dense.iterations
     for res in (product, dense):
-        assert regret_check(res.trace) >= -1e-6
+        assert regret_check(res) >= -1e-6
     # Each lower certificate bounds the true value from below and each upper
     # certificate from above, so they bracket across the two runs too.
     assert product.lower_cert <= dense.upper_cert + 1e-9
@@ -618,7 +615,7 @@ def test_averaged_certificate_matches_the_adjoint_image(kind, n):
     assert trace_to_records(res) == trace_to_records(solve_equilibrium(inst, FAST))
     # One adjoint image per round, none after the loop.
     assert len(adjoint_calls) == res.iterations
-    lower, upper, averaged = certified_bracket(res.trace)
+    lower, upper, averaged = certified_bracket(res)
     reference = _averaged_image_min(difference_adjoint_factors(inst, np.mean(witnesses, axis=0)))
     assert abs(averaged[-1] - reference) <= 1e-12
     # The loss-sum rounding bound keeps the certificate at or below it.
@@ -641,9 +638,9 @@ def test_averaged_certificate_with_tiny_excursions_stays_below_the_image(losses)
     # t's image is 2 M(t) - I, so the averaged image is 2 mean(M) - I.
     rounds = len(losses)
     res, _ = replay_losses([(m,) for m in losses], (2,), MMWConfig(delta=0.2, rounds=rounds))
-    assert res.trace.executed == rounds and res.trace.value_floor is None
-    assert np.all((res.trace.m_max_eig > 1.0) | (res.trace.m_min_eig < 0.0))
-    lower, _, averaged = certified_bracket(res.trace)
+    assert res.iterations == rounds and res.value_floor is None
+    assert np.all((column(res, "m_max_eig") > 1.0) | (column(res, "m_min_eig") < 0.0))
+    lower, _, averaged = certified_bracket(res)
     reference = _averaged_image_min((2.0 * np.mean(losses, axis=0) - np.eye(2),))
     assert averaged[-1] <= reference
     assert reference - averaged[-1] <= 1e-8
@@ -722,7 +719,7 @@ class TestSolveGeneric:
         assert abs(res.value - 5.0 / 3.0) <= tol
         assert res.lower_cert <= 5.0 / 3.0 + 1e-9
         assert res.upper_cert >= 5.0 / 3.0 - 1e-9
-        assert res.iterations == first_closed_round(res.trace, bound) <= res.trace.rounds
+        assert res.iterations == first_closed_round(res, bound) <= res.rounds
 
     @pytest.mark.parametrize("delta, rounds, lower, upper", [
         (0.05, 22, 1.5454545454545454, 1.6784872624683649),
@@ -740,7 +737,7 @@ class TestSolveGeneric:
         # before it, read off the loss sum, rounds differently in its last
         # digits.
         res = _matrix_game(0.0, MMWConfig(delta=delta))
-        assert res.trace.value_floor is None
+        assert res.value_floor is None
         assert res.iterations == rounds
         assert res.upper_cert == upper
         assert 0.0 < res.widening <= 2e-14
@@ -778,7 +775,9 @@ class TestSolveGeneric:
                          dims=(2, 3), apply_op=lambda r0, r1: np.eye(2) / 2,
                          adjoint_op=lambda eff: (np.zeros((2, 2)), np.zeros((2, 2))))),
                      OracleBoundError, "shapes", id="adjoint-factor-shape"),
-        pytest.param(lambda: regret_check(solve_generic(**_small_game()).trace, np.eye(3) / 3),
+        pytest.param(lambda: solve_generic(**_small_game(argmax_op=lambda y: (np.eye(3), 0.0))),
+                     OracleBoundError, "witness of shape", id="witness-shape"),
+        pytest.param(lambda: regret_check(solve_generic(**_small_game()), np.eye(3) / 3),
                      ValidationError, "does not match", id="rho-star-shape"),
     ])
     def test_entry_checks(self, call, error, match):
