@@ -24,7 +24,6 @@ from .linalg import (
     EigDecomp,
     best_effect,
     herm_eig,
-    hs_inner,
     partial_trace,
     trace_norm,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "EigDecomp",
     "best_effect",
     "herm_eig",
-    "hs_inner",
     "partial_trace",
     "trace_norm",
     "EquilibriumResult",

@@ -41,7 +41,9 @@ Identical inputs and configuration produce byte-identical output.
 
 Exit codes: 0 on a decision or bounds, 2 when the promise gap is too small
 for a direct decision or the reported interval lies neither above b nor
-below a, 1 on any other error, usage errors included. Every run that solves
+below a, 1 on any other error, usage errors included. Output files are
+written before the report is printed, so a failed write exits 1 with
+nothing on stdout. Every run that solves
 writes its trace to ``--trace-out`` as soon as the solver returns, so a
 ``qcd`` run refused after solving leaves its trace too; a refusal before
 solving writes none.
@@ -54,7 +56,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -72,51 +73,12 @@ from .errors import (
 from .estimator import DiamondReport, build_report, require_gap
 from .mmw import (
     LEARNING_RATE_RULE,
+    MAX_ROUNDS,
     EquilibriumResult,
     MMWConfig,
     solve_equilibrium,
 )
 from .reduction import build_instance
-
-COMMANDS = ("qcd", "bounds", "oracle")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation."""
-
-    command: str
-    channel_path: str
-    delta: float = 0.2
-    a: float | None = None
-    b: float | None = None
-    seed: int = 0
-    rounds: int | None = None
-    trials: int = 2000
-    restarts: int = 50
-    trace_path: str | None = None
-    report_path: str | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError(f"delta must lie in (0, 1), got {self.delta}")
-        needs_promise = self.command == "qcd"
-        has_promise = self.a is not None and self.b is not None
-        if needs_promise and not has_promise:
-            raise ValidationError("qcd requires both --a and --b")
-        if not needs_promise and (self.a is not None or self.b is not None):
-            raise ValidationError(f"--a/--b only apply to the qcd command, not {self.command}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        for name in ("trials", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def mmw_config(self) -> MMWConfig:
-        return MMWConfig(delta=self.delta, rounds=self.rounds)
-
 
 # ---------------------------------------------------------------------------
 # Channel file parsing.
@@ -294,7 +256,7 @@ def trace_to_records(result: EquilibriumResult) -> list:
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_threads_env": int(threads) if threads and threads.strip().isdigit() else threads,
+        "blas_threads_env": int(threads) if threads and threads.strip().isdecimal() else threads,
         "value_floor": result.value_floor,
     }]
     records += [dict(row, kind="iter") for row in result.iters]
@@ -329,19 +291,20 @@ def write_trace(result: EquilibriumResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _emit(doc: dict, config: RunConfig, stream) -> None:
+def _emit(doc: dict, path: str | None) -> None:
+    """Write the report to ``path``, when given, then print it, so a failed
+    write leaves stdout empty."""
     text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text, file=stream)
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    print(text)
 
 
-def _oracle_report(config: RunConfig) -> dict:
+def _oracle_report(args: argparse.Namespace) -> dict:
     from . import oracles  # only this command reads it; bounds and qcd skip its import
 
-    spec0, spec1 = parse_channel_file(config.channel_path)
+    spec0, spec1 = parse_channel_file(args.channels)
     doc = {
         "unitary_diamond": None,
         "constant_diamond": None,
@@ -355,40 +318,15 @@ def _oracle_report(config: RunConfig) -> dict:
     if spec0.kind == "constant" and spec1.kind == "constant":
         doc["constant_diamond"] = oracles.constant_diamond(spec0.matrices[0], spec1.matrices[0])
     doc["lower_search"] = oracles.diamond_lower_search(
-        spec0, spec1, trials=config.trials, seed=config.seed
+        spec0, spec1, trials=args.trials, seed=args.seed
     )
     if spec0.input_dim <= 3:
         inst = build_instance(spec0, spec1)
-        lb, ub = oracles.naive_equilibrium(inst, iters=10, seed=config.seed)
+        lb, ub = oracles.naive_equilibrium(inst, iters=10, seed=args.seed)
         doc["naive_lb"] = lb
         doc["naive_ub"] = ub
-        doc["fmax"] = oracles.fmax_estimate(inst, restarts=config.restarts, seed=config.seed)
+        doc["fmax"] = oracles.fmax_estimate(inst, restarts=args.restarts, seed=args.seed)
     return doc
-
-
-def run(config: RunConfig, stream=None) -> int:
-    """Execute one command; returns the process exit code."""
-    stream = sys.stdout if stream is None else stream
-    try:
-        if config.command == "oracle":
-            _emit(_oracle_report(config), config, stream)
-            return 0
-        inst = build_instance(*parse_channel_file(config.channel_path))
-        cfg = config.mmw_config()
-        promise = (config.a, config.b) if config.command == "qcd" else None
-        require_gap(promise, cfg)
-        result = solve_equilibrium(inst, cfg)
-        if config.trace_path:
-            write_trace(result, config.trace_path)
-        _emit(report_to_dict(build_report(result, promise)), config, stream)
-        return 0
-    except GapTooSmallError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, OSError, EigendecompositionError,
-            OracleBoundError, CertificateViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,9 +337,30 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _checked(convert, accept, message: str):
+    """An argparse ``type`` that converts the text, then refuses a value that
+    ``accept`` rejects with ``message``. It carries the converter's name, so
+    a text the converter cannot read is still an "invalid float value"."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _count(name: str):
+    return _checked(int, lambda v: v >= 1, name + " must be >= 1, got {}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser. A flag left out is left out of the parsed
-    namespace too, so its default is the ``RunConfig`` field's."""
+    """The command-line parser, the one place each option is declared,
+    defaulted and checked; a value out of range is a usage error. The
+    solver's defaults are ``MMWConfig``'s. ``--rounds`` is left to
+    ``MMWConfig``'s check and the promise to ``promise_thresholds``'s, the
+    library's own entry checks."""
     parser = _Parser(
         prog="diamondeq",
         description="Distinguishability decisions and diamond-norm intervals "
@@ -413,30 +372,38 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", "report a rigorous interval for the diamond distance"),
         ("oracle", "run independent reference computations for cross-checks"),
     ):
-        p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, help=blurb)
         p.add_argument("channels", help="path to the channel-pair JSON file")
         p.add_argument("--report-out", help="also write the report here")
         if name == "oracle":
-            p.add_argument("--seed", type=int,
-                           help="seed of the randomized reference searches")
-            p.add_argument("--trials", type=int,
-                           help="samples for the lower-bound search")
-            p.add_argument("--restarts", type=int,
-                           help="restarts for the max-fidelity ascent")
+            p.add_argument("--seed", type=_checked(int, lambda v: v >= 0,
+                                                   "seed must be >= 0, got {}"),
+                           default=0, help="seed of the randomized reference searches, "
+                                           ">= 0 (default %(default)s)")
+            p.add_argument("--trials", type=_count("trials"), default=2000,
+                           help="samples for the lower-bound search, >= 1 "
+                                "(default %(default)s)")
+            p.add_argument("--restarts", type=_count("restarts"), default=50,
+                           help="restarts for the max-fidelity ascent, >= 1 "
+                                "(default %(default)s)")
         else:
-            p.add_argument("--delta", type=float,
-                           help="target precision of the solved value")
+            p.add_argument("--delta", type=_checked(float, lambda d: 0.0 < d < 1.0,
+                                                    "delta must lie in (0, 1), got {}"),
+                           default=MMWConfig.delta,
+                           help="target precision of the solved value, in (0, 1) "
+                                "(default %(default)s)")
             p.add_argument("--rounds", type=int,
-                           help="round limit T in place of the iteration-count "
-                                "formula; the interval stays sound but may widen, "
-                                "and qcd may refuse")
+                           help=f"round limit T in [1, {MAX_ROUNDS}] in place of the "
+                                f"formula ceil(16 ln N / delta^2) clamped to {MAX_ROUNDS}; "
+                                "the interval stays sound but may widen, and qcd may "
+                                "refuse")
             p.add_argument("--trace-out",
                            help="write the per-iteration trace here (JSONL)")
         if name == "qcd":
-            p.add_argument("--a", type=float,
+            p.add_argument("--a", type=float, required=True,
                            help="promise: diamond distance is either >= a ...")
-            p.add_argument("--b", type=float,
-                           help="... or <= b")
+            p.add_argument("--b", type=float, required=True,
+                           help="... or <= b, with 0 <= b < a <= 2")
     return parser
 
 
@@ -447,19 +414,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: Parsed argument names that differ from their ``RunConfig`` field.
-_FIELDS = {"channels": "channel_path", "trace_out": "trace_path",
-           "report_out": "report_path"}
-
-
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); returns the
+    process exit code."""
     try:
-        args = vars(_parser().parse_args(argv))
-        config = RunConfig(**{_FIELDS.get(k, k): v for k, v in args.items()})
-    except ValidationError as exc:
+        args = _parser().parse_args(argv)
+        if args.command == "oracle":
+            _emit(_oracle_report(args), args.report_out)
+            return 0
+        cfg = MMWConfig(delta=args.delta, rounds=args.rounds)
+        inst = build_instance(*parse_channel_file(args.channels))
+        promise = (args.a, args.b) if args.command == "qcd" else None
+        require_gap(promise, cfg)
+        result = solve_equilibrium(inst, cfg)
+        if args.trace_out:
+            write_trace(result, args.trace_out)
+        _emit(report_to_dict(build_report(result, promise)), args.report_out)
+        return 0
+    except GapTooSmallError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except (ValidationError, OSError, EigendecompositionError,
+            OracleBoundError, CertificateViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
 
 
 if __name__ == "__main__":

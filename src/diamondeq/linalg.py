@@ -179,12 +179,3 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, tensor)
     kept_side = int(np.prod([dims[i] for i in keep])) if keep else 1
     return reduced.reshape(kept_side, kept_side)
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A* B)."""
-    ma = as_cmatrix(a)
-    mb = as_cmatrix(b)
-    if ma.shape != mb.shape:
-        raise ValidationError(f"shape mismatch in inner product: {ma.shape} vs {mb.shape}")
-    return complex(np.vdot(ma, mb))

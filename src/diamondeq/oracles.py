@@ -15,7 +15,7 @@ import numpy as np
 from . import tolerances
 from .channels import ChannelSpec, check_isometry, require_density
 from .errors import ValidationError
-from .linalg import as_cmatrix, best_effect, herm_eig, hs_inner, partial_trace, trace_norm
+from .linalg import as_cmatrix, best_effect, herm_eig, partial_trace, trace_norm
 from .reduction import ReducedInstance, difference_adjoint_factors, marginal_difference_output
 
 #: Best-response alternation steps per random restart.
@@ -187,7 +187,7 @@ def naive_equilibrium(inst: ReducedInstance, iters: int = 10,
         nonlocal ub
         y = marginal_difference_output(inst, first, second)
         witness = best_effect(y)[0]
-        ub = min(ub, float(hs_inner(witness, y).real))
+        ub = min(ub, float(np.vdot(witness, y).real))
         return witness
 
     def score_witness(witness):

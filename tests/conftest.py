@@ -9,7 +9,6 @@ from diamondeq import (
     build_instance,
     difference_adjoint_factors,
     herm_eig,
-    hs_inner,
     marginal_arm_outputs,
     marginal_difference_output,
     partial_trace,
@@ -259,7 +258,7 @@ def regret_check(result, rho_star=None, delta1=None):
             raise ValidationError(
                 f"rho_star shape {star.shape} does not match dimension {result.dim}"
             )
-        comparator = float(hs_inner(star, loss_sum).real)
+        comparator = float(np.vdot(star, loss_sum).real)
     slack_budget = result.delta1 if delta1 is None else delta1
     t = result.iterations
     # At N = 1 every eta_t is 0 and the single density has no regret.

@@ -13,7 +13,6 @@ from diamondeq import (
     MMWConfig,
     build_instance,
     build_report,
-    hs_inner,
     partial_trace,
     solve_and_report,
     solve_equilibrium,
@@ -310,8 +309,8 @@ def test_criterion_09_duality_residual(identical_run, orthogonal_run):
                 + 1j * rng.standard_normal((inst.witness_dim, inst.witness_dim))
             _, u = np.linalg.eigh(0.5 * (g + g.conj().T))
             effect = (u * rng.uniform(0.0, 1.0, inst.witness_dim)) @ u.conj().T
-            lhs = hs_inner(effect, difference_output(inst, rho))
-            rhs = hs_inner(difference_adjoint(inst, effect), rho)
+            lhs = np.vdot(effect, difference_output(inst, rho))
+            rhs = np.vdot(difference_adjoint(inst, effect), rho)
             worst = max(worst, abs(lhs - rhs))
     report_line(
         9, worst <= 1e-10,

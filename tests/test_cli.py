@@ -19,12 +19,10 @@ from diamondeq import (
 )
 from diamondeq import cli, mmw
 from diamondeq.cli import (
-    RunConfig,
     main,
     matrix_to_json,
     parse_channel_file,
     report_to_dict,
-    run,
     trace_to_records,
     write_trace,
 )
@@ -394,23 +392,44 @@ def test_channel_file_decode_matches_stdlib(tmp_path_factory, theta, spelling, z
 
 
 class TestRunConfig:
-    def test_qcd_requires_promise(self):
-        with pytest.raises(ValidationError, match="--a and --b"):
-            RunConfig(command="qcd", channel_path="x.json")
+    """The run's configuration, read from argv by the one parser."""
 
-    def test_promise_only_for_qcd(self):
-        with pytest.raises(ValidationError, match="only apply"):
-            RunConfig(command="bounds", channel_path="x.json", a=1.9, b=0.1)
-
-    def test_delta_range(self):
-        with pytest.raises(ValidationError, match="delta"):
-            RunConfig(command="bounds", channel_path="x.json", delta=1.0)
-
-    def test_negative_seed(self, identity_pair_file, capsys):
-        with pytest.raises(ValidationError, match="seed"):
-            RunConfig(command="oracle", channel_path="x.json", seed=-1)
-        assert main(["oracle", identity_pair_file, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.startswith("error: seed")
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["bounds", "--delta", "0"],
+                     "argument --delta: delta must lie in (0, 1), got 0.0", id="delta-0"),
+        pytest.param(["bounds", "--delta", "1"],
+                     "argument --delta: delta must lie in (0, 1), got 1.0", id="delta-1"),
+        pytest.param(["qcd", "--delta", "nan", "--a", "1.9", "--b", "0.1"],
+                     "argument --delta: delta must lie in (0, 1), got nan", id="delta-nan"),
+        pytest.param(["bounds", "--delta", "inf"],
+                     "argument --delta: delta must lie in (0, 1), got inf", id="delta-inf"),
+        pytest.param(["bounds", "--rounds", "0"],
+                     "rounds must lie in [1, 1000000], got 0", id="rounds-0"),
+        pytest.param(["qcd", "--rounds", "1000001", "--a", "1.9", "--b", "0.1"],
+                     "rounds must lie in [1, 1000000], got 1000001", id="rounds-1000001"),
+        pytest.param(["oracle", "--seed", "-1"],
+                     "argument --seed: seed must be >= 0, got -1", id="seed--1"),
+        pytest.param(["oracle", "--trials", "0"],
+                     "argument --trials: trials must be >= 1, got 0", id="trials-0"),
+        pytest.param(["oracle", "--trials", "-1"],
+                     "argument --trials: trials must be >= 1, got -1", id="trials--1"),
+        pytest.param(["oracle", "--restarts", "0"],
+                     "argument --restarts: restarts must be >= 1, got 0", id="restarts-0"),
+        pytest.param(["oracle", "--restarts", "-1"],
+                     "argument --restarts: restarts must be >= 1, got -1", id="restarts--1"),
+        pytest.param(["qcd", "--a", "1.4"],
+                     "the following arguments are required: --b", id="qcd-without-b"),
+        pytest.param(["bounds", "--a", "1.9", "--b", "0.1"],
+                     "unrecognized arguments: --a 1.9 --b 0.1", id="bounds-with-promise"),
+    ])
+    def test_bad_value_exits_one(self, identity_pair_file, capsys, argv, message):
+        # Every check on a flag is a usage error: exit 1, nothing on stdout
+        # and one line on stderr that names the flag.
+        command, *flags = argv
+        assert main([command, identity_pair_file, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["qcd", "bounds"])
     def test_seed_only_on_oracle(self, identity_pair_file, capsys, command):
@@ -435,33 +454,19 @@ class TestRunConfig:
         assert exc.value.code == 0
         assert "usage: diamondeq" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["trials", "restarts"])
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_counts_below_one(self, identity_pair_file, capsys, flag, count):
-        with pytest.raises(ValidationError, match=flag):
-            RunConfig(command="oracle", channel_path="x.json", **{flag: count})
-        assert main(["oracle", identity_pair_file, f"--{flag}", str(count)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag}")
-
-    def test_unknown_command(self):
-        with pytest.raises(ValidationError, match="unknown command"):
-            RunConfig(command="solve", channel_path="x.json")
-
 
 class TestCommands:
     def test_qcd_close_exit_zero(self, identity_pair_file, tmp_path, capsys):
         report_path = tmp_path / "report.json"
-        config = RunConfig(command="qcd", channel_path=identity_pair_file,
-                           a=1.9, b=0.1, report_path=str(report_path))
-        assert run(config) == 0
+        assert main(["qcd", identity_pair_file, "--a", "1.9", "--b", "0.1",
+                     "--report-out", str(report_path)]) == 0
         doc = json.loads(report_path.read_text())
         assert doc["decision"] == "close"
         printed = json.loads(capsys.readouterr().out)
         assert printed == doc
 
     def test_bounds_contains_analytic_value(self, phase_pair_file, capsys):
-        config = RunConfig(command="bounds", channel_path=phase_pair_file)
-        assert run(config) == 0
+        assert main(["bounds", phase_pair_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         lo, hi = doc["interval"]
         assert lo <= 1.41421 <= hi
@@ -477,14 +482,27 @@ class TestCommands:
         assert doc["interval"] == [2.0, 2.0]
 
     def test_gap_too_small_exit_two(self, identity_pair_file, capsys):
-        config = RunConfig(command="qcd", channel_path=identity_pair_file, a=1.0, b=0.9)
-        assert run(config) == 2
+        assert main(["qcd", identity_pair_file, "--a", "1.0", "--b", "0.9"]) == 2
         assert "out of scope" in capsys.readouterr().err
 
     def test_bad_file_exit_one(self, tmp_path, capsys):
-        config = RunConfig(command="bounds", channel_path=str(tmp_path / "nope.json"))
-        assert run(config) == 1
+        assert main(["bounds", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--report-out"],
+        ["bounds", "--trace-out"],
+        ["oracle", "--trials", "5", "--restarts", "1", "--report-out"],
+    ], ids=["bounds-report", "bounds-trace", "oracle-report"])
+    def test_unwritable_output_exits_one_with_empty_stdout(self, identity_pair_file, tmp_path,
+                                                           capsys, argv):
+        # An output path that is a directory: the files are written before
+        # the report is printed, so the run exits 1 with nothing on stdout.
+        command, *flags = argv
+        assert main([command, identity_pair_file, *flags, str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and repr(str(tmp_path)) in captured.err
 
     def test_overflowing_unitary_names_its_channel(self, tmp_path, capsys):
         # A*A overflows to NaN for entries of 1e200: the isometry gate must
@@ -511,9 +529,8 @@ class TestCommands:
 
     def test_trace_output(self, identity_pair_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
-        config = RunConfig(command="bounds", channel_path=identity_pair_file,
-                           rounds=25, trace_path=str(trace_path))
-        assert run(config) == 0
+        assert main(["bounds", identity_pair_file, "--rounds", "25",
+                     "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
         assert lines[0]["kind"] == "meta"
@@ -527,6 +544,7 @@ class TestCommands:
         ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "5"}, 3),
         ({"OMP_NUM_THREADS": "5"}, 5),
         ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "\u00b2"}, "\u00b2"),  # a digit that int() refuses
     ])
     def test_trace_meta_names_numpy_and_blas(self, identity_pair_file, tmp_path, capsys,
                                              monkeypatch, env, threads):
@@ -688,8 +706,7 @@ class TestCommands:
             spec_doc("constant", 2, 2, [KET0]),
             spec_doc("constant", 2, 2, [KET1]),
         )
-        config = RunConfig(command="oracle", channel_path=path, trials=20, restarts=5)
-        assert run(config) == 0
+        assert main(["oracle", path, "--trials", "20", "--restarts", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["constant_diamond"] == pytest.approx(2.0)
         assert doc["unitary_diamond"] is None
@@ -705,7 +722,8 @@ class TestCommands:
     def test_main_rejects_promise_on_bounds(self, identity_pair_file, capsys):
         code = main(["qcd", identity_pair_file])
         assert code == 1
-        assert "--a and --b" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: --a, --b\n")
 
 
 def _fresh_main(argv, env=None):
@@ -878,11 +896,11 @@ class TestSerialization:
                                    MMWConfig(delta=0.2, rounds=40))
         assert read_records(path) == trace_to_records(result)
 
-    def test_reports_byte_identical(self, phase_pair_file, tmp_path):
+    def test_reports_byte_identical(self, phase_pair_file, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
-            config = RunConfig(command="bounds", channel_path=phase_pair_file,
-                               rounds=50, report_path=str(p))
-            with open(tmp_path / "sink", "w") as sink:
-                assert run(config, stream=sink) == 0
+            assert main(["bounds", phase_pair_file, "--rounds", "50",
+                         "--report-out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        # stdout holds each printed report, the report file's bytes.
+        assert capsys.readouterr().out.encode("utf-8") == paths[0].read_bytes() * 2

@@ -11,7 +11,6 @@ from diamondeq import (
     ValidationError,
     best_effect,
     herm_eig,
-    hs_inner,
     partial_trace,
     trace_norm,
 )
@@ -259,7 +258,7 @@ class TestErrorBounds:
             monkeypatch.setattr(linalg, "herm_eig", lambda _h, dec=dec: dec)
             p, err = best_effect(h)
             best = float(np.sum(np.clip(np.linalg.eigvalsh(h), 0.0, None)))
-            assert best - hs_inner(p, h).real <= err
+            assert best - np.vdot(p, h).real <= err
 
 
 class TestTraceNorm:
@@ -281,7 +280,7 @@ class TestTraceNorm:
             h = random_hermitian(rng, 4)
             p0 = best_effect(h)[0]
             p1 = np.eye(4) - p0
-            split = hs_inner(p0 - p1, h).real
+            split = np.vdot(p0 - p1, h).real
             assert split == pytest.approx(trace_norm(h), abs=1e-9)
 
 
@@ -373,32 +372,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="does not match"):
             partial_trace(np.eye(4), (2, 3), (0,))
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(5), np.eye(5)) == pytest.approx(5.0)
-
-    def test_traceless_pauli_product(self):
-        assert hs_inner(PAULI_X, PAULI_Z) == pytest.approx(0.0, abs=1e-14)
-
-    def test_purity(self):
-        assert hs_inner(np.eye(2) / 2, np.eye(2) / 2).real == pytest.approx(0.5)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(19)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_real_for_hermitian_pair(self):
-        rng = np.random.default_rng(20)
-        a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
-        assert abs(hs_inner(a, b).imag) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="shape mismatch"):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 class TestKron:

@@ -14,7 +14,6 @@ from diamondeq import (
     build_instance,
     check_isometry,
     difference_adjoint_factors,
-    hs_inner,
     partial_trace,
     promise_thresholds,
     trace_norm,
@@ -206,7 +205,7 @@ class TestDifferenceOutput:
         for _ in range(10):
             rho_a = random_density(rng, 2)
             diff = difference_output(orthogonal_instance, np.kron(rho_a, rho_a))
-            value = float(hs_inner(best_effect(diff)[0], diff).real)
+            value = float(np.vdot(best_effect(diff)[0], diff).real)
             best = min(best, value)
             assert np.linalg.norm(diff) <= 1e-10
         assert best <= 1e-10
@@ -246,8 +245,8 @@ class TestDifferenceAdjoint:
         for _ in range(100):
             rho = random_density(rng, inst.pair_dim)
             effect = random_effect(rng, inst.witness_dim)
-            lhs = hs_inner(effect, difference_output(inst, rho))
-            rhs = hs_inner(difference_adjoint(inst, effect), rho)
+            lhs = np.vdot(effect, difference_output(inst, rho))
+            rhs = np.vdot(difference_adjoint(inst, effect), rho)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_image_spectrum_bounded(self, phase_instance):
