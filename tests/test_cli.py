@@ -447,6 +447,15 @@ class TestRunConfig:
         assert err.startswith("error: ")
         assert "invalid choice: 'equilibrium'" in err
 
+    def test_unknown_command(self, identity_pair_file, capsys):
+        # The parser names the commands it takes; anything else is a usage
+        # error with nothing on stdout.
+        assert main(["solve", identity_pair_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "invalid choice: 'solve'" in captured.err
+
     @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
