@@ -22,7 +22,7 @@ bracket [``lower_cert``, ``upper_cert``] that stopped the solver (see
 loss-rounding bound added to it, ``iterations`` the rounds run and
 ``stop_reason`` why they stopped: 'bracket' when the bracket closed to
 delta, 'rounds' when the round limit T ran out first. T is
-``--rounds`` when given, else ceil(16 ln n^2 / delta^2) clamped to
+``--rounds`` when given, else ceil(16 ln n / delta^2) clamped to
 ``mmw.MAX_ROUNDS``; below the formula the interval stays sound but may be
 wider, and ``qcd`` may refuse. The solver's learning rate is
 ``mmw.learning_rate``, eta_t = min(1/2, sqrt(8 ln N / t)), whatever the
@@ -31,7 +31,7 @@ flags. Traces are line-delimited JSON: a leading meta record (N, the rule
 floor and the numeric environment), one ``iter`` record per round (the
 solver's ``EquilibriumResult.iters`` row with ``kind`` added), and a
 trailing summary record with the value, the stop reason and the per-factor
-loss sums ``loss_sums`` (two n x n matrices for a channel pair). Both are
+loss sums ``loss_sums`` (one n x n matrix for a channel pair). Both are
 write-only, built from the solver's ``EquilibriumResult``; nothing here
 parses them back. Traces are encoded with orjson: values read back
 exactly, and separators and exponent spelling are orjson's. Reports keep the stdlib encoder's indented,

@@ -86,9 +86,12 @@ Kronecker sum of the per-factor sums S_k, and
     exp(-eta S) / tr exp(-eta S) = (x)_k exp(-eta S_k) / tr exp(-eta S_k),
 
 so rho(t) is a product of K Gibbs states of the factor sizes and N x N
-matrices are never formed inside the loop. The channel-pair game has this
-form with K = 2 factors of size n (see ``reduction``); a dense game is the
-one-factor case ``dims = (N,)``.
+matrices are never formed inside the loop; a dense game is the one-factor
+case ``dims = (N,)``. The channel-pair game needs one factor of size n: its
+value f(sigma_0, sigma_1) on the two input marginals is jointly convex, and
+symmetric since the flag sign Z = diag(I_z, -I_z) maps S+ to S- (see
+``reduction``), so its minimum lies at sigma_0 = sigma_1 = sigma and
+``solve_equilibrium`` plays one density as both marginals.
 """
 
 from __future__ import annotations
@@ -414,21 +417,28 @@ def solve_generic(
 def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> EquilibriumResult:
     """Equilibrium value of a reduced channel-pair instance.
 
-    Each loss is (I + G+ (x) I - I (x) G-) / 2, a Kronecker sum, so the
-    solver's density on X0 (x) X1 stays a product rho_0 (x) rho_1 and the
-    loop runs on two n x n factors. Each round plays the positive-eigenspace
-    projector of the difference output (the exact best response, with its
-    measured error) and feeds back the shifted adjoint image as the loss.
-    Every round value lies in [0, 1], the ``loss_range``; its 0 is exact,
-    since the zero effect is feasible and its adjoint image is 0, so 0 is a
-    lower certificate from round 1 on and a pair at distance 2 stops as soon
-    as its upper certificate is within delta of it.
+    The min player plays one n x n density sigma as both input marginals,
+    which keeps the value (module docstring). The round value is
+    <E, arm+(sigma) - arm-(sigma)> and the loss (I + G+ - G-) / 2, so the
+    loop runs on one n x n factor and N = n. Each round plays the
+    positive-eigenspace projector of the difference output (the exact best
+    response, with its measured error) and feeds back the shifted adjoint
+    image as the loss. A witness's lower certificate is lambda_min(G+ - G-),
+    never below the lambda_min(G+) - lambda_max(G-) it certifies in the game
+    on X0 (x) X1 (Weyl's inequality). Every round value lies in [0, 1], the
+    ``loss_range``; its 0 is exact, since the zero effect is feasible and
+    its adjoint image is 0, so 0 is a lower certificate from round 1 on and
+    a pair at distance 2 stops as soon as its upper certificate is within
+    delta of it.
     """
-    n = inst.input_dim
+    def adjoint(witness):
+        g_plus, minus_g_minus = difference_adjoint_factors(inst, witness)
+        return (g_plus + minus_g_minus,)
+
     return solve_generic(
-        (n, n),
-        lambda first, second: marginal_difference_output(inst, first, second),
-        lambda witness: difference_adjoint_factors(inst, witness),
+        (inst.input_dim,),
+        lambda sigma: marginal_difference_output(inst, sigma, sigma),
+        adjoint,
         best_effect,
         1.0,
         cfg,

@@ -35,8 +35,11 @@ Kronecker sum
 Each is two matrix products over the blocks, and neither forms an
 n^2 x n^2 or 2mz x 2mz matrix. These factor forms
 (``marginal_difference_output``, ``difference_adjoint_factors``) are the
-only form of the game: the solver and the naive reference in ``oracles``
-both play pairs of marginals.
+only form of the game. The naive reference in ``oracles`` plays pairs of
+marginals. The solver plays one marginal sigma as both, which keeps the
+value (see ``mmw``): W-_y = Z W+_y for the flag sign Z = diag(I_z, -I_z),
+so arm-(sigma) = Z arm+(sigma) Z, and the adjoint image on that diagonal is
+the n x n matrix G+ - G-.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ class ReducedInstance:
     """The stacked pair (S+, S-), stored as its blocks W+- of shape
     (2z, m, n), indexed ((flag, Z), Y, X), with dimension bookkeeping.
 
-    ``pair_dim`` (= n^2) is the solver-side density dimension and
-    ``witness_dim`` (= 2z) the measurement-effect dimension.
+    ``pair_dim`` (= n^2) is the dimension of the joint input space
+    X0 (x) X1 on which the game is defined; the solver plays one n x n
+    density (``input_dim``) as both marginals. ``witness_dim`` (= 2z) is the
+    measurement-effect dimension.
     """
 
     blocks_plus: np.ndarray

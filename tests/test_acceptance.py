@@ -138,8 +138,8 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
     checks = [
         res_id.value >= 0.95 - SLACK,
         res_or.value <= 0.3122 + SLACK,
-        res_id.rounds == 555,
-        res_or.rounds == 555,
+        res_id.rounds == 278,
+        res_or.rounds == 278,
         res_id.iterations == first_closed_round(res_id),
         res_or.iterations == first_closed_round(res_or),
         solve_and_report(inst_id, cfg, (1.9, 0.1)).decision == "close",
@@ -150,7 +150,7 @@ def test_criterion_01_promise_thresholds(identical_run, orthogonal_run, cfg):
     report_line(
         1, all(checks),
         f"identical lambda={res_id.value:.4f} in {dt_id:.2f}s, "
-        f"orthogonal lambda={res_or.value:.4f} in {dt_or:.2f}s, T=555, "
+        f"orthogonal lambda={res_or.value:.4f} in {dt_or:.2f}s, T=278, "
         f"bracket closed at rounds {res_id.iterations}/{res_or.iterations}, "
         "decisions close/far",
     )

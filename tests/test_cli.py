@@ -36,7 +36,6 @@ from tests.conftest import (
     PAULI_Z,
     PHASE_S,
     first_closed_round,
-    kron_sum,
     random_kraus_pair_spec,
     random_specs,
 )
@@ -103,7 +102,7 @@ def identity_pair_file(tmp_path):
 @pytest.fixture
 def open_kraus_pair_file(tmp_path):
     # Seeded Kraus pair whose certified bracket stays wider than delta = 0.2
-    # until round 10.
+    # until round 6.
     rng = np.random.default_rng(5)
     specs = [random_kraus_pair_spec(rng) for _ in range(2)]
     return write_channels(tmp_path, *(spec_doc("kraus", 2, 2, s.matrices) for s in specs))
@@ -571,33 +570,34 @@ class TestCommands:
         # The thread count is the environment's setting, named as such.
         assert meta["blas_threads_env"] == threads
         assert "blas_threads" not in meta
-        assert meta["dim"] == 4
+        # The game runs on one 2 x 2 density.
+        assert meta["dim"] == 2
         # E = 0 is a feasible effect of value 0, the floor of every bracket.
         assert meta["value_floor"] == 0.0
         # The meta record names the learning-rate rule; there is no epsilon.
         assert meta["learning_rate"] == "min(1/2, sqrt(8 ln N / t))"
         assert "epsilon" not in meta
-        # The exponent bound is the largest eta_t (t - 1), at t = T = 555.
-        assert meta["rounds"] == 555
-        eta = math.sqrt(8.0 * math.log(4) / 555)
-        assert meta["exponent_norm_bound"] == pytest.approx(eta * 554)
+        # The exponent bound is the largest eta_t (t - 1), at t = T = 278.
+        assert meta["rounds"] == 278
+        eta = math.sqrt(8.0 * math.log(2) / 278)
+        assert meta["exponent_norm_bound"] == pytest.approx(eta * 277)
 
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
-        # T = 9 ends the run one round before its bracket closes: the run
-        # reports the bracket it has and writes the trace of its 9 rounds.
+        # T = 5 ends the run one round before its bracket closes: the run
+        # reports the bracket it has and writes the trace of its 5 rounds.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--rounds", "9",
+        code = main(["bounds", open_kraus_pair_file, "--rounds", "5",
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 9
+        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 5
         lines = read_records(trace_path)
-        assert sum(1 for rec in lines if rec["kind"] == "iter") == 9
-        assert lines[0]["rounds"] == 9
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == 5
+        assert lines[0]["rounds"] == 5
         assert lines[-1]["lambda"] == doc["lambda"] == doc["upper_cert"]
         assert lines[-1]["stop_reason"] == "rounds"
-        result = solved_result(open_kraus_pair_file, lines, rounds=9)
-        assert result.iterations == 9 and result.rounds == 9
+        result = solved_result(open_kraus_pair_file, lines, rounds=5)
+        assert result.iterations == 5 and result.rounds == 5
         assert first_closed_round(result) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
@@ -611,7 +611,7 @@ class TestCommands:
         lines = read_records(trace_path)
         result = solved_result(open_kraus_pair_file, lines, rounds=200)
         assert doc["stop_reason"] == lines[-1]["stop_reason"] == "bracket"
-        assert doc["iterations"] == first_closed_round(result) == 10
+        assert doc["iterations"] == first_closed_round(result) == 6
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
         assert doc["lambda"] == doc["upper_cert"] == lines[-1]["lambda"]
         assert 0.0 < doc["widening"] <= 1e-9
@@ -673,8 +673,8 @@ class TestCommands:
         assert not trace_path.exists()
 
     def test_trace_summary_keeps_factor_loss_sums(self, tmp_path, capsys):
-        # The summary holds one n x n loss sum per factor, never the
-        # n^2 x n^2 Kronecker sum.
+        # The channel-pair game runs on one n x n density, so the summary
+        # holds its one n x n loss sum.
         path = write_channels(
             tmp_path,
             spec_doc("unitary", 3, 3, [np.eye(3)]),
@@ -687,9 +687,8 @@ class TestCommands:
         summary = records[-1]
         assert set(summary) == {"kind", "lambda", "stop_reason", "loss_sums"}
         sums = [np.array(m) for m in summary["loss_sums"]]
-        assert [m.shape for m in sums] == [(3, 3, 2)] * 2
-        assert records[0]["dim"] == 9
-        assert kron_sum([m[..., 0] + 1j * m[..., 1] for m in sums]).shape == (9, 9)
+        assert [m.shape for m in sums] == [(3, 3, 2)]
+        assert records[0]["dim"] == 3
 
     def test_bounds_on_single_input_dimension(self, tmp_path, capsys):
         # n = 1 is state discrimination: one density, one exact round.
@@ -707,7 +706,7 @@ class TestCommands:
         records = read_records(trace_path)
         assert [rec["kind"] for rec in records] == ["meta", "iter", "summary"]
         assert records[0]["dim"] == 1
-        assert [np.array(m).shape for m in records[-1]["loss_sums"]] == [(1, 1, 2)] * 2
+        assert [np.array(m).shape for m in records[-1]["loss_sums"]] == [(1, 1, 2)]
 
     def test_oracle_command(self, tmp_path, capsys):
         path = write_channels(

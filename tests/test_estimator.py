@@ -336,7 +336,7 @@ def test_degenerate_constant_outputs_keep_the_distance(data, seed, n, m, delta, 
     lo, hi = report.interval
     assert lo - 1e-9 <= truth <= hi + 1e-9
     assert result.lower_cert <= result.upper_cert + 1e-9
-    assert result.iterations <= cfg.resolved_rounds(n * n) == result.rounds
+    assert result.iterations <= cfg.resolved_rounds(n) == result.rounds
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -21,7 +21,14 @@ from diamondeq import (
 )
 from diamondeq import mmw, tolerances
 from diamondeq.cli import trace_to_records
-from diamondeq.oracles import naive_equilibrium, random_density, random_unitary
+from diamondeq.estimator import build_report
+from diamondeq.oracles import (
+    constant_diamond,
+    naive_equilibrium,
+    random_density,
+    random_unitary,
+    unitary_diamond,
+)
 from tests.conftest import (
     I2,
     PAULI_X,
@@ -36,6 +43,7 @@ from tests.conftest import (
     mat_exp_hermitian,
     min_eig_projector,
     random_kraus_pair_spec,
+    random_specs,
     regret_check,
     replay_losses,
     unitary_spec,
@@ -314,17 +322,18 @@ class TestSolveEquilibrium:
         res = solve_equilibrium(identity_instance, FAST)
         assert res.value >= 1.0 - 0.2 - 0.02
         assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.rounds == 555
+        # ceil(16 ln 2 / 0.04) = 278: the game runs on one 2 x 2 density.
+        assert res.rounds == 278
         assert res.iterations == first_closed_round(res)
 
     def test_stops_when_the_bracket_closes(self):
-        # Seeded Kraus pair whose bracket stays wider than delta for 9 rounds.
+        # Seeded Kraus pair whose bracket stays wider than delta for 5 rounds.
         rng = np.random.default_rng(5)
         inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
         res = solve_equilibrium(inst, FAST)
         assert res.stop_reason == "bracket"
-        assert res.iterations == first_closed_round(res) == 10
-        assert res.iterations < res.rounds == 555
+        assert res.iterations == first_closed_round(res) == 6
+        assert res.iterations < res.rounds == 278
         assert res.upper_cert - res.lower_cert <= FAST.delta
         assert res.value == res.upper_cert == np.min(column(res, "loss"))
         assert 0.0 < res.widening <= 1e-9
@@ -459,7 +468,7 @@ class TestAnytimeGuarantee:
             specs = random_kraus_pair_spec(rng, n, 2), random_kraus_pair_spec(rng, n, 2)
         cfg = MMWConfig(delta=delta)
         res = solve_equilibrium(build_instance(*specs), cfg)
-        assert res.rounds == cfg.resolved_rounds(n * n)
+        assert res.rounds == cfg.resolved_rounds(n)
         assert res.stop_reason == "bracket"
         assert res.iterations == first_closed_round(res) <= res.rounds
         assert res.upper_cert - res.lower_cert <= delta
@@ -538,6 +547,30 @@ def _seeded_pair(kind, n):
     return unitary_spec(random_unitary(rng, n)), random_kraus_pair_spec(rng, n, 3)
 
 
+def _product_game(inst, cfg=FAST):
+    """The channel-pair game in its two-factor form: one n x n density per
+    input marginal, the plus arm reading the first and the minus arm the
+    second, and the Kronecker-sum loss (I + G+ (x) I - I (x) G-) / 2. Its
+    value is ``solve_equilibrium``'s, which plays one density as both."""
+    n = inst.input_dim
+    return solve_generic(
+        (n, n),
+        lambda first, second: marginal_difference_output(inst, first, second),
+        lambda eff: difference_adjoint_factors(inst, eff),
+        best_effect,
+        1.0,
+        cfg,
+        loss_range=(0.0, 1.0),
+    )
+
+
+def _symmetric_adjoint(inst, eff):
+    """The one-factor adjoint image (G+ - G-,) that ``solve_equilibrium``
+    feeds back, from the factors of ``difference_adjoint_factors``."""
+    g_plus, minus_g_minus = difference_adjoint_factors(inst, eff)
+    return (g_plus + minus_g_minus,)
+
+
 def _dense_reference(inst, scale=1.0):
     return solve_generic(
         (inst.pair_dim,),
@@ -561,15 +594,20 @@ def test_product_solver_matches_dense_reference(kind, n):
     # The one-factor dense game on the joint n^2 x n^2 density is the
     # reference for the two-factor product solver.
     inst = build_instance(*_seeded_pair(kind, n))
-    product = solve_equilibrium(inst, FAST)
+    product = _product_game(inst)
     dense = _dense_reference(inst)
     assert product.iterations == dense.iterations
-    for res in (product, dense):
+    # The symmetric game on one n x n density plays for the same value with
+    # half the log-dimension, and takes no more rounds.
+    symmetric = solve_equilibrium(inst, FAST)
+    assert symmetric.iterations <= dense.iterations
+    for res in (product, dense, symmetric):
         assert regret_check(res) >= -1e-6
     # Each lower certificate bounds the true value from below and each upper
-    # certificate from above, so they bracket across the two runs too.
-    assert product.lower_cert <= dense.upper_cert + 1e-9
-    assert dense.lower_cert <= product.upper_cert + 1e-9
+    # certificate from above, so they bracket across the runs too.
+    for a, b in ((product, dense), (symmetric, dense), (symmetric, product)):
+        assert a.lower_cert <= b.upper_cert + 1e-9
+        assert b.lower_cert <= a.upper_cert + 1e-9
     if _gap(product, dense) > 1e-9:
         # Allowed only where the game amplifies roundoff: near-degenerate best
         # responses make the dense run itself move by more than 1e-9 when its
@@ -601,11 +639,11 @@ def test_averaged_certificate_matches_the_adjoint_image(kind, n):
 
     def adjoint_op(eff):
         adjoint_calls.append(eff)
-        return difference_adjoint_factors(inst, eff)
+        return _symmetric_adjoint(inst, eff)
 
     res = solve_generic(
-        (n, n),
-        lambda first, second: marginal_difference_output(inst, first, second),
+        (n,),
+        lambda sigma: marginal_difference_output(inst, sigma, sigma),
         adjoint_op,
         argmax_op,
         1.0,
@@ -616,13 +654,81 @@ def test_averaged_certificate_matches_the_adjoint_image(kind, n):
     # One adjoint image per round, none after the loop.
     assert len(adjoint_calls) == res.iterations
     lower, upper, averaged = certified_bracket(res)
-    reference = _averaged_image_min(difference_adjoint_factors(inst, np.mean(witnesses, axis=0)))
+    reference = _averaged_image_min(_symmetric_adjoint(inst, np.mean(witnesses, axis=0)))
     assert abs(averaged[-1] - reference) <= 1e-12
     # The loss-sum rounding bound keeps the certificate at or below it.
     assert averaged[-1] <= reference
     # The result's bracket is the one the loop stopped on.
     assert res.lower_cert == lower[-1] and res.upper_cert == upper[-1]
     assert res.lower_cert >= max(averaged[-1], 0.0)
+
+
+#: Spec kinds of the two channels of each pair kind in the symmetric-game
+#: property; "padded" is z = 1 against a Kraus set of at least two operators.
+_PAIR_KINDS = {
+    "unitary": ("unitary", "unitary"),
+    "kraus": ("kraus", "kraus"),
+    "stinespring": ("stinespring", "stinespring"),
+    "constant": ("constant", "constant"),
+    "padded": ("unitary", "kraus"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_KINDS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 4),
+       envs=st.tuples(*[st.integers(1, 4)] * 2), delta=st.sampled_from([0.1, 0.2]))
+def test_symmetric_game_brackets_the_pair(kind, seed, n, m, envs, delta):
+    # The min player's one density sigma plays both input marginals. Where
+    # D has a closed form it lies in the interval; each round's witness
+    # certifies lambda_min(G+ - G-), at least the two-factor game's
+    # lambda_min(G+) - lambda_max(G-) for the same witness; and the bracket
+    # overlaps the two-factor game's, whose value is the same.
+    specs = random_specs(np.random.default_rng(seed), _PAIR_KINDS[kind], n, m, envs)
+    inst = build_instance(*specs)
+    cfg = MMWConfig(delta=delta)
+    witnesses = []
+
+    def argmax_op(value_op):
+        witness, err = best_effect(value_op)
+        witnesses.append(witness)
+        return witness, err
+
+    res = solve_generic(
+        (n,),
+        lambda sigma: marginal_difference_output(inst, sigma, sigma),
+        lambda eff: _symmetric_adjoint(inst, eff),
+        argmax_op,
+        1.0,
+        cfg,
+        loss_range=(0.0, 1.0),
+    )
+    assert trace_to_records(res) == trace_to_records(solve_equilibrium(inst, cfg))
+
+    if kind in ("unitary", "constant"):
+        mats = [s.matrices[0] for s in specs]
+        truth = (unitary_diamond if kind == "unitary" else constant_diamond)(*mats)
+        lo, hi = build_report(res).interval
+        assert lo - 1e-9 <= truth <= hi + 1e-9
+
+    # A witness's certificate 2 (m_min_eig - m_eig_err) - 1 lies at most
+    # twice its charged error 2 m_eig_err below lambda_min(G+ - G-), which
+    # Weyl's inequality puts at or above lambda_min(G+) - lambda_max(G-).
+    # The two coincide where an eigenvector for lambda_min(G+) is one for
+    # lambda_max(G-), as at n = 1, so only that error separates the
+    # certificates there.
+    errs = 2.0 * column(res, "m_eig_err")
+    singles = 2.0 * column(res, "m_min_eig") - 1.0 - errs
+    for single, err, witness in zip(singles, errs, witnesses, strict=True):
+        g_plus, minus_g_minus = (herm_eig(f) for f in difference_adjoint_factors(inst, witness))
+        # lambda_max(G-) is -lambda_min(-G-).
+        product = (float(g_plus.eigenvalues[-1]) - g_plus.error_bound
+                   + float(minus_g_minus.eigenvalues[-1]) - minus_g_minus.error_bound)
+        assert single + 2.0 * err >= product
+
+    product = _product_game(inst, cfg)
+    assert res.lower_cert <= product.upper_cert + 1e-9
+    assert product.lower_cert <= res.upper_cert + 1e-9
 
 
 @pytest.mark.parametrize("losses", [
@@ -699,9 +805,9 @@ class TestSolveGeneric:
         inst = phase_instance
         direct = solve_equilibrium(inst, cfg)
         generic = solve_generic(
-            (inst.input_dim, inst.input_dim),
-            lambda first, second: marginal_difference_output(inst, first, second),
-            lambda eff: difference_adjoint_factors(inst, eff),
+            (inst.input_dim,),
+            lambda sigma: marginal_difference_output(inst, sigma, sigma),
+            lambda eff: _symmetric_adjoint(inst, eff),
             lambda y: best_effect(y),
             1.0,
             cfg,
