@@ -19,7 +19,8 @@ most significant. Reports are JSON objects: ``lambda`` is the upper
 certificate, ``interval`` is the Fuchs-van de Graaf image of the certified
 bracket [``lower_cert``, ``upper_cert``] that stopped the solver (see
 ``estimator``), ``widening`` is the measured eigendecomposition error and
-loss-rounding bound added to it, ``iterations`` the rounds run and
+loss-rounding bound added to it (and an upper candidate's rounding bounds,
+when one set the upper end), ``iterations`` the rounds run and
 ``stop_reason`` why they stopped: 'bracket' when the bracket closed to
 delta, 'rounds' when the round limit T ran out first. T is
 ``--rounds`` when given, else ceil(16 ln n / delta^2) clamped to
@@ -273,14 +274,16 @@ def write_trace(result: EquilibriumResult, path: str) -> None:
     """Write ``trace_to_records(result)`` as JSON lines, keys sorted, in one
     write.
 
-    orjson would write NaN or +-inf as ``null``, but a returned result holds
-    neither: its numbers come through gates of the form ``not x <= bound``,
-    which every NaN fails. Each loss and loss sum reaches ``herm_eig``,
-    whose gate refuses the NaN residuals a non-finite entry gives, so the
-    spectra, their error bounds, the Gibbs densities built from them and the
-    sums themselves are finite. The round value, its best-response error and
-    the loss spectrum's extremes are gated in the loop, and the certificates
-    must not cross (``EquilibriumResult``).
+    The one ``null`` is an ``iter`` record's ``cand_loss`` in a round that
+    evaluated no upper candidate. orjson would write NaN or +-inf as
+    ``null`` too, but a returned result holds neither: its numbers come
+    through gates of the form ``not x <= bound``, which every NaN fails.
+    Each loss and loss sum reaches ``herm_eig``, whose gate refuses the NaN
+    residuals a non-finite entry gives, so the spectra, their error bounds,
+    the Gibbs densities built from them and the sums themselves are finite.
+    The round and candidate values, their best-response errors and the loss
+    spectrum's extremes are gated in the loop, and the certificates must not
+    cross (``EquilibriumResult``).
     """
     option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
     data = b"".join(orjson.dumps(record, option=option) for record in trace_to_records(result))

@@ -47,7 +47,24 @@ width is at most (delta/4 + 0.36) delta bound <= 0.86 delta bound. Both lie
 below the stop threshold delta bound, up to the measured widening, and the
 factor (1 + 2e-9)^2 leaves both constants as stated. So a run to the
 formula's T closes its bracket as the paper's fixed rate eps = delta/4
-does, and the larger early steps close it sooner.
+does, and the larger early steps close it sooner. Upper candidates (below)
+only lower the upper end and leave the update, the regret bound and the
+lower end as they are, so they can only close the bracket sooner.
+
+Upper candidates. By weak duality the value max_E <E, A*(sigma)> of any
+density sigma bounds the equilibrium value from above, and the MMW
+densities lag behind on hard pairs. So a round that leaves the bracket open
+(upper - lower > delta bound) takes one Kelley cutting-plane step of
+Frank-Wolfe on the convex function sigma -> max_E <E, A*(sigma)>: it
+evaluates the min player's best response rho_b to the round's loss, the
+uniform density on the eigenvectors of M(t) within (upper - lower)/(2 bound)
+of lambda_min(M(t)) (read off the loss decomposition the round already has),
+when the round's witness says the value falls toward it, and then the point
+of the segment from rho(t) to rho_b where the two witnesses' tangent lines
+cross (``_upper_candidates``; Arora-Kale and Freund-Schapire use best
+responses on both sides). Each value is rounded up by its best-response
+error and explicit rounding bounds, and the smallest value seen is the
+upper end.
 ``solve_generic`` is the one loop, for any game given by its value
 operator, adjoint and best response; ``solve_equilibrium`` is the
 channel-pair instance.
@@ -55,9 +72,10 @@ channel-pair instance.
 T is the run's only limit, not a schedule: ``MMWConfig.rounds`` when set,
 else the formula clamped to MAX_ROUNDS. Whatever the update rule, two
 weak-duality certificates bound the equilibrium value after every round
-(Arora-Kale, primal-dual MMW): the smallest best-response value seen so far
-from above, and the smallest eigenvalue of the adjoint image of the averaged
-(or of the best single) witness from below. The averaged witness's image is
+(Arora-Kale, primal-dual MMW): the smallest best-response value seen so far,
+at a round's density or at an upper candidate, from above, and the smallest
+eigenvalue of the adjoint image of the averaged (or of the best single)
+witness from below. The averaged witness's image is
 read off the loss sum S(t): it is bound (2 S(t)/t - I), so its smallest
 eigenvalue is bound (2 lambda_min(S(t))/t - 1). Both certificates are
 widened by the measured residuals of the eigendecompositions they come
@@ -175,15 +193,108 @@ def _gibbs_density(dec: EigDecomp, eta: float):
 
     The exponent is shifted by its largest eigenvalue before exponentiating;
     the shift cancels in the normalization, so the returned density is the
-    exact mathematical value up to the eigendecomposition residual.
+    exact mathematical value up to the eigendecomposition residual. Returns
+    the density, the exponent's extremes, and its spectrum gains/total as
+    the weights on the eigenvectors' columns.
     """
     w = dec.eigenvalues  # descending
     gains = np.exp(-eta * (w - w[-1]))
     total = float(np.sum(gains))
     rho = (dec.eigenvectors * gains) @ dec.eigenvectors.conj().T / total
     rho = 0.5 * (rho + rho.conj().T)
-    # Spectrum of rho is gains/total by construction.
-    return rho, -eta * float(w[0]), -eta * float(w[-1]), float(gains[-1] / total)
+    return rho, -eta * float(w[0]), -eta * float(w[-1]), gains / total
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k rounded
+    operations (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.1)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _density_near(vectors: np.ndarray, weights: np.ndarray):
+    """sigma = sum_j c_j v_j v_j* for the columns v_j of ``vectors`` (n x k)
+    and weights c_j >= 0, symmetrized, with a bound on its trace-norm
+    distance from the densities.
+
+    The exact W = V diag(c) V* is positive semidefinite whatever the
+    columns' departure from orthonormality. Scaling the columns, the
+    product (a complex inner product of length k per entry, Higham section
+    3.6) and the symmetrizing add put the computed sigma within Frobenius
+    distance f = gamma_{k+4} ||V diag(c)||_F ||V||_F of W. A Hermitian sigma
+    is within |tr sigma - 1| + 2 ||sigma_-||_1 of the density
+    sigma_+ / tr sigma_+, and ||sigma_-||_1 <= ||sigma - W||_1 <= sqrt(n) f
+    for any positive semidefinite W; the computed trace is within
+    gamma_n sqrt(n) ||sigma||_F of the exact one. So the distance is at most
+    |fl(tr sigma) - 1| + sqrt(n) (2 f + gamma_n ||sigma||_F), to first order
+    in u, as the loop's other rounding bounds are.
+    """
+    scaled = vectors * weights
+    sigma = scaled @ vectors.conj().T
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    n, k = vectors.shape
+    formed = _gamma(k + 4) * float(np.linalg.norm(scaled)) * float(np.linalg.norm(vectors))
+    trace = float(np.trace(sigma).real)
+    slack = math.sqrt(n) * (2.0 * formed + _gamma(n) * float(np.linalg.norm(sigma)))
+    return sigma, abs(trace - 1.0) + slack
+
+
+def _upper_candidates(evaluate, bound, eps, gibbs, spectra, value_op, value, inner):
+    """Upper certificates from one Kelley cutting-plane step of Frank-Wolfe
+    on sigma -> max_E <E, apply_op(sigma)>, from rho(t) toward the min
+    player's best response to the round's loss M; a list of
+    (widened value, widening), one per density evaluated.
+
+    ``gibbs`` holds, per factor, the decomposition behind rho(t) and its
+    weights; ``spectra`` the loss factors' decompositions. The best
+    response rho_b is P / rank P per factor, P the projector onto the loss
+    factor's eigenvectors within ``eps`` of its smallest eigenvalue. The
+    round's witness E_t gives the tangent line value + s g_t along the
+    segment sigma(s) = (1 - s) rho(t) + s rho_b, with the slope
+    g_t = <E_t, apply_op(rho_b) - apply_op(rho(t))> = 2 bound (<M, rho_b> -
+    <M, rho(t)>) read off the loss. With g_t >= 0 nothing is evaluated.
+    Otherwise rho_b is; when its own witness E_b rises along the segment,
+    g_b = <E_b, apply_op(rho_b) - apply_op(rho(t))> > 0, so does sigma(s*) at
+    the crossing s* of the two tangent lines. With several factors sigma(s)
+    mixes each factor and convexity only guides s*. Each value is rounded up
+    by its best-response error, gamma_{K+2} ||E||_F ||apply_op(sigma)||_F
+    for the K-entry complex inner product, and bound times the candidate's
+    trace-norm distance from a density, since |<E, apply_op(Delta)>| <=
+    bound ||Delta||_1 for Hermitian Delta (``_density_near``, per factor;
+    the tensor product of densities within d_k of the factors is within
+    prod (1 + d_k) - 1), so every one is an upper certificate.
+    """
+    picks = [dec.eigenvalues <= dec.eigenvalues[-1] + eps for dec in spectra]
+    slope = 2.0 * bound * (sum(float(np.mean(dec.eigenvalues[keep]))
+                               for dec, keep in zip(spectra, picks)) - inner)
+    if not slope < 0.0:
+        return []
+
+    def certify(s):
+        factors = []
+        for (dec, weights), sp, keep in zip(gibbs, spectra, picks):
+            best = sp.eigenvectors[:, keep]
+            share = np.full(best.shape[1], s / best.shape[1])
+            if s < 1.0:
+                best = np.hstack([dec.eigenvectors, best])
+                share = np.concatenate([(1.0 - s) * weights, share])
+            factors.append(_density_near(best, share))
+        op, witness, val, err = evaluate([sigma for sigma, _ in factors])
+        widening = (err + bound * (math.prod(1.0 + d for _, d in factors) - 1.0)
+                    + _gamma(np.size(op) + 2) * float(np.linalg.norm(witness))
+                    * float(np.linalg.norm(op)))
+        return (val + widening, widening), witness, val
+
+    found, witness, best_value = certify(1.0)
+    out = [found]
+    # E_b's value at rho(t); E_b's tangent line is best_value - (1 - s) g_b.
+    at_round = float(np.vdot(witness, value_op).real)
+    rise = best_value - at_round
+    if rise > 0.0:
+        s = (value - at_round) / (rise - slope)
+        if 0.0 < s < 1.0:
+            out.append(certify(s)[0])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,12 +306,14 @@ class EquilibriumResult:
     equilibrium value: the minimum eigenvalue of the adjoint image of the
     averaged witness, that of the best single-round witness, and
     ``value_floor``, the lower end of the caller's proven value range (None
-    without a range). ``upper_cert`` is the smallest per-round value, an
-    upper bound since every round plays an exact best response. Both are
-    the bracket that stopped the loop, widened by the measured
-    eigendecomposition error and the rounding bound of the losses and their
-    sum; the total is ``widening`` (nothing for a lower end set by the
-    floor). The certificates are checked against each other at
+    without a range). ``upper_cert`` is the smallest value seen, at the
+    round densities and at the upper candidates of the rounds that left the
+    bracket open, an upper bound since each value is that of an exact best
+    response. Both are the bracket that stopped the loop, widened by the
+    measured eigendecomposition error and the rounding bound of the losses
+    and their sum, and an upper end set by a candidate by that candidate's
+    rounding bounds; the total is ``widening`` (nothing for a lower end set
+    by the floor). The certificates are checked against each other at
     construction: they may cross by roundoff only, 1e-9 max(1, bound).
 
     ``dim`` is N, ``rounds`` the round limit T, ``stop_reason`` 'bracket'
@@ -208,12 +321,15 @@ class EquilibriumResult:
     per-factor loss sums S_k, whose Kronecker sum is the N x N sum S.
     ``iters`` holds one dict per round, keyed as the trace's ``iter``
     record: ``t``; ``loss``, the round value plus its best-response error;
-    ``inner``, <rho(t), M(t)>; ``exp_min`` and ``exp_max`` of the exponent
+    ``cand_loss``, the round's smallest upper candidate value plus its error
+    bounds, or None when the round evaluated none; ``inner``,
+    <rho(t), M(t)>; ``exp_min`` and ``exp_max`` of the exponent
     -eta_t S(t-1); ``rho_trace_err`` and ``rho_min_eig``; the loss spectrum's
     ``m_min_eig`` and ``m_max_eig``; the loss sum's ``sum_min_eig``; and
     ``m_eig_err`` and ``sum_eig_err``, their error bounds from the measured
     residuals and the rounding of forming and summing the losses. Each value
-    is a Python int or float, since the trace's encoder refuses numpy scalars.
+    is a Python int or float (or None), since the trace's encoder refuses
+    numpy scalars.
     """
 
     lower_cert: float
@@ -270,16 +386,22 @@ def solve_generic(
 
     ``dims`` is the tuple of density factor dimensions, ``(N,)`` for a dense
     game. ``apply_op`` is called with one density per factor, whose tensor
-    product is rho(t). ``argmax_op`` returns ``(witness, err)``: a maximizing
-    witness and a finite ``err >= 0`` bounding how far its value may fall
-    short of the maximum; the round's value is rounded up by it.
-    ``adjoint_op`` returns a witness's adjoint image as a tuple of
-    Kronecker-sum factors, one per density factor, each Hermitian within
-    ``HERM_TOL``; the loop symmetrizes them once, on entry. ``bound`` bounds
-    ``|<witness, apply_op(rho)>|`` (spot-checked every round; the accuracy
-    guarantee scales with it). ``loss_range``, when given, is a range the
-    caller proves every round value lies in (checked every round); its
-    lower end is then a lower certificate from the start.
+    product is rho(t) or an upper candidate. ``argmax_op`` returns
+    ``(witness, err)``: a maximizing witness and a finite ``err >= 0``
+    bounding how far its value may fall short of the maximum; the value is
+    rounded up by it. ``adjoint_op`` returns a witness's adjoint image as a
+    tuple of Kronecker-sum factors, one per density factor, each Hermitian
+    within ``HERM_TOL``; the loop symmetrizes them once, on entry. Each
+    round calls ``adjoint_op`` once, on the round's witness, and
+    ``apply_op`` and ``argmax_op`` on rho(t), then, only in a round that
+    leaves the bracket open, on at most two upper candidates
+    (``_upper_candidates``). A candidate's value passes the same gates as a
+    round's and is rounded up further by the rounding bounds of its inner
+    product and of its distance from a density. ``bound`` bounds
+    ``|<witness, apply_op(rho)>|`` (spot-checked on every value; the
+    accuracy guarantee scales with it). ``loss_range``, when given, is a
+    range the caller proves every value lies in (checked on every value);
+    its lower end is then a lower certificate from the start.
 
     The round's loss M = (I + image / bound) / 2 is fed back as computed. Its
     spectrum may leave [0, 1] by roundoff, at most LOSS_TOL; a larger
@@ -316,20 +438,10 @@ def solve_generic(
     upper, upper_err, single, single_err = math.inf, 0.0, -math.inf, 0.0
     reason = "rounds"
 
-    for t in range(1, planned + 1):
-        eta = learning_rate(t, dim)
-        gibbs = [_gibbs_density(dec, eta) for dec in decs]
-        rhos = [g[0] for g in gibbs]
-        traces = [float(np.trace(r).real) for r in rhos]
-        row = {
-            "t": t,
-            "exp_min": sum(g[1] for g in gibbs),
-            "exp_max": sum(g[2] for g in gibbs),
-            "rho_trace_err": abs(math.prod(traces) - 1.0),
-            "rho_min_eig": math.prod(g[3] for g in gibbs),
-        }
-
-        value_op = apply_op(*rhos)
+    def evaluate(densities):
+        """The value operator at ``densities``, its best response and the
+        gated value: (value_op, witness, value, err)."""
+        value_op = apply_op(*densities)
         witness, err = argmax_op(value_op)
         if not 0.0 <= err < math.inf:
             raise OracleBoundError(f"best-response error {err} must be finite and >= 0")
@@ -346,6 +458,22 @@ def solve_generic(
             loss_range[0] - LOSS_TOL <= value <= loss_range[1] + LOSS_TOL
         ):
             raise OracleBoundError(f"round value {value} outside promised range {loss_range}")
+        return value_op, witness, value, err
+
+    for t in range(1, planned + 1):
+        eta = learning_rate(t, dim)
+        gibbs = [_gibbs_density(dec, eta) for dec in decs]
+        rhos = [g[0] for g in gibbs]
+        traces = [float(np.trace(r).real) for r in rhos]
+        row = {
+            "t": t,
+            "exp_min": sum(g[1] for g in gibbs),
+            "exp_max": sum(g[2] for g in gibbs),
+            "rho_trace_err": abs(math.prod(traces) - 1.0),
+            "rho_min_eig": math.prod(float(g[3][-1]) for g in gibbs),
+        }
+
+        value_op, witness, value, err = evaluate(rhos)
         image = [require_hermitian(f) for f in adjoint_op(witness)]
         if [f.shape for f in image] != shapes:
             raise OracleBoundError(
@@ -375,6 +503,8 @@ def solve_generic(
             for k, (r, m) in enumerate(zip(rhos, ms))
         )
         row["loss"] = float(value + err)
+        row["cand_loss"] = None
+        round_decs = decs
 
         for k, m in enumerate(ms):
             sums[k] = sums[k] + m
@@ -402,6 +532,14 @@ def solve_generic(
             lower, lower_err = single, single_err
         if floor >= lower:
             lower, lower_err = floor, 0.0
+        if upper - lower > cfg.delta * bound:
+            found = _upper_candidates(
+                evaluate, bound, (upper - lower) / (2.0 * bound),
+                [(dec, g[3]) for dec, g in zip(round_decs, gibbs)], spectra,
+                value_op, value, row["inner"])
+            if found:
+                row["cand_loss"] = min(found)[0]
+                upper, upper_err = min(min(found), (upper, upper_err))
         if upper - lower <= cfg.delta * bound:
             reason = "bracket"
             break
@@ -423,7 +561,9 @@ def solve_equilibrium(inst: ReducedInstance, cfg: MMWConfig | None = None) -> Eq
     loop runs on one n x n factor and N = n. Each round plays the
     positive-eigenspace projector of the difference output (the exact best
     response, with its measured error) and feeds back the shifted adjoint
-    image as the loss. A witness's lower certificate is lambda_min(G+ - G-),
+    image as the loss; a round that leaves the bracket open also scores up
+    to two upper candidates on the segment toward the min player's best
+    response (``solve_generic``). A witness's lower certificate is lambda_min(G+ - G-),
     never below the lambda_min(G+) - lambda_max(G-) it certifies in the game
     on X0 (x) X1 (Weyl's inequality). Every round value lies in [0, 1], the
     ``loss_range``; its 0 is exact, since the zero effect is feasible and

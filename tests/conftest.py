@@ -211,13 +211,16 @@ def certified_bracket(result, bound=1.0):
     """The certified bracket after each round, rebuilt from the per-round
     records alone, as arrays (lower, upper, averaged) indexed by round.
 
-    Upper: the smallest per-round value so far. Lower: the largest of the
+    Upper: the smallest per-round value or candidate value (``cand_loss``,
+    null in a round that evaluated none) so far. Lower: the largest of the
     best single-round image minimum, bound (2 m_min_eig - 1), the averaged
     image minimum, bound (2 sum_min_eig / t - 1), and the result's
     ``value_floor``, each eigenvalue lowered by its recorded error.
     """
     t = column(result, "t")
-    upper = np.minimum.accumulate(column(result, "loss"))
+    candidates = np.array([np.inf if row["cand_loss"] is None else row["cand_loss"]
+                           for row in result.iters])
+    upper = np.minimum.accumulate(np.minimum(column(result, "loss"), candidates))
     single = np.maximum.accumulate(
         bound * (2.0 * (column(result, "m_min_eig") - column(result, "m_eig_err")) - 1.0))
     averaged = bound * (2.0 * (column(result, "sum_min_eig") - column(result, "sum_eig_err"))
@@ -282,15 +285,20 @@ def replay_losses(losses, dims, cfg, bound=1.0):
     The upper certificate is ``bound`` throughout, and the bracket closes
     only once the losses' lambda_min reaches 1 - delta/2. Returns the result
     and the densities of each round, one per factor.
+
+    The loop calls ``adjoint_op`` once per round, on the round's witness,
+    and ``apply_op`` on rho(t) first, then on any upper candidates; so the
+    densities ``apply_op`` saw last when ``adjoint_op`` runs are rho(t).
     """
-    seen = []
+    seen, last = [], []
 
     def apply_op(*rhos):
-        seen.append([r.copy() for r in rhos])
+        last[:] = [r.copy() for r in rhos]
         return np.array([[bound]])
 
     def adjoint_op(witness):
-        # The count of densities seen picks the loss of the round just played.
+        # The count of adjoint images picks the loss of the round just played.
+        seen.append(list(last))
         first, *rest = losses[len(seen) - 1]
         return (bound * (2.0 * first - np.eye(first.shape[0])), *(2.0 * bound * m for m in rest))
 

@@ -101,8 +101,8 @@ def identity_pair_file(tmp_path):
 
 @pytest.fixture
 def open_kraus_pair_file(tmp_path):
-    # Seeded Kraus pair whose certified bracket stays wider than delta = 0.2
-    # until round 6.
+    # Seeded Kraus pair whose certified bracket stays wider than delta = 0.02
+    # until round 8 (it closes in round 1 at delta = 0.2).
     rng = np.random.default_rng(5)
     specs = [random_kraus_pair_spec(rng) for _ in range(2)]
     return write_channels(tmp_path, *(spec_doc("kraus", 2, 2, s.matrices) for s in specs))
@@ -583,35 +583,35 @@ class TestCommands:
         assert meta["exponent_norm_bound"] == pytest.approx(eta * 277)
 
     def test_round_cap_keeps_partial_trace(self, open_kraus_pair_file, tmp_path, capsys):
-        # T = 5 ends the run one round before its bracket closes: the run
-        # reports the bracket it has and writes the trace of its 5 rounds.
+        # T = 7 ends the run one round before its bracket closes: the run
+        # reports the bracket it has and writes the trace of its 7 rounds.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--rounds", "5",
+        code = main(["bounds", open_kraus_pair_file, "--delta", "0.02", "--rounds", "7",
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 5
+        assert doc["stop_reason"] == "rounds" and doc["iterations"] == 7
         lines = read_records(trace_path)
-        assert sum(1 for rec in lines if rec["kind"] == "iter") == 5
-        assert lines[0]["rounds"] == 5
+        assert sum(1 for rec in lines if rec["kind"] == "iter") == 7
+        assert lines[0]["rounds"] == 7
         assert lines[-1]["lambda"] == doc["lambda"] == doc["upper_cert"]
         assert lines[-1]["stop_reason"] == "rounds"
-        result = solved_result(open_kraus_pair_file, lines, rounds=5)
-        assert result.iterations == 5 and result.rounds == 5
+        result = solved_result(open_kraus_pair_file, lines, delta=0.02, rounds=7)
+        assert result.iterations == 7 and result.rounds == 7
         assert first_closed_round(result) is None
 
     def test_bracket_stop_before_the_cap(self, open_kraus_pair_file, tmp_path, capsys):
         # The same pair's bracket closes before a limit of 200 rounds: the
         # run reports where it stopped.
         trace_path = tmp_path / "t.jsonl"
-        code = main(["bounds", open_kraus_pair_file, "--rounds", "200",
+        code = main(["bounds", open_kraus_pair_file, "--delta", "0.02", "--rounds", "200",
                      "--trace-out", str(trace_path)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         lines = read_records(trace_path)
-        result = solved_result(open_kraus_pair_file, lines, rounds=200)
+        result = solved_result(open_kraus_pair_file, lines, delta=0.02, rounds=200)
         assert doc["stop_reason"] == lines[-1]["stop_reason"] == "bracket"
-        assert doc["iterations"] == first_closed_round(result) == 6
+        assert doc["iterations"] == first_closed_round(result) == 8
         assert doc["upper_cert"] - doc["lower_cert"] <= doc["delta"]
         assert doc["lambda"] == doc["upper_cert"] == lines[-1]["lambda"]
         assert 0.0 < doc["widening"] <= 1e-9
@@ -622,7 +622,7 @@ class TestCommands:
         # give the same report and the same trace.
         def bounds(tag, *flags):
             report, trace = tmp_path / f"{tag}.json", tmp_path / f"{tag}.jsonl"
-            code = main(["bounds", open_kraus_pair_file, *flags, "--report-out",
+            code = main(["bounds", open_kraus_pair_file, "--delta", "0.02", *flags, "--report-out",
                          str(report), "--trace-out", str(trace)])
             capsys.readouterr()
             return code, report.read_bytes(), trace.read_text().splitlines()
@@ -647,15 +647,16 @@ class TestCommands:
             assert doc["stop_reason"] == "rounds" and doc["iterations"] == 2
 
     def test_qcd_refused_after_solving_writes_its_trace(self, tmp_path, capsys):
-        # After one round the interval of U = I, V = diag(1, i, -1) reaches
-        # both b and a: the decision is refused, the trace is kept.
+        # After one round the interval of U = I, V = diag(1, i, i), about
+        # [0.547, 1.789], reaches both b and a, whose gap clears the
+        # pre-solve check: the decision is refused, the trace is kept.
         path = write_channels(
             tmp_path,
             spec_doc("unitary", 3, 3, [np.eye(3)]),
-            spec_doc("unitary", 3, 3, [np.diag([1.0, 1j, -1.0])]),
+            spec_doc("unitary", 3, 3, [np.diag([1.0, 1j, 1j])]),
         )
         trace_path = tmp_path / "t.jsonl"
-        code = main(["qcd", path, "--a", "2.0", "--b", "1.4", "--delta", "0.1",
+        code = main(["qcd", path, "--a", "1.75", "--b", "0.56", "--delta", "0.1",
                      "--rounds", "1", "--trace-out", str(trace_path)])
         assert code == 2
         assert "neither side" in capsys.readouterr().err
@@ -874,7 +875,8 @@ class TestSerialization:
     ], ids=["unitary", "kraus", "stinespring", "constant", "padded"])
     def test_iter_records_hold_plain_numbers_under_the_readme_keys(self, kinds):
         # orjson refuses numpy scalars, so every iter value must be a Python
-        # int or float. The padded pair is z = 1 against z = 3.
+        # int or float, or None for a round that evaluated no upper
+        # candidate (``cand_loss``). The padded pair is z = 1 against z = 3.
         with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
             readme = handle.read()
         head = "one `iter` record per round:"
@@ -887,7 +889,8 @@ class TestSerialization:
         assert len(iters) == result.iterations
         for rec in iters:
             assert set(rec) == keys | {"kind"}
-            assert all(type(v) in (int, float) for k, v in rec.items() if k != "kind"), rec
+            assert all(type(v) in (int, float) for k, v in rec.items()
+                       if k != "kind" and not (k == "cand_loss" and v is None)), rec
 
     def test_trace_roundtrip_file(self, phase_instance, tmp_path):
         result = solve_equilibrium(phase_instance, MMWConfig(delta=0.2, rounds=40))

@@ -229,10 +229,11 @@ class TestContainment:
 
 class TestBracketReport:
     def test_run_to_t_is_inside_the_a_priori_interval(self):
-        # T = 2 rounds end before this pair's bracket closes (round 10).
+        # T = 2 rounds end before this pair's bracket closes (round 8 at
+        # delta = 0.02).
         rng = np.random.default_rng(5)
         inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
-        cfg = MMWConfig(delta=0.2, rounds=2)
+        cfg = MMWConfig(delta=0.02, rounds=2)
         report = solve_and_report(inst, cfg)
         result = report.result
         assert result.stop_reason == "rounds"

@@ -24,6 +24,7 @@ from diamondeq.cli import trace_to_records
 from diamondeq.estimator import build_report
 from diamondeq.oracles import (
     constant_diamond,
+    diamond_lower_search,
     naive_equilibrium,
     random_density,
     random_unitary,
@@ -38,6 +39,7 @@ from tests.conftest import (
     constant_spec,
     difference_adjoint,
     difference_output,
+    fidelity,
     first_closed_round,
     kron_sum,
     mat_exp_hermitian,
@@ -327,15 +329,17 @@ class TestSolveEquilibrium:
         assert res.iterations == first_closed_round(res)
 
     def test_stops_when_the_bracket_closes(self):
-        # Seeded Kraus pair whose bracket stays wider than delta for 5 rounds.
+        # Seeded Kraus pair whose bracket stays wider than delta = 0.02 for 7
+        # rounds; ceil(16 ln 2 / 0.02^2) = 27726.
         rng = np.random.default_rng(5)
         inst = build_instance(*(random_kraus_pair_spec(rng) for _ in range(2)))
-        res = solve_equilibrium(inst, FAST)
+        cfg = MMWConfig(delta=0.02)
+        res = solve_equilibrium(inst, cfg)
         assert res.stop_reason == "bracket"
-        assert res.iterations == first_closed_round(res) == 6
-        assert res.iterations < res.rounds == 278
-        assert res.upper_cert - res.lower_cert <= FAST.delta
-        assert res.value == res.upper_cert == np.min(column(res, "loss"))
+        assert res.iterations == first_closed_round(res) == 8
+        assert res.iterations < res.rounds == 27726
+        assert res.upper_cert - res.lower_cert <= cfg.delta
+        assert res.value == res.upper_cert == certified_bracket(res)[1][-1]
         assert 0.0 < res.widening <= 1e-9
         assert regret_check(res) >= 0.0
         lb, ub = naive_equilibrium(inst, iters=10, seed=0)
@@ -368,6 +372,22 @@ class TestSolveEquilibrium:
             assert res.stop_reason == "bracket"
             assert 0.0 <= res.upper_cert <= 1e-9
             assert res.widening <= 1e-12
+
+    @pytest.mark.parametrize("pair", ["orthogonal_instance", "identity_instance"])
+    def test_first_round_closure_evaluates_no_candidate(self, pair, request):
+        # A bracket closed by the first round's own value and witness leaves
+        # no round open, so apply_op runs once and no candidate is recorded.
+        inst = request.getfixturevalue(pair)
+        densities = []
+
+        def apply_op(sigma):
+            densities.append(sigma)
+            return marginal_difference_output(inst, sigma, sigma)
+
+        res = solve_generic((inst.input_dim,), apply_op, lambda eff: _symmetric_adjoint(inst, eff),
+                            best_effect, 1.0, FAST, loss_range=(0.0, 1.0))
+        assert res.iterations == 1 and res.stop_reason == "bracket"
+        assert len(densities) == 1 and res.iters[0]["cand_loss"] is None
 
     def test_phase_pair_window(self, phase_instance):
         res = solve_equilibrium(phase_instance, FAST)
@@ -596,7 +616,10 @@ def test_product_solver_matches_dense_reference(kind, n):
     inst = build_instance(*_seeded_pair(kind, n))
     product = _product_game(inst)
     dense = _dense_reference(inst)
-    assert product.iterations == dense.iterations
+    # Both close their brackets. Their round counts may differ: the product
+    # run's upper candidates mix each factor, the dense run's the joint
+    # density.
+    assert product.stop_reason == dense.stop_reason == "bracket"
     # The symmetric game on one n x n density plays for the same value with
     # half the log-dimension, and takes no more rounds.
     symmetric = solve_equilibrium(inst, FAST)
@@ -608,7 +631,7 @@ def test_product_solver_matches_dense_reference(kind, n):
     for a, b in ((product, dense), (symmetric, dense), (symmetric, product)):
         assert a.lower_cert <= b.upper_cert + 1e-9
         assert b.lower_cert <= a.upper_cert + 1e-9
-    if _gap(product, dense) > 1e-9:
+    if product.iterations == dense.iterations and _gap(product, dense) > 1e-9:
         # Allowed only where the game amplifies roundoff: near-degenerate best
         # responses make the dense run itself move by more than 1e-9 when its
         # density is perturbed by one part in 1e15.
@@ -628,31 +651,27 @@ def _averaged_image_min(factors):
 def test_averaged_certificate_matches_the_adjoint_image(kind, n):
     # The loop reads the averaged witness's certificate off its loss sum;
     # the reference eigendecomposes the adjoint image of the averaged
-    # witness itself.
+    # witness itself. The loop takes the adjoint image of each round's
+    # witness only, never of an upper candidate's.
     inst = build_instance(*_seeded_pair(kind, n))
-    witnesses, adjoint_calls = [], []
-
-    def argmax_op(value_op):
-        witness, err = best_effect(value_op)
-        witnesses.append(witness)
-        return witness, err
+    witnesses = []
 
     def adjoint_op(eff):
-        adjoint_calls.append(eff)
+        witnesses.append(eff)
         return _symmetric_adjoint(inst, eff)
 
     res = solve_generic(
         (n,),
         lambda sigma: marginal_difference_output(inst, sigma, sigma),
         adjoint_op,
-        argmax_op,
+        best_effect,
         1.0,
         FAST,
         loss_range=(0.0, 1.0),
     )
     assert trace_to_records(res) == trace_to_records(solve_equilibrium(inst, FAST))
     # One adjoint image per round, none after the loop.
-    assert len(adjoint_calls) == res.iterations
+    assert len(witnesses) == res.iterations
     lower, upper, averaged = certified_bracket(res)
     reference = _averaged_image_min(_symmetric_adjoint(inst, np.mean(witnesses, axis=0)))
     assert abs(averaged[-1] - reference) <= 1e-12
@@ -689,16 +708,15 @@ def test_symmetric_game_brackets_the_pair(kind, seed, n, m, envs, delta):
     cfg = MMWConfig(delta=delta)
     witnesses = []
 
-    def argmax_op(value_op):
-        witness, err = best_effect(value_op)
-        witnesses.append(witness)
-        return witness, err
+    def adjoint_op(eff):
+        witnesses.append(eff)
+        return _symmetric_adjoint(inst, eff)
 
     res = solve_generic(
         (n,),
         lambda sigma: marginal_difference_output(inst, sigma, sigma),
-        lambda eff: _symmetric_adjoint(inst, eff),
-        argmax_op,
+        adjoint_op,
+        best_effect,
         1.0,
         cfg,
         loss_range=(0.0, 1.0),
@@ -729,6 +747,53 @@ def test_symmetric_game_brackets_the_pair(kind, seed, n, m, envs, delta):
     product = _product_game(inst, cfg)
     assert res.lower_cert <= product.upper_cert + 1e-9
     assert product.lower_cert <= res.upper_cert + 1e-9
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_KINDS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 4),
+       envs=st.tuples(*[st.integers(1, 4)] * 2), delta=st.sampled_from([0.02, 0.1]))
+def test_candidates_never_undercut_the_value(kind, seed, n, m, envs, delta):
+    # Every upper candidate, rounded up by its error bound, is at least
+    # lambda: the closed form sqrt(1 - D^2/4) for unitary pairs and the
+    # fidelity ||sqrt(sigma0) sqrt(sigma1)||_1 for constant ones, and for
+    # the other kinds the best-response sandwich's lower end. The reported
+    # interval holds D, or at least a sampled lower bound on it. The loop
+    # takes one adjoint image per round and evaluates at most two
+    # candidates in a round. The sandwich is limited to n <= 3.
+    specs = random_specs(np.random.default_rng(seed), _PAIR_KINDS[kind], n, m, envs)
+    inst = build_instance(*specs)
+    calls = {"apply": 0, "adjoint": 0}
+
+    def apply_op(sigma):
+        calls["apply"] += 1
+        return marginal_difference_output(inst, sigma, sigma)
+
+    def adjoint_op(eff):
+        calls["adjoint"] += 1
+        return _symmetric_adjoint(inst, eff)
+
+    cfg = MMWConfig(delta=delta)
+    res = solve_generic((n,), apply_op, adjoint_op, best_effect, 1.0, cfg, loss_range=(0.0, 1.0))
+    assert trace_to_records(res) == trace_to_records(solve_equilibrium(inst, cfg))
+    assert calls["adjoint"] == res.iterations
+    assert res.iterations <= calls["apply"] <= 3 * res.iterations
+
+    lo, hi = build_report(res).interval
+    mats = [s.matrices[0] for s in specs]
+    if kind == "unitary":
+        truth = unitary_diamond(*mats)
+        value = math.sqrt(max(0.0, 1.0 - truth * truth / 4.0))
+        assert lo - 1e-9 <= truth <= hi + 1e-9
+    elif kind == "constant":
+        truth = constant_diamond(*mats)
+        value = fidelity(*mats)
+        assert lo - 1e-9 <= truth <= hi + 1e-9
+    else:
+        value = naive_equilibrium(inst, iters=3, seed=seed % 1000)[0]
+        assert diamond_lower_search(*specs, trials=20, seed=0) <= hi + 1e-9
+    candidates = [row["cand_loss"] for row in res.iters if row["cand_loss"] is not None]
+    assert all(c >= value - 1e-12 for c in candidates)
 
 
 @pytest.mark.parametrize("losses", [
@@ -826,28 +891,35 @@ class TestSolveGeneric:
         assert res.lower_cert <= 5.0 / 3.0 + 1e-9
         assert res.upper_cert >= 5.0 / 3.0 - 1e-9
         assert res.iterations == first_closed_round(res, bound) <= res.rounds
+        # The min player's best response reaches 5/3 exactly; rounding each
+        # candidate up by its error bound keeps it at or above the value.
+        candidates = [row["cand_loss"] for row in res.iters if row["cand_loss"] is not None]
+        assert candidates and min(candidates) >= 5.0 / 3.0
 
     @pytest.mark.parametrize("delta, rounds, lower, upper", [
-        (0.05, 22, 1.5454545454545454, 1.6784872624683649),
-        (0.1, 10, 1.4, 1.6784872624683649),
-        (0.2, 6, 1.1666666666666667, 1.6784872624683658),
+        (0.05, 19, 29.0 / 19.0, 1.6666666666666756),
+        (0.1, 10, 1.4, 1.6666666666666756),
+        (0.2, 6, 7.0 / 6.0, 1.6666666666666756),
         (0.5, 1, 1.0, 2.0),
     ])
     def test_matrix_game_has_no_value_floor(self, delta, rounds, lower, upper):
-        # The table holds the brackets these games had when the averaged
-        # certificate came from eigendecomposing the averaged witness's
-        # adjoint image. A game without a loss range gets no floor, so the
-        # round counts and upper certificates match to the bit. The diagonal
-        # eigendecompositions are exact, so the widening is the rounding
-        # bound of the losses and their sum alone; the lower certificate
-        # before it, read off the loss sum, rounds differently in its last
-        # digits.
+        # A game without a loss range gets no floor. From round 1 on, the
+        # min player's best response to the round's loss is the optimal
+        # mixture (1/3, 2/3), so the upper certificate is 5/3 rounded up by
+        # that candidate's error bound, 9e-15, and only the lower end moves;
+        # at delta = 0.5 the first round's bracket closes before any
+        # candidate. The diagonal eigendecompositions are exact, so the
+        # widening is rounding bounds alone, and the lower certificate before
+        # its error, rebuilt from the records, is the table's fraction.
         res = _matrix_game(0.0, MMWConfig(delta=delta))
         assert res.value_floor is None
         assert res.iterations == rounds
         assert res.upper_cert == upper
         assert 0.0 < res.widening <= 2e-14
-        assert res.lower_cert + res.widening == pytest.approx(lower, rel=0.0, abs=1e-14)
+        unlowered = 3.0 * max(2.0 * column(res, "m_min_eig").max() - 1.0,
+                              2.0 * column(res, "sum_min_eig")[-1] / rounds - 1.0)
+        assert unlowered == pytest.approx(lower, rel=0.0, abs=1e-14)
+        assert res.lower_cert == certified_bracket(res, 3.0)[0][-1] <= unlowered
 
     @pytest.mark.parametrize("err", [-0.5, math.inf, math.nan])
     def test_best_response_error_must_be_finite_and_nonnegative(self, err):
